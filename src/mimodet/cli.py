@@ -27,6 +27,8 @@ from .kernels import OpCount
 from .montecarlo import ConfigError, SweepConfig
 
 _MOD_ORDERS = {"qpsk": 4, "4qam": 4, "16qam": 16, "64qam": 64}
+# detector-spec option -> (DetectorSpec field, parser)
+_SPEC_OPTIONS = {"t": ("iterations", int), "beta": ("beta", float), "bscale": ("beta_scale", float)}
 
 PRESETS = {
     "fig2": dict(
@@ -79,33 +81,24 @@ def parse_detector(text: str) -> DetectorSpec:
         kind = Kind(kind_name)
     except ValueError:
         raise ConfigError("det", f"unknown detector {kind_name!r}") from None
-    backend = Backend.QR if kind is Kind.MMSE or kind is Kind.ZF else Backend.CHOLESKY
-    iterations = 3 if kind in (Kind.NSA, Kind.GS, Kind.CG) else (
-        5 if kind is Kind.ADMIN else 1
-    )
-    beta = None
-    beta_scale = 1.0
+    fields: dict = {}
     for opt in opts:
         if "=" in opt:
             key, val = opt.split("=", 1)
+            if key not in _SPEC_OPTIONS:
+                raise ConfigError("det", f"unknown detector option {key!r}")
+            field_name, cast = _SPEC_OPTIONS[key]
             try:
-                if key == "t":
-                    iterations = int(val)
-                elif key == "beta":
-                    beta = float(val)
-                elif key == "bscale":
-                    beta_scale = float(val)
-                else:
-                    raise ConfigError("det", f"unknown detector option {key!r}")
+                fields[field_name] = cast(val)
             except ValueError:
                 raise ConfigError("det", f"bad value in {opt!r}") from None
         else:
             try:
-                backend = Backend(opt)
+                fields["backend"] = Backend(opt)
             except ValueError:
                 raise ConfigError("det", f"unknown backend {opt!r}") from None
     try:
-        return DetectorSpec(kind, backend, iterations, beta, beta_scale)
+        return DetectorSpec(kind, **fields)
     except ValueError as exc:
         raise ConfigError("det", str(exc)) from None
 
@@ -115,6 +108,10 @@ def _mod_order(name: str) -> int:
         return _MOD_ORDERS[name.lower()]
     except KeyError:
         raise ConfigError("mod", f"unknown modulation {name!r}") from None
+
+
+def _int_or(value, default: int) -> int:
+    return default if value is None else int(value)
 
 
 def build_sweep(settings: dict) -> SweepConfig:
@@ -140,10 +137,10 @@ def build_sweep(settings: dict) -> SweepConfig:
         order=_mod_order(str(settings["mod"])),
         snr_db=snr_points,
         detectors=tuple(specs),
-        trials=int(settings.get("trials") or 2000),
-        master_seed=int(settings.get("seed") or 1),
+        trials=_int_or(settings.get("trials"), 2000),
+        master_seed=_int_or(settings.get("seed"), 1),
         stop_at_errors=None if stop_at in ("none", 0, "0") else int(stop_at),
-        workers=int(settings.get("threads") or 1),
+        workers=_int_or(settings.get("threads"), 1),
     )
     cfg.validate()
     return cfg
@@ -279,7 +276,7 @@ def run_selftest(corrupt_counts: bool = False, stream=None) -> list[tuple[str, b
                      f"expected {expected}, measured {got}, "
                      f"sqrt={acc.sqrt}, reciprocal={acc.reciprocal}"))
 
-    from .decomp import cholesky, gram_schmidt_qr, invert_direct, ldl
+    from .decomp import cholesky, gram_schmidt_qr, ldl
 
     for u in (8, 16):
         a = complexity.seeded_gramian(u, seed=1)
@@ -303,8 +300,10 @@ def run_selftest(corrupt_counts: bool = False, stream=None) -> list[tuple[str, b
         y = (lambda gg: (gg[0] + 1j * gg[1]) / np.sqrt(2.0))(
             rng.standard_normal((2, 4 * u))
         )
+        g0 = detect.gramian(h, 0.0, OpCount())
+        x_mf = detect.matched_filter(h, y, OpCount())
         outs = [
-            detect.detect_linear(h, y, 0.25, DetectorSpec(Kind.MMSE, be)).x_soft
+            detect.soft_estimate(DetectorSpec(Kind.MMSE, be), g0, x_mf, 0.25, 0.0, OpCount())
             for be in Backend
         ]
         spread = max(

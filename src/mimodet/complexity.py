@@ -40,7 +40,6 @@ class Algo(enum.Enum):
 
 
 _DECOMPOSITIONS = (Algo.QR, Algo.CHOLESKY, Algo.LDL)
-_ITERATIVE = (Algo.NSA, Algo.GS, Algo.CG)
 
 
 def formula_rm(algo: Algo, u: int, t: int = 1) -> int:

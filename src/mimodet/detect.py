@@ -3,24 +3,23 @@
 Exact-inversion linear detection (ZF and MMSE through QR, Cholesky, LDL
 or a direct-inverse oracle), the three approximate inversion-based
 detectors (truncated Neumann series, Gauss-Seidel sweeps, conjugate
-gradient), the ADMM box-constrained detector, and the interference-free
-SIMO lower bound.
+gradient) and the ADMM box-constrained detector.
 
 Every detector solves a system against the regularized Gramian
 G = H^H H + reg*I with right-hand side x_mf = H^H y, and reports the
 operations it executed. The matched-filter product (4NU real mults) is
 charged where it is computed, separately from the per-iteration work,
-so inversion-only comparisons remain possible.
+so inversion-only comparisons remain possible. ``soft_estimate`` is the
+one dispatch from a ``DetectorSpec`` to its solver.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import phy
 from .decomp import (
     SingularTriangularError,
     backward_sub,
@@ -33,7 +32,6 @@ from .decomp import (
 from .kernels import (
     OpCount,
     add_vec,
-    cmul,
     counted_recip,
     csub,
     dot_h,
@@ -74,25 +72,28 @@ class Backend(enum.Enum):
 
 
 _EXACT = (Kind.ZF, Kind.MMSE)
-_ITERATIVE = (Kind.NSA, Kind.GS, Kind.CG, Kind.ADMIN)
+_DEFAULT_ITERATIONS = {Kind.NSA: 3, Kind.GS: 3, Kind.CG: 3, Kind.ADMIN: 5}
 
 
 @dataclass(frozen=True)
 class DetectorSpec:
     """Algorithm selector: kind, backend (exact kinds), iterations, beta.
 
-    ``backend`` is ignored for NSA/GS/CG, ``iterations`` for ZF/MMSE.
-    ADMIN regularizes with ``beta`` when given, else
-    ``beta_scale * sigma2``.
+    ``backend`` is ignored for NSA/GS/CG/ADMIN, ``iterations`` for
+    ZF/MMSE. Defaults depend on the kind: backend QR, and t=3 for
+    NSA/GS/CG, t=5 for ADMIN, 1 otherwise. ADMIN regularizes with
+    ``beta`` when given, else ``beta_scale * sigma2``.
     """
 
     kind: Kind
-    backend: Backend = Backend.CHOLESKY
-    iterations: int = 1
+    backend: Backend = Backend.QR
+    iterations: int | None = None
     beta: float | None = None
     beta_scale: float = 1.0
 
     def __post_init__(self):
+        if self.iterations is None:
+            object.__setattr__(self, "iterations", _DEFAULT_ITERATIONS.get(self.kind, 1))
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
         if self.beta is not None and self.beta <= 0:
@@ -122,15 +123,6 @@ class DetectorSpec:
         if beta <= 0:
             raise ValueError("ADMIN needs beta > 0 (sigma2 = 0 with no explicit beta)")
         return beta
-
-
-@dataclass
-class DetectResult:
-    """Soft symbol estimates plus the operation tally that produced them."""
-
-    x_soft: np.ndarray
-    ops: OpCount
-    diverged: bool = False
 
 
 def matched_filter(h: np.ndarray, y: np.ndarray, acc: OpCount) -> np.ndarray:
@@ -191,19 +183,6 @@ def _apply_d_inverse(d: np.ndarray, z: np.ndarray, acc: OpCount) -> np.ndarray:
     return dscale_vec(d_inv, z, acc)
 
 
-def detect_linear(
-    h: np.ndarray, y: np.ndarray, sigma2: float, spec: DetectorSpec
-) -> DetectResult:
-    """ZF or MMSE estimate G^-1 H^H y via the backend named in ``spec``."""
-    if spec.kind not in _EXACT:
-        raise ValueError(f"detect_linear cannot run {spec.kind}")
-    acc = OpCount()
-    reg = sigma2 if spec.kind is Kind.MMSE else 0.0
-    g = gramian(h, reg, acc)
-    x_mf = matched_filter(h, y, acc)
-    return DetectResult(exact_solve(g, x_mf, spec.backend, acc), acc)
-
-
 def nsa_solve(
     g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount
 ) -> tuple[np.ndarray, bool]:
@@ -234,26 +213,11 @@ def nsa_solve(
     return total, diverged
 
 
-def detect_nsa(h: np.ndarray, y: np.ndarray, sigma2: float, t: int) -> DetectResult:
-    acc = OpCount()
-    g = gramian(h, sigma2, acc)
-    x_mf = matched_filter(h, y, acc)
-    x, diverged = nsa_solve(g, x_mf, t, acc)
-    return DetectResult(x, acc, diverged)
-
-
-def gs_solve(
-    g: np.ndarray,
-    x_mf: np.ndarray,
-    t: int,
-    acc: OpCount,
-    diag_init: bool = False,
-) -> np.ndarray:
+def gs_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarray:
     """t Gauss-Seidel sweeps on G x = x_mf.
 
     (D + L) is applied by forward substitution inside each sweep, never
-    formed. The default start is x = 0, so sweep 1 returns
-    (D + L)^-1 x_mf; ``diag_init`` switches to x = X^-1 x_mf.
+    formed. The start is x = 0, so sweep 1 returns (D + L)^-1 x_mf.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -264,22 +228,13 @@ def gs_solve(
         if abs(g[i, i]) <= tol:
             raise SingularTriangularError(f"zero Gramian diagonal at {i}")
         d_inv[i] = counted_recip(g[i, i].real, acc)
-    x = dscale_vec(d_inv, x_mf, acc) if diag_init else np.zeros(u, dtype=np.complex128)
+    x = np.zeros(u, dtype=np.complex128)
     for _ in range(t):
         for i in range(u):
             s = csub(x_mf[i], dot_u(g[i, :i], x[:i], acc), acc)
             s = csub(s, dot_u(g[i, i + 1 :], x[i + 1 :], acc), acc)
             x[i] = rcmul(d_inv[i], s, acc)
     return x
-
-
-def detect_gs(
-    h: np.ndarray, y: np.ndarray, sigma2: float, t: int, diag_init: bool = False
-) -> DetectResult:
-    acc = OpCount()
-    g = gramian(h, sigma2, acc)
-    x_mf = matched_filter(h, y, acc)
-    return DetectResult(gs_solve(g, x_mf, t, acc, diag_init), acc)
 
 
 def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarray:
@@ -308,13 +263,6 @@ def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarra
         p = add_vec(r, rcmul_vec(beta, p, acc), acc)
         rs = rs_new
     return x
-
-
-def detect_cg(h: np.ndarray, y: np.ndarray, sigma2: float, t: int) -> DetectResult:
-    acc = OpCount()
-    g = gramian(h, sigma2, acc)
-    x_mf = matched_filter(h, y, acc)
-    return DetectResult(cg_solve(g, x_mf, t, acc), acc)
 
 
 def _clip_box(v: np.ndarray, box: float) -> np.ndarray:
@@ -366,46 +314,39 @@ def admin_solve(
     return x
 
 
-def detect_admin(
-    h: np.ndarray,
-    y: np.ndarray,
+def soft_estimate(
+    spec: DetectorSpec,
+    g0: np.ndarray,
+    x_mf: np.ndarray,
     sigma2: float,
-    t: int,
-    beta: float,
     box: float,
-) -> DetectResult:
-    acc = OpCount()
-    g = gramian(h, beta, acc)
-    x_mf = matched_filter(h, y, acc)
-    return DetectResult(admin_solve(g, x_mf, t, beta, box, acc), acc)
+    acc: OpCount,
+) -> np.ndarray:
+    """Soft symbol estimate of one detector from the shared products.
 
-
-def simo_bound(
-    n: int,
-    constellation: phy.Constellation,
-    snr_db: float,
-    trials: int,
-    seed: int,
-) -> float:
-    """Single-user N-antenna matched-filter BER at the given SNR.
-
-    Per trial: h ~ CN(0, I_N), one symbol, y = h s + noise with
-    sigma2 = 1 / snr_lin (the U = 1 case of the package convention),
-    detected by slicing h^H y / ||h||^2. This is the interference-free
-    lower bound on any multiuser detector's error rate.
+    ``g0`` is the unregularized Gramian H^H H, ``x_mf`` = H^H y and
+    ``box`` the per-axis ADMIN clipping bound. Each kind regularizes
+    its own copy of ``g0``: ZF with 0, MMSE/NSA/GS/CG with sigma2,
+    ADMIN with its beta. The solvers are looked up as module globals
+    at call time, so a wrapper installed on this module sees every call.
     """
-    if n < 1 or trials < 1:
-        raise ValueError("n and trials must be positive")
-    sigma2 = phy.sigma2_from_snr(snr_db, 1)
-    rng = phy.substream(seed, 0)
-    b = constellation.bits_per_symbol
-    bits = rng.integers(0, 2, size=trials * b, dtype=np.uint8)
-    s = phy.modulate(bits, constellation)
-    g = rng.standard_normal((2, trials, n))
-    h = (g[0] + 1j * g[1]) / np.sqrt(2.0)
-    g = rng.standard_normal((2, trials, n))
-    noise = np.sqrt(sigma2 / 2.0) * (g[0] + 1j * g[1])
-    y = h * s[:, None] + noise
-    z = np.einsum("ij,ij->i", h.conj(), y) / np.einsum("ij,ij->i", h.conj(), h).real
-    _, bits_hat = phy.hard_slice(z, constellation)
-    return float(np.count_nonzero(bits_hat != bits)) / (trials * b)
+    if spec.kind in _EXACT:
+        reg = sigma2 if spec.kind is Kind.MMSE else 0.0
+        return exact_solve(_regularize(g0, reg), x_mf, spec.backend, acc)
+    if spec.kind is Kind.NSA:
+        x, _ = nsa_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
+        return x
+    if spec.kind is Kind.GS:
+        return gs_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
+    if spec.kind is Kind.CG:
+        return cg_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
+    if spec.kind is Kind.ADMIN:
+        beta = spec.admin_beta(sigma2)
+        return admin_solve(_regularize(g0, beta), x_mf, spec.iterations, beta, box, acc)
+    raise ValueError(f"no soft estimate for {spec.kind}")
+
+
+def _regularize(g0: np.ndarray, reg: float) -> np.ndarray:
+    g = g0.copy()
+    g.flat[:: g.shape[0] + 1] += reg
+    return g

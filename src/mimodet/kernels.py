@@ -40,26 +40,6 @@ class OpCount:
     add: int = 0
     sub: int = 0
 
-    def __add__(self, other: "OpCount") -> "OpCount":
-        return OpCount(
-            self.sqrt + other.sqrt,
-            self.reciprocal + other.reciprocal,
-            self.real_mul + other.real_mul,
-            self.add + other.add,
-            self.sub + other.sub,
-        )
-
-    def __iadd__(self, other: "OpCount") -> "OpCount":
-        self.sqrt += other.sqrt
-        self.reciprocal += other.reciprocal
-        self.real_mul += other.real_mul
-        self.add += other.add
-        self.sub += other.sub
-        return self
-
-    def copy(self) -> "OpCount":
-        return OpCount(self.sqrt, self.reciprocal, self.real_mul, self.add, self.sub)
-
 
 def _ensure_finite(z) -> None:
     if not cmath.isfinite(z):
@@ -94,20 +74,6 @@ def rcmul(r: float, b: complex, acc: OpCount) -> complex:
     if __debug__:
         _ensure_finite(out)
     return out
-
-
-def rmul(a: float, b: float, acc: OpCount) -> float:
-    """Real-real product, charged 1 real mult."""
-    acc.real_mul += 1
-    out = a * b
-    if __debug__:
-        _ensure_finite_real(out)
-    return out
-
-
-def cadd(a: complex, b: complex, acc: OpCount) -> complex:
-    acc.add += 2
-    return complex(a) + complex(b)
 
 
 def csub(a: complex, b: complex, acc: OpCount) -> complex:

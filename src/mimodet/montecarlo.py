@@ -15,13 +15,14 @@ end of that chunk, while detectors that still need trials keep running.
 from __future__ import annotations
 
 import concurrent.futures
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import detect, phy
 from .decomp import DecompositionError
-from .detect import Backend, DetectorSpec, Kind
+from .detect import DetectorSpec, Kind
 from .kernels import OpCount
 
 
@@ -65,6 +66,8 @@ class SweepConfig:
             raise ConfigError("stop_at", "must be >= 1 when set")
         if self.workers < 1:
             raise ConfigError("threads", "must be >= 1")
+        if not 0 <= self.master_seed < 2**64:
+            raise ConfigError("seed", "must be in [0, 2**64)")
 
 
 @dataclass
@@ -103,52 +106,20 @@ def trial_realization(
     return bits, x, h, noise
 
 
-def _soft_estimate(
-    spec: DetectorSpec,
-    g0: np.ndarray,
-    x_mf: np.ndarray,
-    sigma2: float,
-    box: float,
-    acc: OpCount,
-) -> np.ndarray:
-    """Run one detector on the shared Gramian/matched-filter products."""
-    if spec.kind in (Kind.ZF, Kind.MMSE):
-        reg = sigma2 if spec.kind is Kind.MMSE else 0.0
-        return detect.exact_solve(_regularize(g0, reg), x_mf, spec.backend, acc)
-    if spec.kind is Kind.NSA:
-        x, _ = detect.nsa_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
-        return x
-    if spec.kind is Kind.GS:
-        return detect.gs_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
-    if spec.kind is Kind.CG:
-        return detect.cg_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
-    if spec.kind is Kind.ADMIN:
-        beta = spec.admin_beta(sigma2)
-        return detect.admin_solve(
-            _regularize(g0, beta), x_mf, spec.iterations, beta, box, acc
-        )
-    raise ValueError(f"no soft estimate for {spec.kind}")
-
-
-def _regularize(g0: np.ndarray, reg: float) -> np.ndarray:
-    g = g0.copy()
-    g.flat[:: g.shape[0] + 1] += reg
-    return g
-
-
 def _simo_errors(
     h: np.ndarray, x: np.ndarray, noise: np.ndarray, bits: np.ndarray, const
 ) -> int:
-    """Interference-free per-user MRC detection on the shared realization."""
-    b = const.bits_per_symbol
-    errors = 0
-    for k in range(x.shape[0]):
-        hk = h[:, k]
-        yk = hk * x[k] + noise
-        z = np.vdot(hk, yk) / np.vdot(hk, hk).real
-        _, bhat = phy.hard_slice(np.array([z]), const)
-        errors += int(np.count_nonzero(bhat != bits[k * b : (k + 1) * b]))
-    return errors
+    """Bit errors of the SIMO bound on the shared realization.
+
+    Each user k is detected as if alone: y_k = h_k x_k + noise with the
+    trial's noise (sigma2 = U / snr_lin, the sweep's convention), then
+    maximum-ratio combining h_k^H y_k / ||h_k||^2 and slicing. This is
+    the interference-free lower bound on any multiuser detector.
+    """
+    y = h * x + noise[:, None]
+    z = np.einsum("nk,nk->k", h.conj(), y) / np.einsum("nk,nk->k", h.conj(), h).real
+    _, bits_hat = phy.hard_slice(z, const)
+    return int(np.count_nonzero(bits_hat != bits))
 
 
 def _eval_trials(
@@ -171,7 +142,7 @@ def _eval_trials(
                 out[d][0] += _simo_errors(h, x, noise, bits, const)
                 continue
             try:
-                soft = _soft_estimate(spec, g0, x_mf, sigma2, box, scratch)
+                soft = detect.soft_estimate(spec, g0, x_mf, sigma2, box, scratch)
             except (DecompositionError, detect.DetectError, FloatingPointError):
                 out[d][0] += bits_per_trial
                 out[d][1] += 1
@@ -186,16 +157,7 @@ def run_trial(
 ) -> int:
     """Bit errors of one detector on one trial (common-random-number draw)."""
     config.validate()
-    one = SweepConfig(
-        config.n,
-        config.u,
-        config.order,
-        config.snr_db,
-        (detector,),
-        config.trials,
-        config.master_seed,
-        config.stop_at_errors,
-    )
+    one = dataclasses.replace(config, detectors=(detector,))
     return _eval_trials(one, snr_db, trial_index, trial_index + 1)[0][0]
 
 

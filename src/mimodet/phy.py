@@ -22,8 +22,6 @@ from functools import lru_cache
 
 import numpy as np
 
-QPSK, QAM16, QAM64 = 4, 16, 64
-
 _MOD_NAMES = {4: "qpsk", 16: "16qam", 64: "64qam"}
 
 
@@ -131,7 +129,10 @@ def hard_slice(
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
     """Independent Philox stream keyed by (master_seed, index)."""
-    return np.random.Generator(np.random.Philox(key=[master_seed, index]))
+    # an explicit uint64 key: a plain list holding a seed >= 2**63 would
+    # become float64 and alias neighbouring seeds
+    key = np.array([master_seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 def draw_channel(n: int, u: int, rng: np.random.Generator) -> np.ndarray:
@@ -146,15 +147,6 @@ def draw_noise_unit(n: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-variance circularly symmetric complex Gaussian vector."""
     g = rng.standard_normal((2, n))
     return (g[0] + 1j * g[1]) / np.sqrt(2.0)
-
-
-def add_noise(y_clean: np.ndarray, sigma2: float, rng: np.random.Generator) -> np.ndarray:
-    """Add i.i.d. CN(0, sigma2) noise per component."""
-    if sigma2 < 0:
-        raise ValueError("sigma2 must be non-negative")
-    if sigma2 == 0.0:
-        return y_clean.copy()
-    return y_clean + np.sqrt(sigma2) * draw_noise_unit(y_clean.shape[0], rng)
 
 
 def sigma2_from_snr(snr_db: float, u: int) -> float:

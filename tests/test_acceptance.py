@@ -121,8 +121,10 @@ def test_criterion_04_backend_equivalence():
         g = rng.standard_normal((2, n))
         y = (g[0] + 1j * g[1]) / np.sqrt(2)
         sigma2 = float(rng.uniform(0.05, 1.0))
+        g0 = detect.gramian(h, 0.0, OpCount())
+        x_mf = detect.matched_filter(h, y, OpCount())
         outs = [
-            detect.detect_linear(h, y, sigma2, DetectorSpec(Kind.MMSE, be)).x_soft
+            detect.soft_estimate(DetectorSpec(Kind.MMSE, be), g0, x_mf, sigma2, 1.0, OpCount())
             for be in Backend
         ]
         ref = outs[-1]

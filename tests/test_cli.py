@@ -87,6 +87,27 @@ class TestBerCommand:
         assert code == 2
         assert "mod" in capsys.readouterr().err
 
+    def test_seed_zero_is_its_own_seed(self, tmp_path):
+        argv = ["ber", "--n", "8", "--u", "4", "--mod", "qpsk", "--snr", "0:5:10",
+                "--det", "mmse:chol", "--trials", "60", "--stop-at", "0"]
+        for seed in ("0", "1"):
+            assert run(argv + ["--seed", seed, "--out-dir", str(tmp_path / seed)]) == 0
+        a = (tmp_path / "0" / "ber_8x4_qpsk.csv").read_bytes()
+        b = (tmp_path / "1" / "ber_8x4_qpsk.csv").read_bytes()
+        assert a != b
+
+    @pytest.mark.parametrize("flag,value,field", [
+        ("--trials", "0", "trials"),
+        ("--threads", "0", "threads"),
+        ("--seed", "-1", "seed"),
+    ])
+    def test_out_of_range_value_names_field(self, tmp_path, capsys, flag, value, field):
+        argv = ["ber", "--n", "8", "--u", "4", "--mod", "qpsk", "--snr", "0",
+                "--det", "mmse", "--seed", "1", "--out-dir", str(tmp_path)]
+        assert run(argv + [flag, value]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert not (tmp_path / "ber_8x4_qpsk.csv").exists()
+
     def test_preset_requires_seed(self, capsys):
         assert run(["ber", "--preset", "fig2"]) == 2
         assert "seed" in capsys.readouterr().err

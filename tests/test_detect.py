@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mimodet import detect, phy
+from mimodet import detect, montecarlo as mc, phy
 from mimodet.decomp import invert_direct
 from mimodet.detect import Backend, DetectorSpec, Kind
 from mimodet.kernels import OpCount
@@ -18,6 +18,14 @@ def seeded_instance(n, u, snr_db, order=64, seed=0):
     sigma2 = phy.sigma2_from_snr(snr_db, u)
     y = h @ x + np.sqrt(sigma2) * phy.draw_noise_unit(n, rng)
     return h, y, x, sigma2, const
+
+
+def estimate(spec, h, y, sigma2, box=1.0):
+    """Soft estimate of ``spec`` through the dispatch the sweep uses."""
+    acc = OpCount()
+    g0 = detect.gramian(h, 0.0, acc)
+    x_mf = detect.matched_filter(h, y, acc)
+    return detect.soft_estimate(spec, g0, x_mf, sigma2, box, acc)
 
 
 class TestMatchedFilter:
@@ -75,21 +83,18 @@ class TestLinear:
         h, _, x, _, _ = seeded_instance(32, 16, 10.0)
         y0 = h @ x
         for backend in Backend:
-            r = detect.detect_linear(h, y0, 0.0, DetectorSpec(Kind.ZF, backend))
-            assert np.abs(r.x_soft - x).max() <= 1e-9
+            x_soft = estimate(DetectorSpec(Kind.ZF, backend), h, y0, 0.0)
+            assert np.abs(x_soft - x).max() <= 1e-9
 
     def test_mmse_identity_shrinkage(self):
         y = np.array([2.0 + 2j, -4.0, 1j])
-        r = detect.detect_linear(np.eye(3, dtype=complex), y, 1.0, DetectorSpec(Kind.MMSE))
-        assert np.allclose(r.x_soft, y / 2)
+        x_soft = estimate(DetectorSpec(Kind.MMSE), np.eye(3, dtype=complex), y, 1.0)
+        assert np.allclose(x_soft, y / 2)
 
     def test_backend_equivalence(self):
         for seed in range(10):
             h, y, _, sigma2, _ = seeded_instance(32, 16, 12.0, seed=seed)
-            outs = [
-                detect.detect_linear(h, y, sigma2, DetectorSpec(Kind.MMSE, be)).x_soft
-                for be in Backend
-            ]
+            outs = [estimate(DetectorSpec(Kind.MMSE, be), h, y, sigma2) for be in Backend]
             for a in outs:
                 for b in outs:
                     assert np.linalg.norm(a - b) <= 1e-8 * np.linalg.norm(b)
@@ -97,14 +102,15 @@ class TestLinear:
     def test_zf_scale_invariance(self):
         # pseudo-inverse homogeneity: scaling H and y together is a no-op
         h, y, _, _, _ = seeded_instance(16, 8, 8.0, seed=5)
-        base = detect.detect_linear(h, y, 0.0, DetectorSpec(Kind.ZF, Backend.QR)).x_soft
-        scaled = detect.detect_linear(3.7 * h, 3.7 * y, 0.0, DetectorSpec(Kind.ZF, Backend.QR)).x_soft
+        base = estimate(DetectorSpec(Kind.ZF, Backend.QR), h, y, 0.0)
+        scaled = estimate(DetectorSpec(Kind.ZF, Backend.QR), 3.7 * h, 3.7 * y, 0.0)
         assert np.abs(base - scaled).max() <= 1e-10 * np.abs(base).max()
 
-    def test_rejects_iterative_kind(self):
+    def test_rejects_simo_kind(self):
+        # the SIMO bound runs on the realization, not on the Gramian system
         with pytest.raises(ValueError):
-            detect.detect_linear(np.eye(2, dtype=complex), np.ones(2, dtype=complex),
-                                 0.1, DetectorSpec(Kind.GS))
+            estimate(DetectorSpec(Kind.SIMO), np.eye(2, dtype=complex),
+                     np.ones(2, dtype=complex), 0.1)
 
 
 class TestNsa:
@@ -199,12 +205,6 @@ class TestGs:
         ]
         assert errs[2] < errs[1] < errs[0]
 
-    def test_diag_init_option(self):
-        g = np.diag([2.0, 5.0]).astype(complex)
-        b = np.array([4.0, 10.0], dtype=complex)
-        x = detect.gs_solve(g, b, 1, OpCount(), diag_init=True)
-        assert np.allclose(x, [2.0, 2.0])
-
 
 class TestCg:
     def test_identity_converges_immediately(self):
@@ -240,17 +240,18 @@ class TestCg:
 class TestAdmin:
     def test_t1_equals_mmse_with_beta_bitwise(self):
         h, y, _, sigma2, _ = seeded_instance(32, 16, 12.0, seed=7)
-        admin = detect.detect_admin(h, y, sigma2, 1, sigma2, box=1.08)
-        mmse = detect.detect_linear(h, y, sigma2, DetectorSpec(Kind.MMSE, Backend.LDL))
-        assert np.array_equal(admin.x_soft, mmse.x_soft)
+        admin = estimate(DetectorSpec(Kind.ADMIN, iterations=1, beta=sigma2), h, y, sigma2,
+                         box=1.08)
+        mmse = estimate(DetectorSpec(Kind.MMSE, Backend.LDL), h, y, sigma2)
+        assert np.array_equal(admin, mmse)
 
     def test_unconstrained_fixed_point(self):
         # with the box inactive the ADMM fixed point is the plain
         # least-squares solution of H x = y (the beta term cancels)
         h, y, _, _, _ = seeded_instance(16, 4, 10.0, seed=8)
         beta = 0.8
-        zf = detect.detect_linear(h, y, 0.0, DetectorSpec(Kind.ZF, Backend.CHOLESKY)).x_soft
-        x = detect.detect_admin(h, y, 0.0, 400, beta, box=1e9).x_soft
+        zf = estimate(DetectorSpec(Kind.ZF, Backend.CHOLESKY), h, y, 0.0)
+        x = estimate(DetectorSpec(Kind.ADMIN, iterations=400, beta=beta), h, y, 0.0, box=1e9)
         assert np.linalg.norm(x - zf) <= 1e-9 * np.linalg.norm(zf)
 
     def test_feasibility_and_residual_trend(self):
@@ -269,29 +270,65 @@ class TestAdmin:
 
     def test_beta_must_be_positive(self):
         with pytest.raises(ValueError):
-            detect.detect_admin(np.eye(2, dtype=complex), np.ones(2, dtype=complex),
-                                0.0, 2, 0.0, box=1.0)
+            detect.admin_solve(np.eye(2, dtype=complex), np.ones(2, dtype=complex),
+                               2, 0.0, 1.0, OpCount())
+
+
+def simo_record(n, u, order, snr_db, trials, seed):
+    """The SIMO bound's record from a SIMO-only sweep (sigma2 = U / snr_lin)."""
+    cfg = mc.SweepConfig(n=n, u=u, order=order, snr_db=(snr_db,),
+                         detectors=(DetectorSpec(Kind.SIMO),), trials=trials,
+                         master_seed=seed, stop_at_errors=None)
+    return mc.run_sweep(cfg)[0]
+
+
+def per_user_simo_errors(h, x, noise, bits, const):
+    """Reference: one matched filter and one slice per user, with np.vdot."""
+    b = const.bits_per_symbol
+    errors = 0
+    for k in range(x.shape[0]):
+        hk = h[:, k]
+        z = np.vdot(hk, hk * x[k] + noise) / np.vdot(hk, hk).real
+        _, bhat = phy.hard_slice(np.array([z]), const)
+        errors += int(np.count_nonzero(bhat != bits[k * b : (k + 1) * b]))
+    return errors
 
 
 class TestSimoBound:
     def test_high_snr_error_free(self):
-        assert detect.simo_bound(32, phy.make_constellation(4), 40.0, 2000, seed=1) == 0.0
+        assert simo_record(32, 4, 4, 40.0, 2000, seed=1).bit_errors == 0
 
     def test_matches_rayleigh_closed_form(self):
         # MRC with N=1: per-bit SNR is exponential with mean snr_lin / 2,
-        # giving BER = (1 - sqrt(g/(1+g))) / 2 at g = snr_lin / 2
-        snr_db = 10.0
+        # giving BER = (1 - sqrt(g/(1+g))) / 2 at g = snr_lin / 2. At U=1
+        # the sweep's sigma2 = U / snr_lin is 1 / snr_lin.
+        snr_db, trials = 10.0, 20_000
         g = 10.0 ** (snr_db / 10.0) / 2.0
         closed = 0.5 * (1.0 - np.sqrt(g / (1.0 + g)))
-        ber = detect.simo_bound(1, phy.make_constellation(4), snr_db, 150_000, seed=2)
-        se = np.sqrt(closed * (1 - closed) / (150_000 * 2))
-        assert abs(ber - closed) <= 4 * se
+        rec = simo_record(1, 1, 4, snr_db, trials, seed=2)
+        se = np.sqrt(closed * (1 - closed) / rec.bits_total)
+        assert rec.bits_total == trials * 2
+        assert abs(rec.ber - closed) <= 4 * se
 
     def test_diversity_ordering(self):
-        c = phy.make_constellation(4)
-        ber32 = detect.simo_bound(32, c, 2.0, 20_000, seed=3)
-        ber8 = detect.simo_bound(8, c, 2.0, 20_000, seed=3)
+        ber32 = simo_record(32, 1, 4, 2.0, 20_000, seed=3).ber
+        ber8 = simo_record(8, 1, 4, 2.0, 20_000, seed=3).ber
         assert ber32 < ber8
+
+    def test_matches_per_user_reference(self):
+        # fig5 shape: 32x32, 64-QAM, its SNR grid
+        cfg = mc.SweepConfig(n=32, u=32, order=64, snr_db=(15.0,),
+                             detectors=(DetectorSpec(Kind.SIMO),), master_seed=1)
+        const = phy.make_constellation(64)
+        total = 0
+        for snr_db in np.arange(15.0, 40.01, 2.5):
+            sigma2 = phy.sigma2_from_snr(snr_db, cfg.u)
+            for trial in range(20):
+                bits, x, h, noise = mc.trial_realization(cfg, sigma2, trial)
+                want = per_user_simo_errors(h, x, noise, bits, const)
+                assert mc.run_trial(cfg, snr_db, cfg.detectors[0], trial) == want
+                total += want
+        assert total > 0
 
 
 class TestDetectorSpec:
@@ -306,6 +343,14 @@ class TestDetectorSpec:
             DetectorSpec(Kind.GS, iterations=0)
         with pytest.raises(ValueError):
             DetectorSpec(Kind.ADMIN, beta=-1.0)
+
+    def test_per_kind_defaults(self):
+        assert DetectorSpec(Kind.MMSE).backend is Backend.QR
+        assert DetectorSpec(Kind.ZF).backend is Backend.QR
+        iterations = {k: DetectorSpec(k).iterations for k in Kind}
+        assert iterations == {Kind.ZF: 1, Kind.MMSE: 1, Kind.NSA: 3, Kind.GS: 3,
+                              Kind.CG: 3, Kind.ADMIN: 5, Kind.SIMO: 1}
+        assert DetectorSpec(Kind.GS, iterations=7).iterations == 7
 
     def test_admin_beta_resolution(self):
         spec = DetectorSpec(Kind.ADMIN, iterations=5, beta_scale=8.0)

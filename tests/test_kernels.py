@@ -130,24 +130,6 @@ def test_hermitian():
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
 
 
-def test_opcount_additivity():
-    rng = np.random.Generator(np.random.Philox(key=[13, 0]))
-    for _ in range(50):
-        ops = []
-        for _ in range(int(rng.integers(1, 8))):
-            n = int(rng.integers(1, 6))
-            ops.append(np.ones(n, dtype=complex))
-        split = OpCount()
-        first = OpCount()
-        for i, v in enumerate(ops):
-            dot_h(v, v, first if i == 0 else split)
-        combined = OpCount()
-        for v in ops:
-            dot_h(v, v, combined)
-        total = first + split
-        assert combined == total
-
-
 def test_determinism():
     a = np.arange(6, dtype=complex).reshape(2, 3) + 0.5j
     b = np.arange(6, dtype=complex).reshape(3, 2) - 0.25j

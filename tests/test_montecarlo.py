@@ -47,6 +47,17 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(detectors=()).validate()
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_philox_key_range(self, seed):
+        with pytest.raises(ConfigError) as err:
+            small_config(master_seed=seed).validate()
+        assert err.value.field == "seed"
+
+    def test_seed_range_ends_are_valid(self):
+        for seed in (0, 2**64 - 1):
+            cfg = small_config(master_seed=seed)
+            assert mc.run_trial(cfg, 6.0, DetectorSpec(Kind.SIMO), 0) >= 0
+
 
 class TestRunTrial:
     def test_noiseless_mmse_is_error_free(self):
