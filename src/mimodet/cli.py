@@ -54,6 +54,10 @@ PRESETS = {
 }
 
 
+# settings a preset fixes; the other flags (trials, seed, stop_at, threads) override it
+_PRESET_FIXED = ("n", "u", "mod", "snr", "det")
+
+
 def parse_snr_range(text: str) -> tuple[float, ...]:
     """SNR grid from 'start:step:stop' (inclusive) or a comma list."""
     try:
@@ -110,8 +114,16 @@ def _mod_order(name: str) -> int:
         raise ConfigError("mod", f"unknown modulation {name!r}") from None
 
 
-def _int_or(value, default: int) -> int:
-    return default if value is None else int(value)
+def _integer(field_name: str, value, default: int | None = None) -> int:
+    """An integer setting; a bool or a non-integral number is a ConfigError."""
+    if value is None:
+        return default
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigError(field_name, f"must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(field_name, f"must be an integer, got {value!r}") from None
 
 
 def build_sweep(settings: dict) -> SweepConfig:
@@ -128,19 +140,22 @@ def build_sweep(settings: dict) -> SweepConfig:
             specs.append(parse_detector(piece))
     snr = settings["snr"]
     snr_points = parse_snr_range(snr) if isinstance(snr, str) else tuple(float(s) for s in snr)
+    # desk-scale default of 200 errors; 0 or "none" disables the early stop
+    n, u = _integer("n", settings["n"]), _integer("u", settings["u"])
+    seed = _integer("seed", settings.get("seed"), 1)
+    trials = _integer("trials", settings.get("trials"), 2000)
     stop_at = settings.get("stop_at")
-    if stop_at is None:
-        stop_at = 200  # desk-scale default; pass 0 or "none" to disable
+    stop_at = 0 if stop_at == "none" else _integer("stop_at", stop_at, 200)
     cfg = SweepConfig(
-        n=int(settings["n"]),
-        u=int(settings["u"]),
+        n=n,
+        u=u,
         order=_mod_order(str(settings["mod"])),
         snr_db=snr_points,
         detectors=tuple(specs),
-        trials=_int_or(settings.get("trials"), 2000),
-        master_seed=_int_or(settings.get("seed"), 1),
-        stop_at_errors=None if stop_at in ("none", 0, "0") else int(stop_at),
-        workers=_int_or(settings.get("threads"), 1),
+        trials=trials,
+        master_seed=seed,
+        stop_at_errors=stop_at or None,
+        workers=_integer("threads", settings.get("threads"), 1),
     )
     cfg.validate()
     return cfg
@@ -188,9 +203,12 @@ def cmd_ber(args) -> int:
                               + (" (fig7 is the complexity command)" if args.preset == "fig7" else ""))
         if args.seed is None:
             raise ConfigError("seed", f"--seed is required with --preset {args.preset}")
+        for key in _PRESET_FIXED:
+            if flag_settings[key] is not None:
+                raise ConfigError(key, f"--{key} cannot change --preset {args.preset}; "
+                                  "use an experiment file for another shape")
         base = dict(PRESETS[args.preset])
-        base.update({k: v for k, v in flag_settings.items() if v is not None and k in
-                     ("trials", "seed", "stop_at", "threads")})
+        base.update({k: v for k, v in flag_settings.items() if v is not None})
         sweeps = [base]
     elif "sweeps" in file_data:
         sweeps = []

@@ -11,6 +11,12 @@ operations it executed. The matched-filter product (4NU real mults) is
 charged where it is computed, separately from the per-iteration work,
 so inversion-only comparisons remain possible. ``soft_estimate`` is the
 one dispatch from a ``DetectorSpec`` to its solver.
+
+Like the routines in ``decomp``, every function here takes one system
+or a stack of them with a leading trial axis (``B x U x U`` Gramians,
+``B x U`` right-hand sides), charges B times the single-system tally
+computed from shapes, and either ORs its per-trial failures into a
+``failed`` mask or, without one, raises on the first.
 """
 
 from __future__ import annotations
@@ -22,27 +28,31 @@ import numpy as np
 
 from .decomp import (
     SingularTriangularError,
+    as_stack,
     backward_sub,
     cholesky,
+    flag,
+    flag_non_finite,
+    flat_mask,
     forward_sub,
     gram_schmidt_qr,
     invert_direct,
     ldl,
+    pivot_tol,
+    vector_stack,
 )
 from .kernels import (
     OpCount,
-    add_vec,
+    cadd,
+    charge_dots,
     counted_recip,
     csub,
     dot_h,
     dot_u,
-    dscale_vec,
     hermitian,
     matmul,
     norm_sq,
     rcmul,
-    rcmul_vec,
-    sub_vec,
 )
 
 
@@ -127,93 +137,105 @@ class DetectorSpec:
 
 def matched_filter(h: np.ndarray, y: np.ndarray, acc: OpCount) -> np.ndarray:
     """x_mf = H^H y, the right-hand side of every Gramian system."""
-    n, u = h.shape
-    if y.shape[0] != n:
-        raise ValueError(f"matched_filter: H is {h.shape} but y has length {y.shape[0]}")
-    out = np.empty(u, dtype=np.complex128)
-    for i in range(u):
-        out[i] = dot_h(h[:, i], y, acc)
-    return out
+    if y.shape[-1] != h.shape[-2]:
+        raise ValueError(f"matched_filter: H is {h.shape} but y has length {y.shape[-1]}")
+    return matmul(hermitian(h), y, acc)
 
 
 def gramian(h: np.ndarray, reg: float, acc: OpCount) -> np.ndarray:
-    """G = H^H H + reg*I, computed on the upper triangle and mirrored.
+    """G = H^H H + reg*I, formed in one product and mirrored from its upper triangle.
 
-    The diagonal is forced real, so the result is Hermitian to machine
-    precision and positive definite whenever reg > 0.
+    Charged as the U(U+1)/2 inner products of the upper triangle plus one
+    addition per diagonal entry. The diagonal is forced real, so the
+    result is exactly Hermitian and positive definite whenever reg > 0.
     """
-    n, u = h.shape
+    n, u = h.shape[-2:]
     if n < u:
         raise ValueError(f"gramian needs N >= U, got {n} < {u}")
     if reg < 0:
         raise ValueError("regularization must be non-negative")
-    g = np.empty((u, u), dtype=np.complex128)
-    for i in range(u):
-        g[i, i] = dot_h(h[:, i], h[:, i], acc).real + reg
-        acc.add += 1
-        for j in range(i + 1, u):
-            v = dot_h(h[:, i], h[:, j], acc)
-            g[i, j] = v
-            g[j, i] = v.conjugate()
+    product = hermitian(h) @ h
+    upper = np.triu(product, 1)
+    g = upper + hermitian(upper)
+    idx = np.arange(u)
+    g[..., idx, idx] = product[..., idx, idx].real + reg
+    systems = g.size // (u * u)
+    charge_dots(acc, n, systems * u * (u + 1) // 2)
+    acc.add += systems * u
     return g
 
 
-def exact_solve(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount) -> np.ndarray:
+def exact_solve(
+    g: np.ndarray,
+    b: np.ndarray,
+    backend: Backend,
+    acc: OpCount,
+    failed: np.ndarray | None = None,
+) -> np.ndarray:
     """Solve G x = b through the chosen decomposition backend."""
     if backend is Backend.QR:
-        f = gram_schmidt_qr(g, acc)
-        return backward_sub(f.r, matmul(hermitian(f.q), b, acc), acc)
+        f = gram_schmidt_qr(g, acc, failed)
+        return backward_sub(f.r, matmul(hermitian(f.q), b, acc), acc, failed)
     if backend is Backend.CHOLESKY:
-        f = cholesky(g, acc)
-        return backward_sub(hermitian(f.l), forward_sub(f.l, b, acc), acc)
+        f = cholesky(g, acc, failed)
+        return backward_sub(hermitian(f.l), forward_sub(f.l, b, acc, failed), acc, failed)
     if backend is Backend.LDL:
-        f = ldl(g, acc)
-        z = forward_sub(f.l, b, acc)
+        f = ldl(g, acc, failed)
+        z = forward_sub(f.l, b, acc, failed)
         z = _apply_d_inverse(f.d, z, acc)
-        return backward_sub(hermitian(f.l), z, acc)
+        return backward_sub(hermitian(f.l), z, acc, failed)
     if backend is Backend.DIRECT:
-        return invert_direct(g) @ b  # oracle path, deliberately uncounted
+        # oracle path, deliberately uncounted
+        x = (invert_direct(g, failed) @ np.asarray(b)[..., None])[..., 0]
+        flag_non_finite(flat_mask(failed), x.reshape(-1, x.shape[-1]))
+        return x
     raise ValueError(f"unknown backend {backend}")
 
 
 def _apply_d_inverse(d: np.ndarray, z: np.ndarray, acc: OpCount) -> np.ndarray:
-    d_inv = np.empty_like(d)
-    for i in range(d.shape[0]):
-        d_inv[i] = counted_recip(d[i], acc)
-    return dscale_vec(d_inv, z, acc)
+    with np.errstate(all="ignore"):  # a failed system's zero pivot
+        return rcmul(counted_recip(d, acc), z, acc)
+
+
+def _diagonal(g: np.ndarray) -> np.ndarray:
+    return np.diagonal(g, axis1=-2, axis2=-1)
 
 
 def nsa_solve(
-    g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount
-) -> tuple[np.ndarray, bool]:
+    g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount, failed: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Truncated Neumann series applied to x_mf, terms 0 .. t-1.
 
     Splits G into its diagonal X and off-diagonal E and accumulates
-    u_{k+1} = -X^-1 (E u_k) starting from u_0 = X^-1 x_mf. Sets the
-    divergence flag when the final term outgrew the previous one; the
-    estimate is still returned.
+    u_{k+1} = -X^-1 (E u_k) starting from u_0 = X^-1 x_mf. The
+    divergence flag (one per system of a stack) is set when the final
+    term outgrew the previous one; the estimate is still returned.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    u = g.shape[0]
-    d_inv = np.empty(u)
-    for i in range(u):
-        d_inv[i] = counted_recip(g[i, i].real, acc)
-    e = g.copy()
-    np.fill_diagonal(e, 0.0)
-    term = dscale_vec(d_inv, x_mf, acc)
-    total = term.copy()
-    diverged = False
-    for k in range(1, t):
-        prev = float(np.linalg.norm(term))
-        term = -dscale_vec(d_inv, matmul(e, term, acc), acc)
-        total = add_vec(total, term, acc)
-        if k == t - 1 and float(np.linalg.norm(term)) > prev:
-            diverged = True
-    return total, diverged
+    g, lead = as_stack(g)
+    x_mf = vector_stack(x_mf, g.shape[-1])
+    with np.errstate(all="ignore"):
+        d_inv = counted_recip(_diagonal(g).real, acc)
+        e = g.copy()
+        idx = np.arange(g.shape[-1])
+        e[:, idx, idx] = 0.0
+        term = rcmul(d_inv, x_mf, acc)
+        total = term
+        diverged = np.zeros(g.shape[0], dtype=bool)
+        for k in range(1, t):
+            prev = np.linalg.norm(term, axis=1)
+            term = -rcmul(d_inv, matmul(e, term, acc), acc)
+            total = cadd(total, term, acc)
+            if k == t - 1:
+                diverged = np.linalg.norm(term, axis=1) > prev
+    flag_non_finite(flat_mask(failed), total)
+    return total.reshape(lead + total.shape[1:]), diverged.reshape(lead)
 
 
-def gs_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarray:
+def gs_solve(
+    g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount, failed: np.ndarray | None = None
+) -> np.ndarray:
     """t Gauss-Seidel sweeps on G x = x_mf.
 
     (D + L) is applied by forward substitution inside each sweep, never
@@ -221,48 +243,63 @@ def gs_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarra
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    u = g.shape[0]
-    tol = 1e-12 * max(np.abs(g).max(), 1e-300)
-    d_inv = np.empty(u)
-    for i in range(u):
-        if abs(g[i, i]) <= tol:
-            raise SingularTriangularError(f"zero Gramian diagonal at {i}")
-        d_inv[i] = counted_recip(g[i, i].real, acc)
-    x = np.zeros(u, dtype=np.complex128)
-    for _ in range(t):
-        for i in range(u):
-            s = csub(x_mf[i], dot_u(g[i, :i], x[:i], acc), acc)
-            s = csub(s, dot_u(g[i, i + 1 :], x[i + 1 :], acc), acc)
-            x[i] = rcmul(d_inv[i], s, acc)
-    return x
+    g, lead = as_stack(g)
+    failed = flat_mask(failed)
+    u = g.shape[-1]
+    x_mf = vector_stack(x_mf, u)
+    diag = _diagonal(g)
+    small = np.abs(diag) <= pivot_tol(g)[:, None]
+    flag(failed, small.any(axis=1),
+         lambda: SingularTriangularError(f"zero Gramian diagonal at {int(np.argmax(small.any(axis=0)))}"))
+    x = np.zeros_like(x_mf)
+    with np.errstate(all="ignore"):
+        d_inv = counted_recip(diag.real, acc)
+        for _ in range(t):
+            for i in range(u):
+                s = csub(x_mf[:, i], dot_u(g[:, i, :i], x[:, :i], acc), acc)
+                s = csub(s, dot_u(g[:, i, i + 1 :], x[:, i + 1 :], acc), acc)
+                x[:, i] = rcmul(d_inv[:, i], s, acc)
+    flag_non_finite(failed, x)
+    return x.reshape(lead + (u,))
 
 
-def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarray:
-    """t conjugate-gradient steps on G x = x_mf from x = 0, r = p = x_mf."""
+def cg_solve(
+    g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount, failed: np.ndarray | None = None
+) -> np.ndarray:
+    """t conjugate-gradient steps on G x = x_mf from x = 0, r = p = x_mf.
+
+    A system whose residual is exactly zero keeps its estimate for the
+    remaining steps; every step is charged regardless, so the tally
+    depends on shapes only. Non-positive curvature fails the system
+    (:class:`CgBreakdownError`).
+    """
     if t < 1:
         raise ValueError("t must be >= 1")
-    u = g.shape[0]
-    x = np.zeros(u, dtype=np.complex128)
+    g, lead = as_stack(g)
+    failed = flat_mask(failed)
+    x_mf = vector_stack(x_mf, g.shape[-1])
+    x = np.zeros_like(x_mf)
     r = x_mf.copy()
     p = x_mf.copy()
-    rs = norm_sq(r, acc)
-    for _ in range(t):
-        if rs == 0.0:
-            break
-        gp = matmul(g, p, acc)
-        curvature = dot_h(p, gp, acc).real
-        if curvature <= 0.0:
-            raise CgBreakdownError("p^H G p <= 0; Gramian is not positive definite")
-        alpha = rs * counted_recip(curvature, acc)
-        acc.real_mul += 1
-        x = add_vec(x, rcmul_vec(alpha, p, acc), acc)
-        r = sub_vec(r, rcmul_vec(alpha, gp, acc), acc)
-        rs_new = norm_sq(r, acc)
-        beta = rs_new * counted_recip(rs, acc)
-        acc.real_mul += 1
-        p = add_vec(r, rcmul_vec(beta, p, acc), acc)
-        rs = rs_new
-    return x
+    with np.errstate(all="ignore"):
+        rs = norm_sq(r, acc)
+        for _ in range(t):
+            live = rs != 0.0
+            gp = matmul(g, p, acc)
+            curvature = dot_h(p, gp, acc).real
+            flag(failed, live & (curvature <= 0.0),
+                 lambda: CgBreakdownError("p^H G p <= 0; Gramian is not positive definite"))
+            alpha = rs * counted_recip(np.where(live, curvature, 1.0), acc)
+            acc.real_mul += alpha.size
+            x = cadd(x, rcmul(alpha[:, None], p, acc), acc)
+            r = csub(r, rcmul(alpha[:, None], gp, acc), acc)
+            rs_new = norm_sq(r, acc)
+            beta = rs_new * counted_recip(np.where(live, rs, 1.0), acc)
+            acc.real_mul += beta.size
+            p = cadd(r, rcmul(beta[:, None], p, acc), acc)
+            rs = rs_new
+    flag_non_finite(failed, x)
+    return x.reshape(lead + x.shape[1:])
 
 
 def _clip_box(v: np.ndarray, box: float) -> np.ndarray:
@@ -277,6 +314,7 @@ def admin_solve(
     box: float,
     acc: OpCount,
     trace: list | None = None,
+    failed: np.ndarray | None = None,
 ) -> np.ndarray:
     """ADMM loop for the box-constrained detector.
 
@@ -291,24 +329,24 @@ def admin_solve(
         raise ValueError("t must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    f = ldl(g_admin, acc)
+    f = ldl(g_admin, acc, failed)
     lh = hermitian(f.l)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        z = forward_sub(f.l, rhs, acc)
+        z = forward_sub(f.l, rhs, acc, failed)
         z = _apply_d_inverse(f.d, z, acc)
-        return backward_sub(lh, z, acc)
+        return backward_sub(lh, z, acc, failed)
 
     x = solve(x_mf)
     z = _clip_box(x, box)
-    lam = sub_vec(x, z, acc)
+    lam = csub(x, z, acc)
     if trace is not None:
         trace.append((x.copy(), z.copy(), lam.copy()))
     for _ in range(1, t):
-        rhs = add_vec(x_mf, rcmul_vec(beta, sub_vec(z, lam, acc), acc), acc)
+        rhs = cadd(x_mf, rcmul(beta, csub(z, lam, acc), acc), acc)
         x = solve(rhs)
-        z = _clip_box(add_vec(x, lam, acc), box)
-        lam = add_vec(lam, sub_vec(x, z, acc), acc)
+        z = _clip_box(cadd(x, lam, acc), box)
+        lam = cadd(lam, csub(x, z, acc), acc)
         if trace is not None:
             trace.append((x.copy(), z.copy(), lam.copy()))
     return x
@@ -321,32 +359,37 @@ def soft_estimate(
     sigma2: float,
     box: float,
     acc: OpCount,
+    failed: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Soft symbol estimate of one detector from the shared products.
+    """Soft symbol estimates of one detector from the shared products.
 
-    ``g0`` is the unregularized Gramian H^H H, ``x_mf`` = H^H y and
-    ``box`` the per-axis ADMIN clipping bound. Each kind regularizes
-    its own copy of ``g0``: ZF with 0, MMSE/NSA/GS/CG with sigma2,
-    ADMIN with its beta. The solvers are looked up as module globals
-    at call time, so a wrapper installed on this module sees every call.
+    ``g0`` is the unregularized Gramian H^H H (or a stack of them),
+    ``x_mf`` = H^H y and ``box`` the per-axis ADMIN clipping bound. Each
+    kind regularizes its own copy of ``g0``: ZF with 0, MMSE/NSA/GS/CG
+    with sigma2, ADMIN with its beta. ``failed`` collects the systems
+    that could not be solved. The solvers are looked up as module
+    globals at call time, so a wrapper installed on this module sees
+    every call.
     """
     if spec.kind in _EXACT:
         reg = sigma2 if spec.kind is Kind.MMSE else 0.0
-        return exact_solve(_regularize(g0, reg), x_mf, spec.backend, acc)
+        return exact_solve(_regularize(g0, reg), x_mf, spec.backend, acc, failed)
     if spec.kind is Kind.NSA:
-        x, _ = nsa_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
+        x, _ = nsa_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc, failed)
         return x
     if spec.kind is Kind.GS:
-        return gs_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
+        return gs_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc, failed)
     if spec.kind is Kind.CG:
-        return cg_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
+        return cg_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc, failed)
     if spec.kind is Kind.ADMIN:
         beta = spec.admin_beta(sigma2)
-        return admin_solve(_regularize(g0, beta), x_mf, spec.iterations, beta, box, acc)
+        return admin_solve(_regularize(g0, beta), x_mf, spec.iterations, beta, box, acc,
+                           failed=failed)
     raise ValueError(f"no soft estimate for {spec.kind}")
 
 
 def _regularize(g0: np.ndarray, reg: float) -> np.ndarray:
     g = g0.copy()
-    g.flat[:: g.shape[0] + 1] += reg
+    idx = np.arange(g.shape[-1])
+    g[..., idx, idx] += reg
     return g

@@ -1,30 +1,33 @@
-"""Complex arithmetic kernels with real-multiplication accounting.
+"""Complex array kernels with real-multiplication accounting.
 
-All counting follows the hardware-unit convention used throughout this
-package:
+Every kernel computes one NumPy operation on whole arrays and charges
+the operation's cost per output element, so a kernel applied to a stack
+of B independent systems charges exactly B times what it charges for
+one. Counts are computed from operand shapes, never from values.
+
+The hardware-unit convention, per element:
 
 * complex * complex : 4 real multiplications, 1 addition, 1 subtraction
 * real * complex    : 2 real multiplications
-* real * real       : 1 real multiplication
 * complex +/- complex : 2 additions / 2 subtractions
 * conjugation, negation : free
 * square root, reciprocal : counted on their own tally
 
-A squared vector norm is charged one complex multiplication per element
-(4 real multiplications), not the 2 that would suffice arithmetically.
-This matches the accounting that makes the decomposition counts in
-``decomp`` land exactly on their closed forms.
+An inner product of length n costs n complex multiplications plus the
+complex accumulation additions. A squared vector norm is charged one
+complex multiplication per element (4 real multiplications), not the 2
+that would suffice arithmetically. This matches the accounting that
+makes the decomposition counts in ``decomp`` land exactly on their
+closed forms.
 
-Every counted kernel takes an explicit :class:`OpCount` accumulator;
-there is no global counter. Counts depend only on operand shapes, never
-on operand values. Non-finite results raise ``FloatingPointError`` when
-Python runs with ``__debug__`` (i.e. not under ``-O``).
+Every kernel takes an explicit :class:`OpCount` accumulator; there is no
+global counter. Kernels do not check their results: a non-finite value
+travels to the end of its system, where the solver that produced it
+flags that system alone (see ``decomp``).
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,178 +44,117 @@ class OpCount:
     sub: int = 0
 
 
-def _ensure_finite(z) -> None:
-    if not cmath.isfinite(z):
-        raise FloatingPointError("non-finite result in counted kernel")
+def charge_dots(acc: OpCount, n: int, count: int) -> None:
+    """Charge ``count`` complex inner products of length ``n``."""
+    acc.real_mul += 4 * n * count
+    acc.add += count * (n + max(0, 2 * (n - 1)))
+    acc.sub += n * count
 
 
-def _ensure_finite_real(x: float) -> None:
-    if not math.isfinite(x):
-        raise FloatingPointError("non-finite result in counted kernel")
-
-
-def _ensure_finite_array(a: np.ndarray) -> None:
-    if not np.isfinite(a).all():
-        raise FloatingPointError("non-finite result in counted kernel")
-
-
-def cmul(a: complex, b: complex, acc: OpCount) -> complex:
-    """Complex-complex product, charged 4 real mults, 1 add, 1 sub."""
-    acc.real_mul += 4
-    acc.add += 1
-    acc.sub += 1
-    out = complex(a) * complex(b)
-    if __debug__:
-        _ensure_finite(out)
+def cmul(a, b, acc: OpCount):
+    """Elementwise complex product, 4 real mults, 1 add, 1 sub each."""
+    out = np.multiply(a, b)
+    k = out.size
+    acc.real_mul += 4 * k
+    acc.add += k
+    acc.sub += k
     return out
 
 
-def rcmul(r: float, b: complex, acc: OpCount) -> complex:
-    """Real-complex product, charged 2 real mults."""
-    acc.real_mul += 2
-    out = r * complex(b)
-    if __debug__:
-        _ensure_finite(out)
+def rcmul(r, b, acc: OpCount):
+    """Elementwise real-times-complex product, 2 real mults each."""
+    out = np.multiply(r, b)
+    acc.real_mul += 2 * out.size
     return out
 
 
-def csub(a: complex, b: complex, acc: OpCount) -> complex:
-    acc.sub += 2
-    return complex(a) - complex(b)
+def cadd(a, b, acc: OpCount):
+    out = np.add(a, b)
+    acc.add += 2 * out.size
+    return out
 
 
-def counted_sqrt(x: float, acc: OpCount) -> float:
-    """Real square root on the dedicated tally."""
-    acc.sqrt += 1
-    out = float(np.sqrt(x))
-    if __debug__:
-        _ensure_finite_real(out)
+def csub(a, b, acc: OpCount):
+    out = np.subtract(a, b)
+    acc.sub += 2 * out.size
+    return out
+
+
+def counted_sqrt(x, acc: OpCount):
+    """Elementwise real square root on the dedicated tally."""
+    out = np.sqrt(x)
+    acc.sqrt += out.size
     return out
 
 
 def counted_recip(x, acc: OpCount):
-    """Reciprocal of a (real or complex) pivot, one reciprocal unit."""
-    acc.reciprocal += 1
-    out = 1.0 / x
-    if __debug__:
-        _ensure_finite(out)
+    """Elementwise reciprocal of (real or complex) pivots, one unit each."""
+    out = np.divide(1.0, x)
+    acc.reciprocal += out.size
     return out
 
 
-def dot_h(a: np.ndarray, b: np.ndarray, acc: OpCount) -> complex:
-    """Hermitian inner product sum(conj(a_k) * b_k).
+def _contract(a: np.ndarray, b: np.ndarray, name: str) -> int:
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"{name}: length mismatch {a.shape} x {b.shape}")
+    return a.shape[-1]
 
-    Charged one complex multiplication per element plus the complex
-    accumulation additions.
+
+def dot_h(a: np.ndarray, b: np.ndarray, acc: OpCount):
+    """Hermitian inner products sum_k conj(a[..., k]) * b[..., k].
+
+    Leading axes broadcast; each output element is charged as one inner
+    product of the last-axis length.
     """
-    if a.shape != b.shape:
-        raise ValueError("dot_h: length mismatch")
-    n = a.shape[0]
-    acc.real_mul += 4 * n
-    acc.add += n + max(0, 2 * (n - 1))
-    acc.sub += n
-    out = complex(np.vdot(a, b))
-    if __debug__:
-        _ensure_finite(out)
+    n = _contract(a, b, "dot_h")
+    out = np.einsum("...k,...k->...", a.conj(), b)
+    charge_dots(acc, n, out.size)
     return out
 
 
-def dot_u(a: np.ndarray, b: np.ndarray, acc: OpCount) -> complex:
-    """Unconjugated inner product sum(a_k * b_k), counted like dot_h."""
-    if a.shape != b.shape:
-        raise ValueError("dot_u: length mismatch")
-    n = a.shape[0]
-    acc.real_mul += 4 * n
-    acc.add += n + max(0, 2 * (n - 1))
-    acc.sub += n
-    out = complex(np.dot(a, b))
-    if __debug__:
-        _ensure_finite(out)
+def dot_u(a: np.ndarray, b: np.ndarray, acc: OpCount):
+    """Unconjugated inner products sum_k a[..., k] * b[..., k], as dot_h."""
+    n = _contract(a, b, "dot_u")
+    out = np.einsum("...k,...k->...", a, b)
+    charge_dots(acc, n, out.size)
     return out
 
 
-def norm_sq(a: np.ndarray, acc: OpCount) -> float:
-    """Squared Euclidean norm, charged at the complex-mult rate.
+def norm_sq(a: np.ndarray, acc: OpCount):
+    """Squared Euclidean norms over the last axis, at the complex-mult rate.
 
     One complex multiplication (4 real mults) per element plus the real
     accumulation additions; see the module docstring for why 2 per
     element is deliberately not used.
     """
-    n = a.shape[0]
-    acc.real_mul += 4 * n
-    acc.add += n + max(0, n - 1)
-    acc.sub += n
-    out = float(np.vdot(a, a).real)
-    if __debug__:
-        _ensure_finite_real(out)
+    n = a.shape[-1]
+    out = np.einsum("...k,...k->...", a.conj(), a).real
+    k = out.size
+    acc.real_mul += 4 * n * k
+    acc.add += k * (n + max(0, n - 1))
+    acc.sub += n * k
     return out
 
 
 def matmul(a: np.ndarray, b: np.ndarray, acc: OpCount) -> np.ndarray:
-    """Counted matrix (or matrix-vector) product.
+    """Counted (stacked) matrix-matrix or matrix-vector product.
 
-    Charges 4 * rows * inner * cols real multiplications; ``b`` may be a
-    vector, in which case cols is 1.
+    ``a`` is (..., m, k). ``b`` is a stack of vectors (..., k) when it has
+    one axis fewer than ``a``, else a stack of matrices (..., k, cols).
+    Each of the m * cols outputs per matrix is charged as one inner
+    product of length k.
     """
-    if a.ndim != 2:
+    if a.ndim < 2:
         raise ValueError("matmul: left operand must be a matrix")
-    cols = 1 if b.ndim == 1 else b.shape[1]
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul: dimension mismatch {a.shape} x {b.shape}"
-        )
-    m, k = a.shape
-    acc.real_mul += 4 * m * k * cols
-    acc.add += m * cols * (k + max(0, 2 * (k - 1)))
-    acc.sub += m * k * cols
-    out = a @ b
-    if __debug__:
-        _ensure_finite_array(out)
+    vector = b.ndim == a.ndim - 1
+    inner = b.shape[-1] if vector else b.shape[-2]
+    if a.shape[-1] != inner:
+        raise ValueError(f"matmul: dimension mismatch {a.shape} x {b.shape}")
+    out = (a @ b[..., None])[..., 0] if vector else a @ b
+    charge_dots(acc, a.shape[-1], out.size)
     return out
 
 
 def hermitian(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose; free of multiplications."""
-    return np.ascontiguousarray(a.conj().T)
-
-
-def cmul_vec(s: complex, x: np.ndarray, acc: OpCount) -> np.ndarray:
-    """Complex scalar times vector at the complex-mult rate per element."""
-    n = x.shape[0]
-    acc.real_mul += 4 * n
-    acc.add += n
-    acc.sub += n
-    out = s * x
-    if __debug__:
-        _ensure_finite_array(out)
-    return out
-
-
-def rcmul_vec(r: float, x: np.ndarray, acc: OpCount) -> np.ndarray:
-    """Real scalar times complex vector, 2 real mults per element."""
-    acc.real_mul += 2 * x.shape[0]
-    out = r * x
-    if __debug__:
-        _ensure_finite_array(out)
-    return out
-
-
-def dscale_vec(d_inv: np.ndarray, x: np.ndarray, acc: OpCount) -> np.ndarray:
-    """Elementwise real diagonal scaling, 2 real mults per element."""
-    if d_inv.shape != x.shape:
-        raise ValueError("dscale_vec: length mismatch")
-    acc.real_mul += 2 * x.shape[0]
-    out = d_inv * x
-    if __debug__:
-        _ensure_finite_array(out)
-    return out
-
-
-def add_vec(x: np.ndarray, y: np.ndarray, acc: OpCount) -> np.ndarray:
-    acc.add += 2 * x.shape[0]
-    return x + y
-
-
-def sub_vec(x: np.ndarray, y: np.ndarray, acc: OpCount) -> np.ndarray:
-    acc.sub += 2 * x.shape[0]
-    return x - y
+    """Conjugate transpose of the last two axes; free of multiplications."""
+    return np.ascontiguousarray(np.swapaxes(a, -1, -2).conj())

