@@ -1,7 +1,8 @@
 """Command-line front end: BER sweeps, complexity tables, self test.
 
 Exit codes: 0 success, 1 failed self test, 2 configuration error
-(diagnostic names the offending field), 3 runtime numerical failure.
+(diagnostic names the offending field), 3 runtime failure (numerical,
+or a sweep worker process that died; the diagnostic names its chunk).
 """
 
 from __future__ import annotations
@@ -407,6 +408,9 @@ def main(argv=None) -> int:
         return 2
     except (DecompositionError, detect.DetectError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except montecarlo.WorkerDied as exc:
+        print(f"worker failure: {exc}", file=sys.stderr)
         return 3
 
 

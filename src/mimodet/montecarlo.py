@@ -3,24 +3,24 @@
 Sweeps SNR x detector over i.i.d. Rayleigh block-fading trials with
 common random numbers: every detector at a given (SNR point, trial
 index) sees the identical (bits, H, noise) realization, drawn from a
-Philox stream keyed by (master_seed, trial_index). Aggregation is
-integer bit-error counting in fixed chunk order, so results are
-byte-identical regardless of worker count.
+Philox stream keyed by (master_seed, trial_index); only the noise scale
+depends on the point. Aggregation is integer bit-error counting in fixed
+chunk order, so results are byte-identical regardless of worker count.
+
+The sweep is chunk-major: chunks run in trial order, and each is drawn
+once and evaluated for every SNR point still running, so a trial costs
+one draw and one Gramian per sweep. Each detector runs one stacked
+solve and one slice per (point, chunk); a numerical failure is a
+per-trial mask, so it costs only its own trial.
 
 Early stopping is per (SNR point, detector): once a detector has
-accumulated ``stop_at_errors`` bit errors its tally is frozen at the
-end of that chunk, while detectors that still need trials keep running.
-Later chunks skip a stopped detector altogether.
-
-A chunk is evaluated in stacks: each trial is drawn and reduced to its
-Gramian and matched filter at once, those small arrays are stacked, and
-each detector runs one stacked solve and one slice over the chunk. A
-numerical failure is a per-trial mask, so it costs only its own trial.
+accumulated ``stop_at_errors`` bit errors its tally is frozen at the end
+of that chunk, and later chunks skip it (and a point with none left).
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import concurrent.futures as cf
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -38,6 +38,16 @@ class ConfigError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(f"{field_name}: {message}")
         self.field = field_name
+
+
+class WorkerDied(RuntimeError):
+    """A pool worker died; ``chunks`` holds the (SNR points, lo, hi) lost with it."""
+
+    def __init__(self, chunks: list[tuple[tuple[float, ...], int, int]]):
+        super().__init__("a pool worker died evaluating " + "; ".join(
+            f"trials [{lo}, {hi}) at SNR {', '.join(f'{s:g}' for s in snr)} dB"
+            for snr, lo, hi in chunks))
+        self.chunks = chunks
 
 
 @dataclass(frozen=True)
@@ -126,62 +136,69 @@ def _simo_soft(h: np.ndarray, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
 
 def _eval_trials(
     config: SweepConfig,
-    snr_db: float,
+    snr_points: tuple[float, ...],
     lo: int,
     hi: int,
-    active: tuple[int, ...] | None = None,
-) -> list[list[int]]:
-    """Errors/failures per detector over trials [lo, hi); chunk worker.
+    active: tuple[tuple[int, ...], ...],
+) -> list[list[list[int]]]:
+    """Errors/failures per point and detector over trials [lo, hi); chunk worker.
 
-    Each trial is drawn from its own stream and reduced at once to its
-    Gramian and matched filter (or, for the SIMO bound, its per-user
-    estimates); only those U x U / U arrays are stacked. Each detector
-    in ``active`` (default: all) then runs one stacked solve and one
-    slice over the chunk. A trial whose solve fails, or whose estimate
-    is not finite, counts every bit as an error and one failure; the
-    rest of the chunk is scored as usual. Detectors outside ``active``
-    report zeros, and the Gramian is not formed when none needs it.
+    Each trial is drawn once with unit noise; its Gramian and H x are
+    formed once (not when only SIMO runs), its matched filter or SIMO
+    estimates once per point with the noise scaled to that point's
+    sigma2. At point p each detector in ``active[p]`` runs one stacked
+    solve and one slice; the others report zeros. A trial whose solve
+    fails, or whose estimate is not finite, counts every bit as an error
+    and one failure; the rest of the chunk is scored as usual.
     """
     const = phy.make_constellation(config.order)
-    sigma2 = phy.sigma2_from_snr(snr_db, config.u)
     box = const.box_radius
     bits_per_trial = config.u * const.bits_per_symbol
-    active = range(len(config.detectors)) if active is None else active
-    kinds = {config.detectors[d].kind for d in active}
-    need_simo = Kind.SIMO in kinds
-    need_gramian = bool(kinds - {Kind.SIMO})
+    sigma2 = [phy.sigma2_from_snr(snr, config.u) for snr in snr_points]
+    kinds = [{config.detectors[d].kind for d in act} for act in active]
+    need_simo = [Kind.SIMO in k for k in kinds]
+    need_mf = [bool(k - {Kind.SIMO}) for k in kinds]
     scratch = OpCount()
-    bits, g0, x_mf, simo = [], [], [], []
+    bits, g0 = [], []
+    x_mf = [[] for _ in snr_points]
+    simo = [[] for _ in snr_points]
     for trial in range(lo, hi):
-        b, x, h, noise = trial_realization(config, sigma2, trial)
+        b, x, h, unit = trial_realization(config, 1.0, trial)
         bits.append(b)
-        if need_gramian:
+        if any(need_mf):
             g0.append(detect.gramian(h, 0.0, scratch))
-            x_mf.append(detect.matched_filter(h, h @ x + noise, scratch))
-        if need_simo:
-            simo.append(_simo_soft(h, x, noise))
-    bits = np.stack(bits)
-    if need_gramian:
-        g0, x_mf = np.stack(g0), np.stack(x_mf)
+            hx = h @ x
+        for p, s2 in enumerate(sigma2):
+            noise = np.sqrt(s2) * unit
+            if need_mf[p]:
+                x_mf[p].append(detect.matched_filter(h, hx + noise, scratch))
+            if need_simo[p]:
+                simo[p].append(_simo_soft(h, x, noise))
+    bits, g0 = np.stack(bits), np.stack(g0) if g0 else None
+    x_mf = [np.stack(v) if v else None for v in x_mf]
 
-    out = [[0, 0] for _ in config.detectors]
-    for d in active:
-        spec = config.detectors[d]
-        failed = np.zeros(hi - lo, dtype=bool)
-        if spec.kind is Kind.SIMO:
-            soft = np.stack(simo)
-        else:
-            try:
-                soft = detect.soft_estimate(spec, g0, x_mf, sigma2, box, scratch, failed)
-            except (DecompositionError, detect.DetectError, FloatingPointError):
-                # a solve that raises despite the mask fails the whole chunk
-                out[d] = [bits_per_trial * (hi - lo), hi - lo]
-                continue
-        failed |= ~np.isfinite(soft).all(axis=1)
-        _, bits_hat = phy.hard_slice(np.where(failed[:, None], 0.0, soft), const)
-        errors = np.count_nonzero(bits_hat.reshape(bits.shape) != bits, axis=1)
-        errors[failed] = bits_per_trial
-        out[d] = [int(errors.sum()), int(failed.sum())]
+    out = []
+    for p, act in enumerate(active):
+        point = [[0, 0] for _ in config.detectors]
+        for d in act:
+            spec = config.detectors[d]
+            failed = np.zeros(hi - lo, dtype=bool)
+            if spec.kind is Kind.SIMO:
+                soft = np.stack(simo[p])
+            else:
+                try:
+                    soft = detect.soft_estimate(spec, g0, x_mf[p], sigma2[p], box, scratch,
+                                                failed)
+                except (DecompositionError, detect.DetectError, FloatingPointError):
+                    # a solve that raises despite the mask fails the whole chunk
+                    point[d] = [bits_per_trial * (hi - lo), hi - lo]
+                    continue
+            failed |= ~np.isfinite(soft).all(axis=1)
+            _, bits_hat = phy.hard_slice(np.where(failed[:, None], 0.0, soft), const)
+            errors = np.count_nonzero(bits_hat.reshape(bits.shape) != bits, axis=1)
+            errors[failed] = bits_per_trial
+            point[d] = [int(errors.sum()), int(failed.sum())]
+        out.append(point)
     return out
 
 
@@ -191,113 +208,96 @@ def run_trial(
     """Bit errors of one detector on one trial (common-random-number draw)."""
     config.validate()
     one = dataclasses.replace(config, detectors=(detector,))
-    return _eval_trials(one, snr_db, trial_index, trial_index + 1)[0][0]
-
-
-def _run_point(
-    config: SweepConfig,
-    snr_db: float,
-    pool: concurrent.futures.Executor | None,
-) -> list[BerRecord]:
-    const = phy.make_constellation(config.order)
-    bits_per_trial = config.u * const.bits_per_symbol
-    ndet = len(config.detectors)
-    errors = [0] * ndet
-    failures = [0] * ndet
-    trials_run = [config.trials] * ndet
-    stopped = [False] * ndet
-
-    chunks = [
-        (lo, min(lo + config.chunk_size, config.trials))
-        for lo in range(0, config.trials, config.chunk_size)
-    ]
-    results: dict[int, list[list[int]]] = {}
-    next_submit = 0
-    pending: dict[concurrent.futures.Future, int] = {}
-
-    def merge(chunk_idx: int) -> bool:
-        chunk_out = results.pop(chunk_idx)
-        _, hi = chunks[chunk_idx]
-        for d in range(ndet):
-            if stopped[d]:
-                continue
-            errors[d] += chunk_out[d][0]
-            failures[d] += chunk_out[d][1]
-            if config.stop_at_errors is not None and errors[d] >= config.stop_at_errors:
-                stopped[d] = True
-                trials_run[d] = hi
-        return all(stopped)
-
-    def active() -> tuple[int, ...]:
-        return tuple(d for d in range(ndet) if not stopped[d])
-
-    if pool is None:
-        for idx in range(len(chunks)):
-            lo, hi = chunks[idx]
-            results[idx] = _eval_trials(config, snr_db, lo, hi, active())
-            if merge(idx):
-                break
-    else:
-        window = config.workers
-        done_all = False
-        next_merge = 0
-        while not done_all and next_merge < len(chunks):
-            while len(pending) < window and next_submit < len(chunks):
-                lo, hi = chunks[next_submit]
-                fut = pool.submit(_eval_trials, config, snr_db, lo, hi, active())
-                pending[fut] = next_submit
-                next_submit += 1
-            if not pending:
-                break
-            done, _ = concurrent.futures.wait(
-                pending, return_when=concurrent.futures.FIRST_COMPLETED
-            )
-            for fut in done:
-                results[pending.pop(fut)] = fut.result()
-            while next_merge in results:
-                done_all = merge(next_merge)
-                next_merge += 1
-                if done_all:
-                    break
-        # speculative chunks beyond the stop boundary are discarded
-
-    return [
-        BerRecord(
-            config.n,
-            config.u,
-            config.order,
-            spec.name,
-            spec.params,
-            snr_db,
-            trials_run[d],
-            errors[d],
-            trials_run[d] * bits_per_trial,
-            failures[d],
-        )
-        for d, spec in enumerate(config.detectors)
-    ]
+    return _eval_trials(one, (snr_db,), trial_index, trial_index + 1, ((0,),))[0][0][0]
 
 
 def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
-    """Full SNR x detector sweep; deterministic for a fixed master seed."""
+    """Full SNR x detector sweep; deterministic for a fixed master seed.
+
+    Chunks run in trial order, each drawn once for every point still
+    running; ``progress`` gets one line per point when it ends. With
+    ``workers`` > 1 that many chunks run ahead in a process pool and
+    merge in order; a worker that dies raises ``WorkerDied``. Library
+    callers must pin ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
+    ``MKL_NUM_THREADS`` to 1 before they import numpy: the stacked solves
+    call BLAS on small matrices, where its threads only contend.
+    """
     config.validate()
-    records: list[BerRecord] = []
-    pool = None
+    bits_per_trial = config.u * phy.make_constellation(config.order).bits_per_symbol
+    npts, ndet = len(config.snr_db), len(config.detectors)
+    errors = [[0] * ndet for _ in range(npts)]
+    failures = [[0] * ndet for _ in range(npts)]
+    trials_run = [[config.trials] * ndet for _ in range(npts)]
+    stopped = [[False] * ndet for _ in range(npts)]
+    records: list[list[BerRecord] | None] = [None] * npts
+    chunks = [(lo, min(lo + config.chunk_size, config.trials))
+              for lo in range(0, config.trials, config.chunk_size)]
+
+    def running() -> tuple[int, ...]:
+        return tuple(p for p in range(npts) if records[p] is None)
+
+    def merge(chunk_idx: int, points: tuple[int, ...], chunk_out) -> None:
+        hi = chunks[chunk_idx][1]
+        for p, point_out in zip(points, chunk_out):
+            if records[p] is not None:
+                continue  # ended before this speculative chunk
+            for d in range(ndet):
+                if stopped[p][d]:
+                    continue
+                errors[p][d] += point_out[d][0]
+                failures[p][d] += point_out[d][1]
+                if config.stop_at_errors is not None and errors[p][d] >= config.stop_at_errors:
+                    stopped[p][d] = True
+                    trials_run[p][d] = hi
+            if all(stopped[p]) or hi == config.trials:
+                records[p] = [
+                    BerRecord(config.n, config.u, config.order, spec.name, spec.params,
+                              config.snr_db[p], trials_run[p][d], errors[p][d],
+                              trials_run[p][d] * bits_per_trial, failures[p][d])
+                    for d, spec in enumerate(config.detectors)
+                ]
+                if progress is not None:
+                    progress(f"snr {config.snr_db[p]:g} dB done: "
+                             + ", ".join(f"{r.detector}={r.ber:.3g}" for r in records[p]))
+
+    pool = cf.ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
+    pending: dict[cf.Future, tuple[int, tuple[int, ...]]] = {}
+    results: dict[int, tuple[tuple[int, ...], list]] = {}
+
+    def submit(chunk_idx: int) -> None:
+        points = running()
+        lo, hi = chunks[chunk_idx]
+        args = (config, tuple(config.snr_db[p] for p in points), lo, hi,
+                tuple(tuple(d for d in range(ndet) if not stopped[p][d]) for p in points))
+        if pool is not None:
+            fut = pool.submit(_eval_trials, *args)
+        else:  # one worker: the same loop with a window of one, evaluated inline
+            fut = cf.Future()
+            fut.set_result(_eval_trials(*args))
+        pending[fut] = (chunk_idx, points)
+
+    next_submit = next_merge = 0
     try:
-        if config.workers > 1:
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=config.workers)
-        for snr in config.snr_db:
-            point = _run_point(config, snr, pool)
-            records.extend(point)
-            if progress is not None:
-                progress(
-                    f"snr {snr:g} dB done: "
-                    + ", ".join(f"{r.detector}={r.ber:.3g}" for r in point)
-                )
+        while running():
+            while len(pending) < config.workers and next_submit < len(chunks):
+                submit(next_submit)
+                next_submit += 1
+            done, _ = cf.wait(pending, return_when=cf.FIRST_COMPLETED)
+            for fut in done:
+                try:
+                    results[pending[fut][0]] = (pending[fut][1], fut.result())
+                except cf.BrokenExecutor:  # every chunk in flight is lost with it
+                    raise WorkerDied([(tuple(config.snr_db[p] for p in points), *chunks[idx])
+                                      for idx, points in sorted(pending.values())]) from None
+                del pending[fut]
+            # chunks merge in trial order; merge skips the points a chunk ran past
+            while next_merge in results:
+                merge(next_merge, *results.pop(next_merge))
+                next_merge += 1
     finally:
         if pool is not None:
-            pool.shutdown()
-    return records
+            pool.shutdown(cancel_futures=True)
+    return [r for point in records for r in point]
 
 
 def snr_at_ber(

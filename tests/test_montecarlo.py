@@ -1,11 +1,16 @@
 """Sweep engine: common randomness, determinism, aggregation, gaps."""
 
+import collections
+import dataclasses
+import functools
 import hashlib
+import os
+import signal
 
 import numpy as np
 import pytest
 
-from mimodet import detect, montecarlo as mc, phy
+from mimodet import cli, detect, montecarlo as mc, phy
 from mimodet.detect import Backend, DetectorSpec, Kind
 from mimodet.montecarlo import BerRecord, ConfigError, SweepConfig
 
@@ -178,7 +183,9 @@ class TestStoppedDetectors:
         evaluate = mc._eval_trials
         with monkeypatch.context() as m:
             m.setattr(mc, "_eval_trials",
-                      lambda config, snr_db, lo, hi, active=None: evaluate(config, snr_db, lo, hi))
+                      lambda config, snr_points, lo, hi, active: evaluate(
+                          config, snr_points, lo, hi,
+                          tuple(tuple(range(len(config.detectors))) for _ in snr_points)))
             unskipped = mc.run_sweep(cfg)
 
         calls = {"solve": [], "gramian": 0}
@@ -204,6 +211,123 @@ class TestStoppedDetectors:
                   for kind in (Kind.MMSE, Kind.ADMIN)}
         assert solved == {Kind.MMSE: mmse.trials_run, Kind.ADMIN: admin.trials_run}
         assert calls["gramian"] == max(mmse.trials_run, admin.trials_run)
+
+
+def staggered_config(**overrides):
+    # the three points stop in different chunks: after 10, 30 and 50 of 60 trials
+    return small_config(n=8, snr_db=(-3.0, 3.0, 6.0), trials=60, stop_at_errors=10,
+                        chunk_size=10, **overrides)
+
+
+def point_major_reference(cfg):
+    """(detector, snr, trials_run, bit_errors) rows from ``run_trial``, point by point.
+
+    The documented freeze rule: a detector's tally freezes at the end of
+    the chunk in which it reached ``stop_at_errors``; a point ends once
+    every detector has stopped.
+    """
+    rows = []
+    for snr in cfg.snr_db:
+        errors = [0] * len(cfg.detectors)
+        trials_run = [cfg.trials] * len(cfg.detectors)
+        stopped = [False] * len(cfg.detectors)
+        for lo in range(0, cfg.trials, cfg.chunk_size):
+            hi = min(lo + cfg.chunk_size, cfg.trials)
+            for d, spec in enumerate(cfg.detectors):
+                if stopped[d]:
+                    continue
+                errors[d] += sum(mc.run_trial(cfg, snr, spec, t) for t in range(lo, hi))
+                if errors[d] >= cfg.stop_at_errors:
+                    stopped[d], trials_run[d] = True, hi
+            if all(stopped):
+                break
+        rows += [(spec.name, snr, trials_run[d], errors[d])
+                 for d, spec in enumerate(cfg.detectors)]
+    return rows
+
+
+class TestChunkMajor:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_point_major_reference(self, workers):
+        cfg = staggered_config(workers=workers)
+        records = mc.run_sweep(cfg)
+        assert len({r.trials_run for r in records if r.detector == "mmse"}) == 3
+        assert [(r.detector, r.snr_db, r.trials_run, r.bit_errors) for r in records] == (
+            point_major_reference(cfg))
+        assert all(r.bits_total == r.trials_run * cfg.u * 2 and r.failures == 0
+                   for r in records)
+
+    def test_each_trial_drawn_once(self, monkeypatch):
+        draw, drawn = mc.trial_realization, []
+
+        def spy(config, sigma2, trial):
+            drawn.append((sigma2, trial))
+            return draw(config, sigma2, trial)
+
+        monkeypatch.setattr(mc, "trial_realization", spy)
+        lines = []
+        records = mc.run_sweep(staggered_config(), progress=lines.append)
+        assert all(sigma2 == 1.0 for sigma2, _ in drawn)
+        assert max(collections.Counter(t for _, t in drawn).values()) == 1
+        assert len(drawn) == max(r.trials_run for r in records) == 50
+        # one progress line per point, in the order the points ended
+        assert [line.split(" dB")[0] for line in lines] == ["snr -3", "snr 3", "snr 6"]
+
+
+@pytest.fixture
+def worker_dies_at_20(monkeypatch):
+    """Make the pool worker that evaluates trials [20, 30) exit at once.
+
+    The wrapper keeps ``_eval_trials``'s name, so it pickles by reference
+    to the patched module attribute, and the forked workers inherit the
+    patch. A sweep that hangs instead of raising fails after 60 s.
+    """
+    evaluate = mc._eval_trials
+
+    @functools.wraps(evaluate)
+    def dying(config, snr_points, lo, hi, active):
+        if lo == 20:
+            os._exit(1)
+        return evaluate(config, snr_points, lo, hi, active)
+
+    def hung(signum, frame):
+        raise TimeoutError("the sweep hung after its worker died")
+
+    monkeypatch.setattr(mc, "_eval_trials", dying)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.usefixtures("worker_dies_at_20")
+class TestWorkerDied:
+    def test_sweep_names_the_chunk(self):
+        with pytest.raises(mc.WorkerDied) as err:
+            mc.run_sweep(small_config(trials=60, chunk_size=10, workers=2))
+        assert "trials [20, 30) at SNR 0, 6, 12 dB" in str(err.value)
+        assert ((0.0, 6.0, 12.0), 20, 30) in err.value.chunks
+
+    def test_cli_exits_3(self, monkeypatch, tmp_path, capsys):
+        build = cli.build_sweep
+        monkeypatch.setattr(cli, "build_sweep",
+                            lambda settings: dataclasses.replace(build(settings), chunk_size=10))
+        argv = ["ber", "--n", "8", "--u", "2", "--mod", "qpsk", "--snr", "0,6",
+                "--det", "mmse", "--trials", "60", "--seed", "1", "--stop-at", "0",
+                "--threads", "2", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 3
+        assert "trials [20, 30)" in capsys.readouterr().err
+
+
+class TestBlasPinning:
+    def test_pools_pinned_before_numpy(self):
+        # tests/conftest.py pins the pools before anything imports numpy
+        import conftest
+
+        assert not conftest.NUMPY_LOADED_FIRST
+        for var in conftest.BLAS_VARS:
+            assert os.environ.get(var, "").isdigit() and int(os.environ[var]) >= 1, var
 
 
 class TestBerRecord:
