@@ -1,9 +1,9 @@
 """Uplink symbol detectors.
 
-Exact-inversion linear detection (ZF and MMSE through QR, Cholesky, LDL
-or a direct-inverse oracle), the three approximate inversion-based
-detectors (truncated Neumann series, Gauss-Seidel sweeps, conjugate
-gradient) and the ADMM box-constrained detector.
+Exact-inversion linear detection (ZF and MMSE through QR, Cholesky or
+LDL), the three approximate inversion-based detectors (truncated Neumann
+series, Gauss-Seidel sweeps, conjugate gradient) and the ADMM
+box-constrained detector.
 
 Every detector solves a system against the regularized Gramian
 G = H^H H + reg*I with right-hand side x_mf = H^H y, and reports the
@@ -15,8 +15,8 @@ one dispatch from a ``DetectorSpec`` to its solver.
 Like the routines in ``decomp``, every function here takes one system
 or a stack of them with a leading trial axis (``B x U x U`` Gramians,
 ``B x U`` right-hand sides), charges B times the single-system tally
-computed from shapes, and either ORs its per-trial failures into a
-``failed`` mask or, without one, raises on the first.
+computed from shapes, and raises on the first system it cannot solve;
+the sweep retries a raising chunk one trial at a time.
 """
 
 from __future__ import annotations
@@ -33,10 +33,8 @@ from .decomp import (
     cholesky,
     flag,
     flag_non_finite,
-    flat_mask,
     forward_sub,
     gram_schmidt_qr,
-    invert_direct,
     ldl,
     pivot_tol,
     vector_stack,
@@ -78,7 +76,6 @@ class Backend(enum.Enum):
     QR = "qr"
     CHOLESKY = "chol"
     LDL = "ldl"
-    DIRECT = "direct"
 
 
 _EXACT = (Kind.ZF, Kind.MMSE)
@@ -165,36 +162,19 @@ def gramian(h: np.ndarray, reg: float, acc: OpCount) -> np.ndarray:
     return g
 
 
-def exact_solve(
-    g: np.ndarray,
-    b: np.ndarray,
-    backend: Backend,
-    acc: OpCount,
-    failed: np.ndarray | None = None,
-) -> np.ndarray:
+def exact_solve(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount) -> np.ndarray:
     """Solve G x = b through the chosen decomposition backend."""
     if backend is Backend.QR:
-        f = gram_schmidt_qr(g, acc, failed)
-        return backward_sub(f.r, matmul(hermitian(f.q), b, acc), acc, failed)
+        f = gram_schmidt_qr(g, acc)
+        return backward_sub(f.r, matmul(hermitian(f.q), b, acc), acc)
     if backend is Backend.CHOLESKY:
-        f = cholesky(g, acc, failed)
-        return backward_sub(hermitian(f.l), forward_sub(f.l, b, acc, failed), acc, failed)
+        f = cholesky(g, acc)
+        return backward_sub(hermitian(f.l), forward_sub(f.l, b, acc), acc)
     if backend is Backend.LDL:
-        f = ldl(g, acc, failed)
-        z = forward_sub(f.l, b, acc, failed)
-        z = _apply_d_inverse(f.d, z, acc)
-        return backward_sub(hermitian(f.l), z, acc, failed)
-    if backend is Backend.DIRECT:
-        # oracle path, deliberately uncounted
-        x = (invert_direct(g, failed) @ np.asarray(b)[..., None])[..., 0]
-        flag_non_finite(flat_mask(failed), x.reshape(-1, x.shape[-1]))
-        return x
+        f = ldl(g, acc)
+        z = rcmul(counted_recip(f.d, acc), forward_sub(f.l, b, acc), acc)
+        return backward_sub(hermitian(f.l), z, acc)
     raise ValueError(f"unknown backend {backend}")
-
-
-def _apply_d_inverse(d: np.ndarray, z: np.ndarray, acc: OpCount) -> np.ndarray:
-    with np.errstate(all="ignore"):  # a failed system's zero pivot
-        return rcmul(counted_recip(d, acc), z, acc)
 
 
 def _diagonal(g: np.ndarray) -> np.ndarray:
@@ -202,7 +182,7 @@ def _diagonal(g: np.ndarray) -> np.ndarray:
 
 
 def nsa_solve(
-    g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount, failed: np.ndarray | None = None
+    g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount
 ) -> tuple[np.ndarray, np.ndarray]:
     """Truncated Neumann series applied to x_mf, terms 0 .. t-1.
 
@@ -229,13 +209,11 @@ def nsa_solve(
             total = cadd(total, term, acc)
             if k == t - 1:
                 diverged = np.linalg.norm(term, axis=1) > prev
-    flag_non_finite(flat_mask(failed), total)
+    flag_non_finite(total)
     return total.reshape(lead + total.shape[1:]), diverged.reshape(lead)
 
 
-def gs_solve(
-    g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount, failed: np.ndarray | None = None
-) -> np.ndarray:
+def gs_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarray:
     """t Gauss-Seidel sweeps on G x = x_mf.
 
     (D + L) is applied by forward substitution inside each sweep, never
@@ -244,12 +222,11 @@ def gs_solve(
     if t < 1:
         raise ValueError("t must be >= 1")
     g, lead = as_stack(g)
-    failed = flat_mask(failed)
     u = g.shape[-1]
     x_mf = vector_stack(x_mf, u)
     diag = _diagonal(g)
     small = np.abs(diag) <= pivot_tol(g)[:, None]
-    flag(failed, small.any(axis=1),
+    flag(small.any(axis=1),
          lambda: SingularTriangularError(f"zero Gramian diagonal at {int(np.argmax(small.any(axis=0)))}"))
     x = np.zeros_like(x_mf)
     with np.errstate(all="ignore"):
@@ -259,24 +236,21 @@ def gs_solve(
                 s = csub(x_mf[:, i], dot_u(g[:, i, :i], x[:, :i], acc), acc)
                 s = csub(s, dot_u(g[:, i, i + 1 :], x[:, i + 1 :], acc), acc)
                 x[:, i] = rcmul(d_inv[:, i], s, acc)
-    flag_non_finite(failed, x)
+    flag_non_finite(x)
     return x.reshape(lead + (u,))
 
 
-def cg_solve(
-    g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount, failed: np.ndarray | None = None
-) -> np.ndarray:
+def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarray:
     """t conjugate-gradient steps on G x = x_mf from x = 0, r = p = x_mf.
 
     A system whose residual is exactly zero keeps its estimate for the
     remaining steps; every step is charged regardless, so the tally
-    depends on shapes only. Non-positive curvature fails the system
-    (:class:`CgBreakdownError`).
+    depends on shapes only. Non-positive curvature raises
+    :class:`CgBreakdownError`.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     g, lead = as_stack(g)
-    failed = flat_mask(failed)
     x_mf = vector_stack(x_mf, g.shape[-1])
     x = np.zeros_like(x_mf)
     r = x_mf.copy()
@@ -287,7 +261,7 @@ def cg_solve(
             live = rs != 0.0
             gp = matmul(g, p, acc)
             curvature = dot_h(p, gp, acc).real
-            flag(failed, live & (curvature <= 0.0),
+            flag(live & (curvature <= 0.0),
                  lambda: CgBreakdownError("p^H G p <= 0; Gramian is not positive definite"))
             alpha = rs * counted_recip(np.where(live, curvature, 1.0), acc)
             acc.real_mul += alpha.size
@@ -298,7 +272,7 @@ def cg_solve(
             acc.real_mul += beta.size
             p = cadd(r, rcmul(beta[:, None], p, acc), acc)
             rs = rs_new
-    flag_non_finite(failed, x)
+    flag_non_finite(x)
     return x.reshape(lead + x.shape[1:])
 
 
@@ -314,7 +288,6 @@ def admin_solve(
     box: float,
     acc: OpCount,
     trace: list | None = None,
-    failed: np.ndarray | None = None,
 ) -> np.ndarray:
     """ADMM loop for the box-constrained detector.
 
@@ -329,13 +302,12 @@ def admin_solve(
         raise ValueError("t must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    f = ldl(g_admin, acc, failed)
+    f = ldl(g_admin, acc)
     lh = hermitian(f.l)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        z = forward_sub(f.l, rhs, acc, failed)
-        z = _apply_d_inverse(f.d, z, acc)
-        return backward_sub(lh, z, acc, failed)
+        z = rcmul(counted_recip(f.d, acc), forward_sub(f.l, rhs, acc), acc)
+        return backward_sub(lh, z, acc)
 
     x = solve(x_mf)
     z = _clip_box(x, box)
@@ -353,38 +325,31 @@ def admin_solve(
 
 
 def soft_estimate(
-    spec: DetectorSpec,
-    g0: np.ndarray,
-    x_mf: np.ndarray,
-    sigma2: float,
-    box: float,
-    acc: OpCount,
-    failed: np.ndarray | None = None,
+    spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: float, box: float, acc: OpCount
 ) -> np.ndarray:
     """Soft symbol estimates of one detector from the shared products.
 
     ``g0`` is the unregularized Gramian H^H H (or a stack of them),
     ``x_mf`` = H^H y and ``box`` the per-axis ADMIN clipping bound. Each
     kind regularizes its own copy of ``g0``: ZF with 0, MMSE/NSA/GS/CG
-    with sigma2, ADMIN with its beta. ``failed`` collects the systems
-    that could not be solved. The solvers are looked up as module
-    globals at call time, so a wrapper installed on this module sees
-    every call.
+    with sigma2, ADMIN with its beta. A system that cannot be solved
+    raises, as in every counted solver. The solvers are looked up as
+    module globals at call time, so a wrapper installed on this module
+    sees every call.
     """
     if spec.kind in _EXACT:
         reg = sigma2 if spec.kind is Kind.MMSE else 0.0
-        return exact_solve(_regularize(g0, reg), x_mf, spec.backend, acc, failed)
+        return exact_solve(_regularize(g0, reg), x_mf, spec.backend, acc)
     if spec.kind is Kind.NSA:
-        x, _ = nsa_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc, failed)
+        x, _ = nsa_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
         return x
     if spec.kind is Kind.GS:
-        return gs_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc, failed)
+        return gs_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
     if spec.kind is Kind.CG:
-        return cg_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc, failed)
+        return cg_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
     if spec.kind is Kind.ADMIN:
         beta = spec.admin_beta(sigma2)
-        return admin_solve(_regularize(g0, beta), x_mf, spec.iterations, beta, box, acc,
-                           failed=failed)
+        return admin_solve(_regularize(g0, beta), x_mf, spec.iterations, beta, box, acc)
     raise ValueError(f"no soft estimate for {spec.kind}")
 
 

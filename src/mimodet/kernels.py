@@ -23,7 +23,7 @@ closed forms.
 Every kernel takes an explicit :class:`OpCount` accumulator; there is no
 global counter. Kernels do not check their results: a non-finite value
 travels to the end of its system, where the solver that produced it
-flags that system alone (see ``decomp``).
+raises (see ``decomp``).
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ chunk order, so results are byte-identical regardless of worker count.
 The sweep is chunk-major: chunks run in trial order, and each is drawn
 once and evaluated for every SNR point still running, so a trial costs
 one draw and one Gramian per sweep. Each detector runs one stacked
-solve and one slice per (point, chunk); a numerical failure is a
-per-trial mask, so it costs only its own trial.
+solve and one slice per (point, chunk). The counted solvers raise on
+the first system they cannot solve; a (point, detector, chunk) whose
+stacked solve raises is solved again one trial at a time, so a
+numerical failure costs only its own trial.
 
 Early stopping is per (SNR point, detector): once a detector has
 accumulated ``stop_at_errors`` bit errors its tally is frozen at the end
@@ -82,6 +84,8 @@ class SweepConfig:
             raise ConfigError("stop_at", "must be >= 1 when set")
         if self.workers < 1:
             raise ConfigError("threads", "must be >= 1")
+        if self.chunk_size < 1:
+            raise ConfigError("chunk_size", "must be >= 1")
         if not 0 <= self.master_seed < 2**64:
             raise ConfigError("seed", "must be in [0, 2**64)")
 
@@ -147,9 +151,9 @@ def _eval_trials(
     formed once (not when only SIMO runs), its matched filter or SIMO
     estimates once per point with the noise scaled to that point's
     sigma2. At point p each detector in ``active[p]`` runs one stacked
-    solve and one slice; the others report zeros. A trial whose solve
-    fails, or whose estimate is not finite, counts every bit as an error
-    and one failure; the rest of the chunk is scored as usual.
+    solve (see ``_solve_chunk``) and one slice; the others report zeros.
+    A trial whose estimate is not finite counts every bit as an error and
+    one failure; the rest of the chunk is scored as usual.
     """
     const = phy.make_constellation(config.order)
     box = const.box_radius
@@ -182,24 +186,42 @@ def _eval_trials(
         point = [[0, 0] for _ in config.detectors]
         for d in act:
             spec = config.detectors[d]
-            failed = np.zeros(hi - lo, dtype=bool)
             if spec.kind is Kind.SIMO:
                 soft = np.stack(simo[p])
             else:
-                try:
-                    soft = detect.soft_estimate(spec, g0, x_mf[p], sigma2[p], box, scratch,
-                                                failed)
-                except (DecompositionError, detect.DetectError, FloatingPointError):
-                    # a solve that raises despite the mask fails the whole chunk
-                    point[d] = [bits_per_trial * (hi - lo), hi - lo]
-                    continue
-            failed |= ~np.isfinite(soft).all(axis=1)
+                soft = _solve_chunk(spec, g0, x_mf[p], sigma2[p], box, scratch)
+            failed = ~np.isfinite(soft).all(axis=1)
             _, bits_hat = phy.hard_slice(np.where(failed[:, None], 0.0, soft), const)
             errors = np.count_nonzero(bits_hat.reshape(bits.shape) != bits, axis=1)
             errors[failed] = bits_per_trial
             point[d] = [int(errors.sum()), int(failed.sum())]
         out.append(point)
     return out
+
+
+_SOLVE_ERRORS = (DecompositionError, detect.DetectError, FloatingPointError)
+
+
+def _solve_chunk(
+    spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: float, box: float,
+    acc: OpCount,
+) -> np.ndarray:
+    """One stacked ``soft_estimate``; if it raises, the chunk again trial by trial.
+
+    A trial whose own solve raises gets a NaN estimate, which the caller
+    scores as a failure.
+    """
+    try:
+        return detect.soft_estimate(spec, g0, x_mf, sigma2, box, acc)
+    except _SOLVE_ERRORS:
+        pass
+    soft = np.full(x_mf.shape, np.nan, dtype=np.complex128)
+    for i in range(len(g0)):
+        try:
+            soft[i] = detect.soft_estimate(spec, g0[i], x_mf[i], sigma2, box, acc)
+        except _SOLVE_ERRORS:
+            pass
+    return soft
 
 
 def run_trial(
@@ -307,8 +329,7 @@ def snr_at_ber(
 
     ``points`` are (snr_db, ber, bits_total) tuples in increasing SNR
     order. Zero BER values are floored at half an error for the
-    interpolation. Returns None when the curve never crosses the target
-    (the GapUndefined case).
+    interpolation. Returns None when the curve never crosses the target.
     """
     if target <= 0:
         raise ValueError("target BER must be positive")
@@ -326,20 +347,6 @@ def snr_at_ber(
     return None
 
 
-@dataclass
-class GapRow:
-    detector_a: str
-    detector_b: str
-    target_ber: float
-    snr_a: float | None
-    snr_b: float | None
-    gap_db: float | None  # snr_b - snr_a; None when either side is undefined
-
-    @property
-    def undefined(self) -> bool:
-        return self.gap_db is None
-
-
 def curve(records: list[BerRecord], detector: str, params: str | None = None):
     """(snr, ber, bits) points of one detector, sorted by SNR."""
     pts = [
@@ -348,22 +355,3 @@ def curve(records: list[BerRecord], detector: str, params: str | None = None):
         if r.detector == detector and (params is None or r.params == params)
     ]
     return sorted(pts)
-
-
-def summarize(records: list[BerRecord], target_ber: float) -> list[GapRow]:
-    """Horizontal SNR gaps between every detector pair at a target BER."""
-    names: list[tuple[str, str]] = []
-    for r in records:
-        key = (r.detector, r.params)
-        if key not in names:
-            names.append(key)
-    crossings = {
-        key: snr_at_ber(curve(records, key[0], key[1]), target_ber) for key in names
-    }
-    rows = []
-    for i, a in enumerate(names):
-        for b in names[i + 1 :]:
-            sa, sb = crossings[a], crossings[b]
-            gap = None if sa is None or sb is None else sb - sa
-            rows.append(GapRow(a[0], b[0], target_ber, sa, sb, gap))
-    return rows

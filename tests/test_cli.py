@@ -108,6 +108,12 @@ class TestBerCommand:
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
         assert not (tmp_path / "ber_8x4_qpsk.csv").exists()
 
+    def test_direct_backend_is_unknown(self, tmp_path, capsys):
+        argv = ["ber", "--n", "8", "--u", "4", "--mod", "qpsk", "--snr", "0",
+                "--det", "mmse:direct", "--seed", "1", "--out-dir", str(tmp_path)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("config error: det: unknown backend 'direct'")
+
     def test_preset_requires_seed(self, capsys):
         assert run(["ber", "--preset", "fig2"]) == 2
         assert "seed" in capsys.readouterr().err

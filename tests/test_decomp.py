@@ -7,13 +7,11 @@ from mimodet.complexity import seeded_gramian
 from mimodet.decomp import (
     NearSingularError,
     NotPositiveDefiniteError,
-    SingularMatrixError,
     SingularTriangularError,
     backward_sub,
     cholesky,
     forward_sub,
     gram_schmidt_qr,
-    invert_direct,
     ldl,
 )
 from mimodet.kernels import OpCount, hermitian
@@ -164,34 +162,16 @@ class TestTriangularSolves:
             backward_sub(l.T.copy(), np.ones(2, dtype=complex), OpCount())
 
     def test_solver_equivalence_vs_direct_inverse(self):
-        # chained forward/backward substitution equals the Gauss-Jordan
-        # oracle applied to the same right-hand side
+        # chained forward/backward substitution equals LAPACK's inverse
+        # applied to the same right-hand side
         for seed in range(5):
             a = seeded_gramian(8, seed)
             rng = np.random.Generator(np.random.Philox(key=[seed, 23]))
             b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             f = cholesky(a, OpCount())
             x = backward_sub(hermitian(f.l), forward_sub(f.l, b, OpCount()), OpCount())
-            x_oracle = invert_direct(a) @ b
+            x_oracle = np.linalg.inv(a) @ b
             assert rel_resid(x, x_oracle) <= 1e-8
-
-
-class TestInvertDirect:
-    def test_identity(self):
-        assert np.allclose(invert_direct(np.eye(3, dtype=complex)), np.eye(3))
-
-    def test_diagonal(self):
-        inv = invert_direct(np.diag([2.0, 4.0]).astype(complex))
-        assert np.allclose(inv, np.diag([0.5, 0.25]))
-
-    def test_identity_residual(self):
-        a = seeded_gramian(8, seed=9)
-        inv = invert_direct(a)
-        assert np.linalg.norm(a @ inv - np.eye(8)) <= 1e-9
-
-    def test_singular(self):
-        with pytest.raises(SingularMatrixError):
-            invert_direct(np.ones((2, 2), dtype=complex))
 
 
 def test_reconstruction_property_sample():

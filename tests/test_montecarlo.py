@@ -12,6 +12,7 @@ import pytest
 
 from mimodet import cli, detect, montecarlo as mc, phy
 from mimodet.detect import Backend, DetectorSpec, Kind
+from mimodet.kernels import OpCount
 from mimodet.montecarlo import BerRecord, ConfigError, SweepConfig
 
 
@@ -57,6 +58,14 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             small_config(master_seed=seed).validate()
         assert err.value.field == "seed"
+
+    @pytest.mark.parametrize("chunk_size", [0, -5])
+    def test_chunk_size_below_one(self, chunk_size):
+        # a sweep checks its config before it builds a chunk: -5 would
+        # build none and spin, 0 would reach range() with step 0
+        with pytest.raises(ConfigError) as err:
+            small_config(chunk_size=chunk_size).validate()
+        assert err.value.field == "chunk_size"
 
     def test_seed_range_ends_are_valid(self):
         for seed in (0, 2**64 - 1):
@@ -213,6 +222,88 @@ class TestStoppedDetectors:
         assert calls["gramian"] == max(mmse.trials_run, admin.trials_run)
 
 
+def corrupt_trial(monkeypatch, trial, column):
+    """Draw ``trial`` with its H's column 1 replaced by ``column(h, trial)``."""
+    draw = mc.trial_realization
+
+    def corrupted(config, sigma2, t):
+        bits, x, h, noise = draw(config, sigma2, t)
+        if t == trial:
+            h[:, 1] = column(h, t)
+        return bits, x, h, noise
+
+    monkeypatch.setattr(mc, "trial_realization", corrupted)
+
+
+class TestRetry:
+    """A chunk whose stacked solve raises is solved again trial by trial."""
+
+    def test_only_the_raising_chunk_is_retried(self, monkeypatch):
+        # trial 6 (chunk 1 of 3) has a rank-deficient H: ZF at N = U raises
+        # on it, the regularized MMSE and GS do not
+        specs = (DetectorSpec(Kind.ZF, Backend.QR), DetectorSpec(Kind.MMSE, Backend.LDL),
+                 DetectorSpec(Kind.GS))
+        cfg = small_config(n=4, u=4, snr_db=(6.0, 12.0), trials=12, chunk_size=4,
+                           detectors=specs)
+        corrupt_trial(monkeypatch, 6, lambda h, t: h[:, 0])
+        per_trial = [[[mc.run_trial(cfg, snr, spec, t) for t in range(cfg.trials)]
+                      for spec in specs] for snr in cfg.snr_db]
+
+        calls = []
+        solve = detect.soft_estimate
+
+        def spy(spec, g0, x_mf, sigma2, *args):
+            calls.append((spec, sigma2, g0.ndim))
+            return solve(spec, g0, x_mf, sigma2, *args)
+
+        monkeypatch.setattr(detect, "soft_estimate", spy)
+        records = mc.run_sweep(cfg)
+        sigma2 = [phy.sigma2_from_snr(snr, cfg.u) for snr in cfg.snr_db]
+        expected = []
+        for chunk in range(3):
+            for s2 in sigma2:
+                for spec in specs:
+                    expected.append((spec, s2, 3))
+                    if chunk == 1 and spec.kind is Kind.ZF:
+                        expected += [(spec, s2, 2)] * cfg.chunk_size
+        assert calls == expected
+        bits_per_trial = cfg.u * 2
+        for rec, errs in zip(records, (e for point in per_trial for e in point)):
+            zf = rec.detector == "zf"
+            assert rec.bit_errors == sum(errs), rec
+            assert rec.failures == (1 if zf else 0), rec
+            assert (errs[6] == bits_per_trial) if zf else (errs[6] < bits_per_trial)
+
+    def test_near_singular_zf_backends_disagree(self, monkeypatch):
+        # column 1 = column 0 + 1e-6 w: sigma_min / max|G| is about 2e-14.
+        # Cholesky's and LDL's pivot falls below PIVOT_RTOL * max|G|, so
+        # they fail the trial; QR's computed column norms do not, so it
+        # scores the trial with a huge estimate
+        cfg = small_config(n=4, u=4, snr_db=(10.0,), trials=4, master_seed=1,
+                           detectors=tuple(DetectorSpec(Kind.ZF, be) for be in Backend))
+        corrupt_trial(monkeypatch, 0, lambda h, t: h[:, 0] + 1e-6 * phy.draw_channel(
+            cfg.n, 1, phy.substream(7, t))[:, 0])
+        _, x, h, noise = mc.trial_realization(cfg, phy.sigma2_from_snr(10.0, cfg.u), 0)
+        g0 = detect.gramian(h, 0.0, OpCount())
+        x_mf = detect.matched_filter(h, h @ x + noise, OpCount())
+        assert np.linalg.svd(g0, compute_uv=False)[-1] <= 1e-13 * np.abs(g0).max()
+        qr = detect.soft_estimate(DetectorSpec(Kind.ZF, Backend.QR), g0, x_mf, 0.0, 1.0,
+                                  OpCount())
+        assert np.abs(qr).max() > 1e6
+        records = mc.run_sweep(cfg)
+        assert {Backend(r.params.split("=")[1]): r.failures for r in records} == {
+            Backend.QR: 0, Backend.CHOLESKY: 1, Backend.LDL: 1}
+
+    def test_single_user_sweep_never_fails(self):
+        specs = tuple(DetectorSpec(Kind.ZF, be) for be in Backend) + tuple(
+            DetectorSpec(kind) for kind in Kind if kind is not Kind.ZF)
+        cfg = small_config(n=4, u=1, snr_db=(0.0, 30.0), trials=50, chunk_size=20,
+                           detectors=specs)
+        records = mc.run_sweep(cfg)
+        assert len(records) == 2 * len(specs)
+        assert all(r.failures == 0 and r.trials_run == 50 for r in records)
+
+
 def staggered_config(**overrides):
     # the three points stop in different chunks: after 10, 30 and 50 of 60 trials
     return small_config(n=8, snr_db=(-3.0, 3.0, 6.0), trials=60, stop_at_errors=10,
@@ -345,27 +436,28 @@ class TestSummarize:
             for snr, ber in pts
         ]
 
+    def crossings(self, recs, target):
+        return [mc.snr_at_ber(mc.curve(recs, name), target) for name in ("mmse", "gs", "nsa")]
+
     def test_identical_curves_zero_gap(self):
         pts = [(0.0, 0.1), (5.0, 0.01), (10.0, 0.001)]
         recs = self.make_records("mmse", pts) + self.make_records("gs", pts)
-        rows = mc.summarize(recs, 0.01)
-        assert len(rows) == 1
-        assert rows[0].gap_db == pytest.approx(0.0, abs=1e-12)
+        mmse, gs, _ = self.crossings(recs, 0.01)
+        assert gs - mmse == pytest.approx(0.0, abs=1e-12)
 
     def test_synthetic_three_db_shift(self):
         base = [(s, 10 ** (-0.25 * s - 1)) for s in np.arange(0.0, 20.0, 2.0)]
         shifted = [(s + 3.0, ber) for s, ber in base]
         recs = self.make_records("mmse", base) + self.make_records("gs", shifted)
-        rows = mc.summarize(recs, 1e-2)
-        assert rows[0].gap_db == pytest.approx(3.0, abs=0.1)
+        mmse, gs, _ = self.crossings(recs, 1e-2)
+        assert gs - mmse == pytest.approx(3.0, abs=0.1)
 
     def test_gap_undefined_for_floored_curve(self):
         good = [(0.0, 0.1), (5.0, 0.01), (10.0, 0.001)]
         floored = [(0.0, 0.3), (5.0, 0.22), (10.0, 0.2)]
         recs = self.make_records("mmse", good) + self.make_records("nsa", floored)
-        row = mc.summarize(recs, 1e-2)[0]
-        assert row.undefined
-        assert row.snr_a is not None and row.snr_b is None
+        mmse, _, nsa = self.crossings(recs, 1e-2)
+        assert mmse is not None and nsa is None
 
     def test_snr_at_ber_exact_hit(self):
         pts = [(0.0, 0.1, 1000), (10.0, 0.001, 1000)]
