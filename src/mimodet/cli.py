@@ -208,24 +208,15 @@ def cmd_ber(args) -> int:
             if flag_settings[key] is not None:
                 raise ConfigError(key, f"--{key} cannot change --preset {args.preset}; "
                                   "use an experiment file for another shape")
-        base = dict(PRESETS[args.preset])
-        base.update({k: v for k, v in flag_settings.items() if v is not None})
-        sweeps = [base]
+        entries = [PRESETS[args.preset]]
     elif "sweeps" in file_data:
-        sweeps = []
-        for entry in file_data["sweeps"]:
-            merged = dict(entry)
-            merged.update({k: v for k, v in flag_settings.items() if v is not None})
-            sweeps.append(merged)
+        entries = file_data["sweeps"]
     else:
-        merged = dict(file_data)
-        merged.pop("complexity", None)
-        merged.pop("out_dir", None)
-        merged.update({k: v for k, v in flag_settings.items() if v is not None})
-        sweeps = [merged]
+        entries = [{k: v for k, v in file_data.items() if k not in ("complexity", "out_dir")}]
+    overrides = {k: v for k, v in flag_settings.items() if v is not None}
 
-    for settings in sweeps:
-        cfg = build_sweep(settings)
+    for entry in entries:
+        cfg = build_sweep({**entry, **overrides})
         const = phy.make_constellation(cfg.order)
         print(
             f"# sweep {cfg.n}x{cfg.u} {const.name}, {len(cfg.snr_db)} SNR points, "
@@ -300,13 +291,13 @@ def run_selftest(corrupt_counts: bool = False, stream=None) -> list[tuple[str, b
     for u in (8, 16):
         a = complexity.seeded_gramian(u, seed=1)
         scale = np.linalg.norm(a)
-        f = gram_schmidt_qr(a, OpCount())
-        qr_resid = np.linalg.norm(f.q @ f.r - a) / scale
-        orth = np.abs(f.q.conj().T @ f.q - np.eye(u)).max()
+        q, r = gram_schmidt_qr(a, OpCount())
+        qr_resid = np.linalg.norm(q @ r - a) / scale
+        orth = np.abs(q.conj().T @ q - np.eye(u)).max()
         c = cholesky(a, OpCount())
-        ch_resid = np.linalg.norm(c.l @ c.l.conj().T - a) / scale
-        d = ldl(a, OpCount())
-        ld_resid = np.linalg.norm(d.l @ np.diag(d.d) @ d.l.conj().T - a) / scale
+        ch_resid = np.linalg.norm(c @ c.conj().T - a) / scale
+        l, d = ldl(a, OpCount())
+        ld_resid = np.linalg.norm(l @ np.diag(d) @ l.conj().T - a) / scale
         worst = max(qr_resid, ch_resid, ld_resid, orth)
         rows.append((f"decomposition residuals U={u}", worst <= 1e-10,
                      f"worst {worst:.2e} (bound 1e-10)"))

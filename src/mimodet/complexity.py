@@ -77,17 +77,17 @@ def seeded_gramian(u: int, seed: int, n_ratio: int = 4, reg: float = 0.5) -> np.
     return (a + a.conj().T) / 2.0
 
 
-def measure_rm(algo: Algo, u: int, t: int = 1, seed: int = 0) -> OpCount:
+def measure_rm(algo: Algo, u: int) -> OpCount:
     """Operation tally of the instrumented decomposition on a seeded input.
 
-    Counts are structure-only, so any seed returns the same tally. Only
+    Counts are structure-only, so the input's values do not matter. Only
     the decomposition algorithms have a measurable factorization cost
     here; the iterative detectors count their full detection path in
     ``detect`` instead.
     """
     if algo not in _DECOMPOSITIONS:
         raise ValueError(f"{algo.value} is modeled only; no factorization to measure")
-    a = seeded_gramian(u, seed)
+    a = seeded_gramian(u, 0)
     acc = OpCount()
     if algo is Algo.QR:
         decomp.gram_schmidt_qr(a, acc)
@@ -111,18 +111,12 @@ DEFAULT_U_LIST = (4, 8, 16, 32, 64, 128)
 DEFAULT_T = 3
 
 
-def comparison_table(
-    u_list=DEFAULT_U_LIST, t: int = DEFAULT_T, seed: int = 0
-) -> list[ComparisonRow]:
+def comparison_table(u_list=DEFAULT_U_LIST, t: int = DEFAULT_T) -> list[ComparisonRow]:
     """Model and measured counts for all six algorithms over ``u_list``."""
     rows = []
     for u in u_list:
         for algo in Algo:
-            measured = (
-                measure_rm(algo, u, t, seed).real_mul
-                if algo in _DECOMPOSITIONS
-                else None
-            )
+            measured = measure_rm(algo, u).real_mul if algo in _DECOMPOSITIONS else None
             rows.append(ComparisonRow(u, algo, t, formula_rm(algo, u, t), measured))
     return rows
 

@@ -6,8 +6,9 @@ so the executed real-multiplication totals can be compared against the
 closed-form complexity model. Counts are structure-only: two matrices of
 the same size always produce identical tallies.
 
-Every routine takes one system (a ``U x U`` matrix, a length-``U``
-vector) or a stack of them with leading axes (``B x U x U``, ``B x U``).
+Every routine follows ``np.linalg``'s conventions: it takes one system
+or a stack with any leading shape (``... x U x U``, ``... x U``) and
+returns plain arrays, ``(q, r)``, ``l`` or ``(l, d)`` for the factorizations.
 The Python loop runs over the ``U`` rows or columns; each step is one
 array operation over every system of the stack and over the inner index,
 and charges its kernels per element, so a stack of B systems charges
@@ -31,8 +32,6 @@ multiplication; that is what puts its total above Cholesky's.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,49 +66,26 @@ class SingularTriangularError(DecompositionError):
     """A triangular solve hit a (near-)zero diagonal entry."""
 
 
-@dataclass
-class QrFactors:
-    q: np.ndarray
-    r: np.ndarray
-
-
-@dataclass
-class CholFactor:
-    l: np.ndarray
-
-
-@dataclass
-class LdlFactors:
-    l: np.ndarray
-    d: np.ndarray  # real positive diagonal of D
-
-
-def as_stack(a: np.ndarray) -> tuple[np.ndarray, tuple]:
-    """``a`` as a (B, U, U) complex stack, plus its leading shape."""
+def as_stack(a: np.ndarray) -> np.ndarray:
+    """``a`` as a complex square matrix or a stack of them (any leading shape)."""
     a = np.asarray(a, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    return a.reshape((-1,) + a.shape[-2:]), a.shape[:-2]
+    return a
 
 
 def vector_stack(b: np.ndarray, n: int) -> np.ndarray:
-    """Right-hand side(s) as a (B, n) complex stack."""
+    """Right-hand side(s) as a complex array whose last axis has length n."""
     b = np.asarray(b, dtype=np.complex128)
     if b.shape[-1:] != (n,):
         raise ValueError(f"right-hand side has shape {b.shape}, expected length {n}")
-    return b.reshape(-1, n)
-
-
-def flag(bad: np.ndarray, error) -> None:
-    """Raise ``error()`` if any system of the stack is ``bad``."""
-    if bad.any():
-        raise error()
+    return b
 
 
 def flag_non_finite(*outputs: np.ndarray) -> None:
     """Raise ``FloatingPointError`` if an output holds a non-finite entry."""
-    for out in outputs:
-        flag(~np.isfinite(out), lambda: FloatingPointError("non-finite result in counted solver"))
+    if not all(np.isfinite(out).all() for out in outputs):
+        raise FloatingPointError("non-finite result in counted solver")
 
 
 def pivot_tol(a: np.ndarray) -> np.ndarray:
@@ -117,117 +93,116 @@ def pivot_tol(a: np.ndarray) -> np.ndarray:
     return PIVOT_RTOL * np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300)
 
 
-def _check_hermitian(a: np.ndarray) -> None:
-    scale = np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300)
+def _check_hermitian(a: np.ndarray, tol: np.ndarray) -> None:
     skew = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1))
-    flag(skew > 1e-12 * scale,
-         lambda: ValueError("matrix is not Hermitian within 1e-12 relative"))
+    if (skew > tol).any():
+        raise ValueError("matrix is not Hermitian within 1e-12 relative")
 
 
-def gram_schmidt_qr(a: np.ndarray, acc: OpCount) -> QrFactors:
-    """Classical Gram-Schmidt QR of a square complex matrix (or a stack).
+def gram_schmidt_qr(a: np.ndarray, acc: OpCount) -> tuple[np.ndarray, np.ndarray]:
+    """Classical Gram-Schmidt QR of a square complex matrix (or a stack): (q, r).
 
     Column i is normalized by its Euclidean norm (one square root and
     one reciprocal per column), then removed from all later columns.
     A column norm at or below 1e-12 times the largest input magnitude
     raises :class:`NearSingularError`.
     """
-    a, lead = as_stack(a)
+    a = as_stack(a)
     n = a.shape[-1]
     tol = pivot_tol(a)
-    qt = np.swapaxes(a, 1, 2).copy()  # qt[:, i] is column i of Q
+    qt = np.swapaxes(a, -1, -2).copy()  # qt[..., i, :] is column i of Q
     r = np.zeros_like(a)
     with np.errstate(all="ignore"):
         for i in range(n):
-            nrm = counted_sqrt(norm_sq(qt[:, i], acc), acc)
-            flag(nrm <= tol,
-                 lambda: NearSingularError(f"column {i} collapsed during orthogonalization"))
-            r[:, i, i] = nrm
-            qi = rcmul(counted_recip(nrm, acc)[:, None], qt[:, i], acc)
-            qt[:, i] = qi
-            rij = dot_h(qi[:, None, :], qt[:, i + 1 :], acc)
-            r[:, i, i + 1 :] = rij
-            qt[:, i + 1 :] = csub(qt[:, i + 1 :], cmul(rij[:, :, None], qi[:, None, :], acc), acc)
-    q = np.swapaxes(qt, 1, 2)
+            nrm = counted_sqrt(norm_sq(qt[..., i, :], acc), acc)
+            if (nrm <= tol).any():
+                raise NearSingularError(f"column {i} collapsed during orthogonalization")
+            r[..., i, i] = nrm
+            qi = rcmul(counted_recip(nrm, acc)[..., None], qt[..., i, :], acc)
+            qt[..., i, :] = qi
+            rij = dot_h(qi[..., None, :], qt[..., i + 1 :, :], acc)
+            r[..., i, i + 1 :] = rij
+            qt[..., i + 1 :, :] = csub(qt[..., i + 1 :, :], cmul(rij[..., None], qi[..., None, :], acc), acc)
+    q = np.swapaxes(qt, -1, -2)
     flag_non_finite(q, r)
-    return QrFactors(q.reshape(lead + (n, n)), r.reshape(lead + (n, n)))
+    return q, r
 
 
-def cholesky(a: np.ndarray, acc: OpCount) -> CholFactor:
+def cholesky(a: np.ndarray, acc: OpCount) -> np.ndarray:
     """Cholesky factor L with A = L L^H for Hermitian positive-definite A.
 
     A non-Hermitian input fails with ``ValueError``, a non-positive pivot
     with :class:`NotPositiveDefiniteError`.
     """
-    a, lead = as_stack(a)
-    _check_hermitian(a)
-    n = a.shape[-1]
+    a = as_stack(a)
     tol = pivot_tol(a)
+    _check_hermitian(a, tol)
+    n = a.shape[-1]
     l = np.zeros_like(a)
     with np.errstate(all="ignore"):
         for i in range(n):
-            piv = a[:, i, i].real - norm_sq(l[:, i, :i], acc)
+            piv = a[..., i, i].real - norm_sq(l[..., i, :i], acc)
             acc.sub += piv.size
-            flag(piv <= tol,
-                 lambda: NotPositiveDefiniteError(f"pivot {i} is not positive ({piv.min():.3e})"))
+            if (piv <= tol).any():
+                raise NotPositiveDefiniteError(f"pivot {i} is not positive ({piv.min():.3e})")
             lii = counted_sqrt(piv, acc)
-            l[:, i, i] = lii
+            l[..., i, i] = lii
             inv = counted_recip(lii, acc)
-            s = dot_h(l[:, i, None, :i], l[:, i + 1 :, :i], acc)
-            l[:, i + 1 :, i] = rcmul(inv[:, None], csub(a[:, i + 1 :, i], s, acc), acc)
+            s = dot_h(l[..., i, None, :i], l[..., i + 1 :, :i], acc)
+            l[..., i + 1 :, i] = rcmul(inv[..., None], csub(a[..., i + 1 :, i], s, acc), acc)
     flag_non_finite(l)
-    return CholFactor(l.reshape(lead + (n, n)))
+    return l
 
 
-def ldl(a: np.ndarray, acc: OpCount) -> LdlFactors:
-    """LDL^H factorization with unit lower-triangular L and real D > 0.
+def ldl(a: np.ndarray, acc: OpCount) -> tuple[np.ndarray, np.ndarray]:
+    """LDL^H factorization with unit lower-triangular L and real D > 0: (l, d).
 
-    Pivots stay complex in the working state and the D-weighted columns
-    W = L D are cached, so each inner-product term, column scaling and
-    W fill is one complex multiplication. A non-Hermitian input fails
-    with ``ValueError``, a non-positive pivot with
-    :class:`NotPositiveDefiniteError`.
+    ``d`` holds the diagonal of D. Pivots stay complex in the working
+    state and the D-weighted columns W = L D are cached, so each
+    inner-product term, column scaling and W fill is one complex
+    multiplication. A non-Hermitian input fails with ``ValueError``, a
+    non-positive pivot with :class:`NotPositiveDefiniteError`.
     """
-    a, lead = as_stack(a)
-    _check_hermitian(a)
-    n = a.shape[-1]
+    a = as_stack(a)
     tol = pivot_tol(a)
+    _check_hermitian(a, tol)
+    n = a.shape[-1]
     l = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape).copy()
     w = np.zeros_like(a)
     d = np.zeros(a.shape[:-1], dtype=np.complex128)
     with np.errstate(all="ignore"):
         for j in range(n):
             # pivot j and column j below it share the inner products with w[j]
-            rest = csub(a[:, j:, j], dot_h(w[:, j, None, :j], l[:, j:, :j], acc), acc)
-            dj = rest[:, 0]
-            flag(dj.real <= tol,
-                 lambda: NotPositiveDefiniteError(f"pivot {j} is not positive ({dj.real.min():.3e})"))
-            d[:, j] = dj
-            lkj = cmul(rest[:, 1:], counted_recip(dj, acc)[:, None], acc)
-            l[:, j + 1 :, j] = lkj
-            w[:, j + 1 :, j] = cmul(lkj, dj[:, None], acc)
+            rest = csub(a[..., j:, j], dot_h(w[..., j, None, :j], l[..., j:, :j], acc), acc)
+            dj = rest[..., 0]
+            if (dj.real <= tol).any():
+                raise NotPositiveDefiniteError(f"pivot {j} is not positive ({dj.real.min():.3e})")
+            d[..., j] = dj
+            lkj = cmul(rest[..., 1:], counted_recip(dj, acc)[..., None], acc)
+            l[..., j + 1 :, j] = lkj
+            w[..., j + 1 :, j] = cmul(lkj, dj[..., None], acc)
     flag_non_finite(l, d)
-    return LdlFactors(l.reshape(lead + (n, n)), d.real.reshape(lead + (n,)))
+    return l, d.real
 
 
 def _triangular_sub(t: np.ndarray, b: np.ndarray, acc: OpCount, lower: bool) -> np.ndarray:
-    t, lead = as_stack(t)
+    t = as_stack(t)
     n = t.shape[-1]
     b = vector_stack(b, n)
     rows = range(n) if lower else range(n - 1, -1, -1)
-    diag = np.diagonal(t, axis1=1, axis2=2)
-    small = np.abs(diag) <= pivot_tol(t)[:, None]
-    flag(small.any(axis=1),
-         lambda: SingularTriangularError(f"zero diagonal at row {next(i for i in rows if small[:, i].any())}"))
+    diag = np.diagonal(t, axis1=-2, axis2=-1)
+    small = np.abs(diag) <= pivot_tol(t)[..., None]
+    if small.any():
+        raise SingularTriangularError(f"zero diagonal at row {next(i for i in rows if small[..., i].any())}")
     x = np.zeros_like(b)
     with np.errstate(all="ignore"):
         inv = counted_recip(diag, acc)
         for i in rows:
             known = slice(0, i) if lower else slice(i + 1, n)
-            s = csub(b[:, i], dot_u(t[:, i, known], x[:, known], acc), acc)
-            x[:, i] = cmul(s, inv[:, i], acc)
+            s = csub(b[..., i], dot_u(t[..., i, known], x[..., known], acc), acc)
+            x[..., i] = cmul(s, inv[..., i], acc)
     flag_non_finite(x)
-    return x.reshape(lead + (n,))
+    return x
 
 
 def forward_sub(l: np.ndarray, b: np.ndarray, acc: OpCount) -> np.ndarray:

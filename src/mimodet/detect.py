@@ -13,10 +13,10 @@ so inversion-only comparisons remain possible. ``soft_estimate`` is the
 one dispatch from a ``DetectorSpec`` to its solver.
 
 Like the routines in ``decomp``, every function here takes one system
-or a stack of them with a leading trial axis (``B x U x U`` Gramians,
-``B x U`` right-hand sides), charges B times the single-system tally
-computed from shapes, and raises on the first system it cannot solve;
-the sweep retries a raising chunk one trial at a time.
+or a stack with any leading shape, returns plain arrays, charges B
+times the single-system tally for B systems, computed from shapes, and
+raises on the first system it cannot solve; the sweep retries a raising
+chunk one trial at a time.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .decomp import (
     as_stack,
     backward_sub,
     cholesky,
-    flag,
     flag_non_finite,
     forward_sub,
     gram_schmidt_qr,
@@ -103,10 +102,10 @@ class DetectorSpec:
             object.__setattr__(self, "iterations", _DEFAULT_ITERATIONS.get(self.kind, 1))
         if self.iterations < 1:
             raise ValueError("iterations must be >= 1")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError("beta must be positive")
-        if self.beta_scale <= 0:
-            raise ValueError("beta_scale must be positive")
+        if self.beta is not None and not 0 < self.beta < np.inf:
+            raise ValueError("beta must be positive and finite")
+        if not 0 < self.beta_scale < np.inf:
+            raise ValueError("beta_scale must be positive and finite")
 
     @property
     def name(self) -> str:
@@ -127,15 +126,13 @@ class DetectorSpec:
 
     def admin_beta(self, sigma2: float) -> float:
         beta = self.beta if self.beta is not None else self.beta_scale * sigma2
-        if beta <= 0:
-            raise ValueError("ADMIN needs beta > 0 (sigma2 = 0 with no explicit beta)")
+        if not 0 < beta < np.inf:
+            raise ValueError(f"ADMIN needs a finite beta > 0, got {beta!r} at sigma2 = {sigma2!r}")
         return beta
 
 
 def matched_filter(h: np.ndarray, y: np.ndarray, acc: OpCount) -> np.ndarray:
     """x_mf = H^H y, the right-hand side of every Gramian system."""
-    if y.shape[-1] != h.shape[-2]:
-        raise ValueError(f"matched_filter: H is {h.shape} but y has length {y.shape[-1]}")
     return matmul(hermitian(h), y, acc)
 
 
@@ -165,20 +162,20 @@ def gramian(h: np.ndarray, reg: float, acc: OpCount) -> np.ndarray:
 def exact_solve(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount) -> np.ndarray:
     """Solve G x = b through the chosen decomposition backend."""
     if backend is Backend.QR:
-        f = gram_schmidt_qr(g, acc)
-        return backward_sub(f.r, matmul(hermitian(f.q), b, acc), acc)
+        q, r = gram_schmidt_qr(g, acc)
+        return backward_sub(r, matmul(hermitian(q), b, acc), acc)
     if backend is Backend.CHOLESKY:
-        f = cholesky(g, acc)
-        return backward_sub(hermitian(f.l), forward_sub(f.l, b, acc), acc)
+        l = cholesky(g, acc)
+        return backward_sub(hermitian(l), forward_sub(l, b, acc), acc)
     if backend is Backend.LDL:
-        f = ldl(g, acc)
-        z = rcmul(counted_recip(f.d, acc), forward_sub(f.l, b, acc), acc)
-        return backward_sub(hermitian(f.l), z, acc)
+        return _ldl_solve(*ldl(g, acc), b, acc)
     raise ValueError(f"unknown backend {backend}")
 
 
-def _diagonal(g: np.ndarray) -> np.ndarray:
-    return np.diagonal(g, axis1=-2, axis2=-1)
+def _ldl_solve(l: np.ndarray, d: np.ndarray, b: np.ndarray, acc: OpCount) -> np.ndarray:
+    """Solve L D L^H x = b from the factors ``ldl`` returns."""
+    z = rcmul(counted_recip(d, acc), forward_sub(l, b, acc), acc)
+    return backward_sub(hermitian(l), z, acc)
 
 
 def nsa_solve(
@@ -193,24 +190,24 @@ def nsa_solve(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    g, lead = as_stack(g)
+    g = as_stack(g)
     x_mf = vector_stack(x_mf, g.shape[-1])
     with np.errstate(all="ignore"):
-        d_inv = counted_recip(_diagonal(g).real, acc)
+        d_inv = counted_recip(np.diagonal(g, axis1=-2, axis2=-1).real, acc)
         e = g.copy()
         idx = np.arange(g.shape[-1])
-        e[:, idx, idx] = 0.0
+        e[..., idx, idx] = 0.0
         term = rcmul(d_inv, x_mf, acc)
         total = term
-        diverged = np.zeros(g.shape[0], dtype=bool)
+        diverged = np.zeros(g.shape[:-2], dtype=bool)
         for k in range(1, t):
-            prev = np.linalg.norm(term, axis=1)
+            prev = np.linalg.norm(term, axis=-1)
             term = -rcmul(d_inv, matmul(e, term, acc), acc)
             total = cadd(total, term, acc)
             if k == t - 1:
-                diverged = np.linalg.norm(term, axis=1) > prev
+                diverged = np.linalg.norm(term, axis=-1) > prev
     flag_non_finite(total)
-    return total.reshape(lead + total.shape[1:]), diverged.reshape(lead)
+    return total, diverged
 
 
 def gs_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarray:
@@ -221,23 +218,23 @@ def gs_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarra
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    g, lead = as_stack(g)
+    g = as_stack(g)
     u = g.shape[-1]
     x_mf = vector_stack(x_mf, u)
-    diag = _diagonal(g)
-    small = np.abs(diag) <= pivot_tol(g)[:, None]
-    flag(small.any(axis=1),
-         lambda: SingularTriangularError(f"zero Gramian diagonal at {int(np.argmax(small.any(axis=0)))}"))
+    diag = np.diagonal(g, axis1=-2, axis2=-1)
+    small = np.abs(diag) <= pivot_tol(g)[..., None]
+    if small.any():
+        raise SingularTriangularError(f"zero Gramian diagonal at {np.nonzero(small)[-1].min()}")
     x = np.zeros_like(x_mf)
     with np.errstate(all="ignore"):
         d_inv = counted_recip(diag.real, acc)
         for _ in range(t):
             for i in range(u):
-                s = csub(x_mf[:, i], dot_u(g[:, i, :i], x[:, :i], acc), acc)
-                s = csub(s, dot_u(g[:, i, i + 1 :], x[:, i + 1 :], acc), acc)
-                x[:, i] = rcmul(d_inv[:, i], s, acc)
+                s = csub(x_mf[..., i], dot_u(g[..., i, :i], x[..., :i], acc), acc)
+                s = csub(s, dot_u(g[..., i, i + 1 :], x[..., i + 1 :], acc), acc)
+                x[..., i] = rcmul(d_inv[..., i], s, acc)
     flag_non_finite(x)
-    return x.reshape(lead + (u,))
+    return x
 
 
 def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarray:
@@ -250,7 +247,7 @@ def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarra
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    g, lead = as_stack(g)
+    g = as_stack(g)
     x_mf = vector_stack(x_mf, g.shape[-1])
     x = np.zeros_like(x_mf)
     r = x_mf.copy()
@@ -261,19 +258,19 @@ def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarra
             live = rs != 0.0
             gp = matmul(g, p, acc)
             curvature = dot_h(p, gp, acc).real
-            flag(live & (curvature <= 0.0),
-                 lambda: CgBreakdownError("p^H G p <= 0; Gramian is not positive definite"))
+            if (live & (curvature <= 0.0)).any():
+                raise CgBreakdownError("p^H G p <= 0; Gramian is not positive definite")
             alpha = rs * counted_recip(np.where(live, curvature, 1.0), acc)
             acc.real_mul += alpha.size
-            x = cadd(x, rcmul(alpha[:, None], p, acc), acc)
-            r = csub(r, rcmul(alpha[:, None], gp, acc), acc)
+            x = cadd(x, rcmul(alpha[..., None], p, acc), acc)
+            r = csub(r, rcmul(alpha[..., None], gp, acc), acc)
             rs_new = norm_sq(r, acc)
             beta = rs_new * counted_recip(np.where(live, rs, 1.0), acc)
             acc.real_mul += beta.size
-            p = cadd(r, rcmul(beta[:, None], p, acc), acc)
+            p = cadd(r, rcmul(beta[..., None], p, acc), acc)
             rs = rs_new
     flag_non_finite(x)
-    return x.reshape(lead + x.shape[1:])
+    return x
 
 
 def _clip_box(v: np.ndarray, box: float) -> np.ndarray:
@@ -287,7 +284,6 @@ def admin_solve(
     beta: float,
     box: float,
     acc: OpCount,
-    trace: list | None = None,
 ) -> np.ndarray:
     """ADMM loop for the box-constrained detector.
 
@@ -295,32 +291,21 @@ def admin_solve(
     every x-solve. Scaled updates with unit step: z clips x + lambda to
     the per-axis box, lambda accumulates x - z. With z and lambda
     starting at zero the first solve consumes x_mf unchanged, which is
-    exactly the MMSE estimate with sigma2 replaced by beta. ``trace``,
-    when given, collects (x, z, lambda) after each iteration.
+    exactly the MMSE estimate with sigma2 replaced by beta.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be positive")
-    f = ldl(g_admin, acc)
-    lh = hermitian(f.l)
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        z = rcmul(counted_recip(f.d, acc), forward_sub(f.l, rhs, acc), acc)
-        return backward_sub(lh, z, acc)
-
-    x = solve(x_mf)
+    l, d = ldl(g_admin, acc)
+    x = _ldl_solve(l, d, x_mf, acc)
     z = _clip_box(x, box)
     lam = csub(x, z, acc)
-    if trace is not None:
-        trace.append((x.copy(), z.copy(), lam.copy()))
     for _ in range(1, t):
         rhs = cadd(x_mf, rcmul(beta, csub(z, lam, acc), acc), acc)
-        x = solve(rhs)
+        x = _ldl_solve(l, d, rhs, acc)
         z = _clip_box(cadd(x, lam, acc), box)
         lam = cadd(lam, csub(x, z, acc), acc)
-        if trace is not None:
-            trace.append((x.copy(), z.copy(), lam.copy()))
     return x
 
 

@@ -76,8 +76,21 @@ class SweepConfig:
             raise ConfigError("snr", "needs at least one SNR point")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError("snr", "points must be strictly increasing")
+        try:
+            sigma2 = [phy.sigma2_from_snr(snr, self.u) for snr in self.snr_db]
+        except (OverflowError, ZeroDivisionError):
+            sigma2 = [np.nan]
+        if not all(0 < s2 < np.inf for s2 in sigma2):
+            raise ConfigError("snr", "every point must give a finite noise variance sigma2 > 0")
         if not self.detectors:
             raise ConfigError("det", "needs at least one detector")
+        try:
+            for spec in self.detectors:
+                if spec.kind is Kind.ADMIN:
+                    for s2 in sigma2:
+                        spec.admin_beta(s2)
+        except ValueError as exc:
+            raise ConfigError("det", str(exc)) from None
         if self.trials < 1:
             raise ConfigError("trials", "must be >= 1")
         if self.stop_at_errors is not None and self.stop_at_errors < 1:

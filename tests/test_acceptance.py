@@ -96,15 +96,15 @@ def test_criterion_03_decomposition_correctness():
             a = h.conj().T @ h + float(rng.uniform(0.1, 1.0)) * np.eye(u)
             a = (a + a.conj().T) / 2
             scale = np.linalg.norm(a)
-            f = gram_schmidt_qr(a, OpCount())
+            q, r = gram_schmidt_qr(a, OpCount())
             c = cholesky(a, OpCount())
-            d = ldl(a, OpCount())
+            l, d = ldl(a, OpCount())
             worst = max(
                 worst,
-                np.linalg.norm(f.q @ f.r - a) / scale,
-                np.abs(f.q.conj().T @ f.q - np.eye(u)).max(),
-                np.linalg.norm(c.l @ c.l.conj().T - a) / scale,
-                np.linalg.norm(d.l @ np.diag(d.d) @ d.l.conj().T - a) / scale,
+                np.linalg.norm(q @ r - a) / scale,
+                np.abs(q.conj().T @ q - np.eye(u)).max(),
+                np.linalg.norm(c @ c.conj().T - a) / scale,
+                np.linalg.norm(l @ np.diag(d) @ l.conj().T - a) / scale,
             )
     report("criterion 3 (decomposition residuals, 1000 Gramians)",
            worst <= 1e-10, f"worst residual/orthogonality deviation {worst:.2e}")

@@ -108,6 +108,22 @@ class TestBerCommand:
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
         assert not (tmp_path / "ber_8x4_qpsk.csv").exists()
 
+    @pytest.mark.parametrize("snr,det,field", [
+        ("inf", "admin", "snr"),  # sigma2 = 0
+        ("4000", "mmse", "snr"),  # 10^400 overflows
+        ("-inf", "mmse", "snr"),  # sigma2 = inf
+        ("nan", "mmse", "snr"),
+        ("0", "admin:beta=nan", "det"),
+        ("0", "admin:bscale=inf", "det"),
+        ("300", "admin:bscale=1e-300", "det"),  # beta = 4e-330 underflows to 0
+    ])
+    def test_bad_noise_variance_or_beta_names_field(self, tmp_path, capsys, snr, det, field):
+        argv = ["ber", "--n", "8", "--u", "4", "--mod", "qpsk", f"--snr={snr}", "--det", det,
+                "--trials", "4", "--seed", "1", "--out-dir", str(tmp_path)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert not list(tmp_path.iterdir())
+
     def test_direct_backend_is_unknown(self, tmp_path, capsys):
         argv = ["ber", "--n", "8", "--u", "4", "--mod", "qpsk", "--snr", "0",
                 "--det", "mmse:direct", "--seed", "1", "--out-dir", str(tmp_path)]

@@ -10,8 +10,11 @@ from mimodet.complexity import (
     comparison_table,
     formula_rm,
     measure_rm,
+    seeded_gramian,
     table_csv,
 )
+from mimodet.decomp import cholesky, gram_schmidt_qr, ldl
+from mimodet.kernels import OpCount
 
 GOLDEN_LDL = {
     int(k): v
@@ -89,8 +92,11 @@ class TestMeasured:
             assert measure_rm(Algo.LDL, u).real_mul == GOLDEN_LDL[u]
 
     def test_seed_independence(self):
-        for algo in (Algo.QR, Algo.CHOLESKY, Algo.LDL):
-            assert measure_rm(algo, 8, seed=0) == measure_rm(algo, 8, seed=99)
+        for factor in (gram_schmidt_qr, cholesky, ldl):
+            tallies = [OpCount(), OpCount()]
+            for seed, acc in zip((0, 99), tallies):
+                factor(seeded_gramian(8, seed), acc)
+            assert tallies[0] == tallies[1]
 
     def test_iterative_models_not_measurable(self):
         with pytest.raises(ValueError):

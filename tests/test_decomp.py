@@ -23,13 +23,13 @@ def rel_resid(approx, exact):
 
 class TestGramSchmidtQr:
     def test_identity(self):
-        f = gram_schmidt_qr(np.eye(4, dtype=complex), OpCount())
-        assert np.allclose(f.q, np.eye(4)) and np.allclose(f.r, np.eye(4))
+        q, r = gram_schmidt_qr(np.eye(4, dtype=complex), OpCount())
+        assert np.allclose(q, np.eye(4)) and np.allclose(r, np.eye(4))
 
     def test_diagonal_input(self):
-        f = gram_schmidt_qr(np.diag([2.0, 3.0]).astype(complex), OpCount())
-        assert np.allclose(f.q, np.eye(2))
-        assert np.allclose(f.r, np.diag([2.0, 3.0]))
+        q, r = gram_schmidt_qr(np.diag([2.0, 3.0]).astype(complex), OpCount())
+        assert np.allclose(q, np.eye(2))
+        assert np.allclose(r, np.diag([2.0, 3.0]))
 
     def test_counts_u8(self):
         acc = OpCount()
@@ -46,11 +46,11 @@ class TestGramSchmidtQr:
     def test_factor_invariants(self):
         for seed in range(5):
             a = seeded_gramian(16, seed)
-            f = gram_schmidt_qr(a, OpCount())
-            assert np.abs(f.q.conj().T @ f.q - np.eye(16)).max() <= 1e-10
-            assert rel_resid(f.q @ f.r, a) <= 1e-10
-            assert np.all(np.diag(f.r).imag == 0) and np.all(np.diag(f.r).real > 0)
-            assert np.all(f.r[np.tril_indices(16, -1)] == 0)
+            q, r = gram_schmidt_qr(a, OpCount())
+            assert np.abs(q.conj().T @ q - np.eye(16)).max() <= 1e-10
+            assert rel_resid(q @ r, a) <= 1e-10
+            assert np.all(np.diag(r).imag == 0) and np.all(np.diag(r).real > 0)
+            assert np.all(r[np.tril_indices(16, -1)] == 0)
 
     def test_near_singular(self):
         a = np.ones((3, 3), dtype=complex)  # rank one
@@ -60,8 +60,8 @@ class TestGramSchmidtQr:
 
 class TestCholesky:
     def test_identity(self):
-        f = cholesky(np.eye(5, dtype=complex), OpCount())
-        assert np.allclose(f.l, np.eye(5))
+        l = cholesky(np.eye(5, dtype=complex), OpCount())
+        assert np.allclose(l, np.eye(5))
 
     @pytest.mark.parametrize("u,expected", [(8, 392), (16, 2960), (32, 22816)])
     def test_counts(self, u, expected):
@@ -73,10 +73,10 @@ class TestCholesky:
     def test_reconstruction(self):
         for seed in range(5):
             a = seeded_gramian(16, seed)
-            f = cholesky(a, OpCount())
-            assert rel_resid(f.l @ f.l.conj().T, a) <= 1e-10
-            assert np.all(f.l[np.triu_indices(16, 1)] == 0)
-            assert np.all(np.diag(f.l).real > 0)
+            l = cholesky(a, OpCount())
+            assert rel_resid(l @ l.conj().T, a) <= 1e-10
+            assert np.all(l[np.triu_indices(16, 1)] == 0)
+            assert np.all(np.diag(l).real > 0)
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -90,20 +90,20 @@ class TestCholesky:
 
 class TestLdl:
     def test_identity(self):
-        f = ldl(np.eye(4, dtype=complex), OpCount())
-        assert np.allclose(f.l, np.eye(4)) and np.allclose(f.d, np.ones(4))
+        l, d = ldl(np.eye(4, dtype=complex), OpCount())
+        assert np.allclose(l, np.eye(4)) and np.allclose(d, np.ones(4))
 
     def test_diagonal_input(self):
-        f = ldl(np.diag([4.0, 9.0]).astype(complex), OpCount())
-        assert np.allclose(f.l, np.eye(2)) and np.allclose(f.d, [4.0, 9.0])
+        l, d = ldl(np.diag([4.0, 9.0]).astype(complex), OpCount())
+        assert np.allclose(l, np.eye(2)) and np.allclose(d, [4.0, 9.0])
 
     def test_reconstruction(self):
         a = seeded_gramian(8, seed=3)
-        f = ldl(a, OpCount())
-        assert rel_resid(f.l @ np.diag(f.d) @ f.l.conj().T, a) <= 1e-10
-        assert np.all(np.diag(f.l) == 1.0)
-        assert np.all(f.l[np.triu_indices(8, 1)] == 0)
-        assert np.all(f.d > 0)
+        l, d = ldl(a, OpCount())
+        assert rel_resid(l @ np.diag(d) @ l.conj().T, a) <= 1e-10
+        assert np.all(np.diag(l) == 1.0)
+        assert np.all(l[np.triu_indices(8, 1)] == 0)
+        assert np.all(d > 0)
 
     @pytest.mark.parametrize("u", [4, 8, 16, 32])
     def test_counts(self, u):
@@ -115,8 +115,8 @@ class TestLdl:
     def test_relation_to_cholesky(self):
         a = seeded_gramian(12, seed=5)
         c = cholesky(a, OpCount())
-        f = ldl(a, OpCount())
-        assert np.abs(c.l - f.l @ np.diag(np.sqrt(f.d))).max() <= 1e-10
+        l, d = ldl(a, OpCount())
+        assert np.abs(c - l @ np.diag(np.sqrt(d))).max() <= 1e-10
 
     def test_not_positive_definite(self):
         with pytest.raises(NotPositiveDefiniteError):
@@ -168,8 +168,8 @@ class TestTriangularSolves:
             a = seeded_gramian(8, seed)
             rng = np.random.Generator(np.random.Philox(key=[seed, 23]))
             b = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-            f = cholesky(a, OpCount())
-            x = backward_sub(hermitian(f.l), forward_sub(f.l, b, OpCount()), OpCount())
+            l = cholesky(a, OpCount())
+            x = backward_sub(hermitian(l), forward_sub(l, b, OpCount()), OpCount())
             x_oracle = np.linalg.inv(a) @ b
             assert rel_resid(x, x_oracle) <= 1e-8
 
@@ -187,12 +187,12 @@ def test_reconstruction_property_sample():
             a = h.conj().T @ h + sigma2 * np.eye(u)
             a = (a + a.conj().T) / 2
             scale = np.linalg.norm(a)
-            f = gram_schmidt_qr(a, OpCount())
-            assert np.linalg.norm(f.q @ f.r - a) / scale <= 1e-10
+            q, r = gram_schmidt_qr(a, OpCount())
+            assert np.linalg.norm(q @ r - a) / scale <= 1e-10
             c = cholesky(a, OpCount())
-            assert np.linalg.norm(c.l @ c.l.conj().T - a) / scale <= 1e-10
-            d = ldl(a, OpCount())
-            assert np.linalg.norm(d.l @ np.diag(d.d) @ d.l.conj().T - a) / scale <= 1e-10
+            assert np.linalg.norm(c @ c.conj().T - a) / scale <= 1e-10
+            l, d = ldl(a, OpCount())
+            assert np.linalg.norm(l @ np.diag(d) @ l.conj().T - a) / scale <= 1e-10
 
 
 def test_counts_are_value_independent():

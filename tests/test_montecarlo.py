@@ -142,6 +142,17 @@ class TestRunSweep:
         assert rec.bit_errors == rec.bits_total == 40 * cfg.u * 2
         assert rec.ber == 1.0
 
+    def test_very_high_snr_mmse_equals_zf(self):
+        # at 300 dB sigma2 = 8e-30 vanishes against G's diagonal: no trial
+        # fails, and every MMSE backend scores exactly what ZF scores
+        specs = tuple(DetectorSpec(Kind.MMSE, be) for be in Backend) + (
+            DetectorSpec(Kind.ZF, Backend.LDL),)
+        cfg = small_config(n=8, u=8, snr_db=(300.0,), trials=20, master_seed=1,
+                           detectors=specs)
+        records = mc.run_sweep(cfg)
+        assert [r.failures for r in records] == [0] * 4
+        assert [r.bit_errors for r in records[:3]] == [records[3].bit_errors] * 3
+
 
 class TestChunkFailures:
     def test_bad_trials_fail_alone(self, monkeypatch):

@@ -7,7 +7,6 @@ implementation that preceded the stacked one. Keys are ``name/U`` or
 2U x U, ADMIN uses beta = 0.5 and box = 1.
 """
 
-import dataclasses
 import json
 import warnings
 from pathlib import Path
@@ -50,8 +49,6 @@ def stack(systems: list[dict]) -> dict:
 
 
 def outputs(result) -> list[np.ndarray]:
-    if dataclasses.is_dataclass(result):
-        return [np.asarray(v) for v in dataclasses.astuple(result)]
     if isinstance(result, tuple):
         return [np.asarray(v) for v in result]
     return [np.asarray(result)]
@@ -118,13 +115,20 @@ def test_stack_equals_singles_and_charges_b_times(key):
             assert_close(got[k], want)
 
 
-def test_leading_axes_and_failure_mask_shape():
-    systems = stack([system(4, seed) for seed in range(6)])
-    g = systems["g"].reshape(2, 3, 4, 4)
-    x = detect.exact_solve(g, systems["b"].reshape(2, 3, 4), Backend.CHOLESKY, OpCount())
-    assert x.shape == (2, 3, 4)
-    flat = detect.exact_solve(systems["g"], systems["b"], Backend.CHOLESKY, OpCount())
-    assert np.array_equal(x.reshape(6, 4), flat)
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_leading_axes(name):
+    # a (2, 3) leading shape is kept as given, gives the flat 6-stack's
+    # outputs bit for bit and charges 6 times the single-system tally
+    flat = stack([system(4, seed) for seed in range(6)])
+    grid = {key: v.reshape((2, 3) + v.shape[1:]) for key, v in flat.items()}
+    single_acc, flat_acc, grid_acc = OpCount(), OpCount(), OpCount()
+    CALLS[name](system(4, 0), 3, single_acc)
+    want = outputs(CALLS[name](flat, 3, flat_acc))
+    got = outputs(CALLS[name](grid, 3, grid_acc))
+    assert tally(grid_acc) == tally(flat_acc) == [6 * v for v in tally(single_acc)]
+    for g, w in zip(got, want):
+        assert g.shape == (2, 3) + w.shape[1:]
+        assert np.array_equal(g.reshape(w.shape), w)
 
 
 def _rank_one(g):
