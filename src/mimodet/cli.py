@@ -135,12 +135,21 @@ def build_sweep(settings: dict) -> SweepConfig:
     det = settings["det"]
     if isinstance(det, str):
         det = [det]
+    if not isinstance(det, (list, tuple)):
+        raise ConfigError("det", f"must be a detector spec or a list of them, got {det!r}")
     specs = []
     for d in det:
         for piece in str(d).split(","):
             specs.append(parse_detector(piece))
     snr = settings["snr"]
-    snr_points = parse_snr_range(snr) if isinstance(snr, str) else tuple(float(s) for s in snr)
+    if isinstance(snr, str):
+        snr_points = parse_snr_range(snr)
+    else:
+        try:
+            snr_points = tuple(float(s) for s in snr)
+        except (TypeError, ValueError):
+            raise ConfigError("snr", f"must be a range string or a list of numbers, "
+                              f"got {snr!r}") from None
     # desk-scale default of 200 errors; 0 or "none" disables the early stop
     n, u = _integer("n", settings["n"]), _integer("u", settings["u"])
     seed = _integer("seed", settings.get("seed"), 1)
@@ -186,18 +195,55 @@ def _load_experiment_file(path: str) -> dict:
     return data
 
 
-def cmd_ber(args) -> int:
-    file_data: dict = {}
-    if args.config:
-        file_data = _load_experiment_file(args.config)
-    out_dir = Path(args.out_dir or file_data.get("out_dir") or ".")
-    out_dir.mkdir(parents=True, exist_ok=True)
+def complexity_request(u, t) -> tuple[tuple[int, ...], int]:
+    """Validated (U list, t) of a complexity table, from flags or an experiment file.
+
+    ``u`` is a comma list or a list of integers; None takes the default.
+    """
+    if u is None:
+        u = complexity.DEFAULT_U_LIST
+    if isinstance(u, str):
+        try:
+            u = [int(v) for v in u.split(",")]
+        except ValueError:
+            raise ConfigError("u", f"cannot parse U list {u!r}") from None
+    if not isinstance(u, (list, tuple)) or not u:
+        raise ConfigError("u", f"must be a comma list or a list of integers, got {u!r}")
+    u_list = tuple(_integer("u", v) for v in u)
+    if any(v < 1 for v in u_list):
+        raise ConfigError("u", "all U values must be positive")
+    t = _integer("t", t, complexity.DEFAULT_T)
+    if t < 1:
+        raise ConfigError("t", "t must be >= 1")
+    if t == 1:
+        print("# warning: t=1 makes the Neumann-series model zero "
+              "(its (t-1) factor)", file=sys.stderr)
+    return u_list, t
+
+
+def _write_complexity(path: Path, u_list: tuple[int, ...], t: int) -> None:
+    path.write_text(complexity.table_csv(complexity.comparison_table(u_list, t)))
+    print(path)
+
+
+def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...], int] | None]:
+    """Validate a ``ber`` invocation without running any of it.
+
+    Returns the output directory, the config of every sweep, and the
+    complexity request as (path, U list, t), or None without one.
+    """
+    file_data = _load_experiment_file(args.config) if args.config else {}
+    out_dir = args.out_dir or file_data.get("out_dir") or "."
+    if not isinstance(out_dir, str):
+        raise ConfigError("out_dir", f"must be a directory path, got {out_dir!r}")
+    out_dir = Path(out_dir)
 
     flag_settings = {
         "n": args.n, "u": args.u, "mod": args.mod, "snr": args.snr,
         "det": args.det or None, "trials": args.trials, "seed": args.seed,
         "stop_at": args.stop_at, "threads": args.threads,
     }
+    overrides = {k: v for k, v in flag_settings.items() if v is not None}
     if args.preset:
         if args.preset not in PRESETS:
             raise ConfigError("preset", f"unknown preset {args.preset!r}"
@@ -211,12 +257,28 @@ def cmd_ber(args) -> int:
         entries = [PRESETS[args.preset]]
     elif "sweeps" in file_data:
         entries = file_data["sweeps"]
+        if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+            raise ConfigError("sweeps", "must be a list of sweep objects")
     else:
-        entries = [{k: v for k, v in file_data.items() if k not in ("complexity", "out_dir")}]
-    overrides = {k: v for k, v in flag_settings.items() if v is not None}
+        entry = {k: v for k, v in file_data.items() if k not in ("complexity", "out_dir")}
+        # a file that asks only for the complexity table runs no sweep
+        entries = [entry] if entry or overrides or "complexity" not in file_data else []
+    configs = [build_sweep({**entry, **overrides}) for entry in entries]
 
-    for entry in entries:
-        cfg = build_sweep({**entry, **overrides})
+    request = None
+    if "complexity" in file_data:
+        spec = file_data["complexity"]
+        if not isinstance(spec, dict):
+            raise ConfigError("complexity", f"must be an object with u, t and out, got {spec!r}")
+        request = (out_dir / str(spec.get("out", "complexity.csv")),
+                   *complexity_request(spec.get("u"), spec.get("t")))
+    return out_dir, configs, request
+
+
+def cmd_ber(args) -> int:
+    out_dir, configs, request = plan_ber(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for cfg in configs:
         const = phy.make_constellation(cfg.order)
         print(
             f"# sweep {cfg.n}x{cfg.u} {const.name}, {len(cfg.snr_db)} SNR points, "
@@ -230,35 +292,13 @@ def cmd_ber(args) -> int:
         out_path = out_dir / f"ber_{cfg.n}x{cfg.u}_{const.name}.csv"
         out_path.write_text(ber_csv(records))
         print(out_path)
-
-    if "complexity" in file_data:
-        spec = file_data["complexity"]
-        rows = complexity.comparison_table(
-            tuple(int(v) for v in spec.get("u", complexity.DEFAULT_U_LIST)),
-            int(spec.get("t", complexity.DEFAULT_T)),
-        )
-        path = out_dir / str(spec.get("out", "complexity.csv"))
-        path.write_text(complexity.table_csv(rows))
-        print(path)
+    if request is not None:
+        _write_complexity(*request)
     return 0
 
 
 def cmd_complexity(args) -> int:
-    try:
-        u_list = tuple(int(v) for v in args.u.split(","))
-    except ValueError:
-        raise ConfigError("u", f"cannot parse U list {args.u!r}") from None
-    if any(u < 1 for u in u_list):
-        raise ConfigError("u", "all U values must be positive")
-    if args.t < 1:
-        raise ConfigError("t", "t must be >= 1")
-    rows = complexity.comparison_table(u_list, args.t)
-    if args.t == 1:
-        print("# warning: t=1 makes the Neumann-series model zero "
-              "(its (t-1) factor)", file=sys.stderr)
-    out = Path(args.out)
-    out.write_text(complexity.table_csv(rows))
-    print(out)
+    _write_complexity(Path(args.out), *complexity_request(args.u, args.t))
     return 0
 
 
@@ -374,10 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     ber.set_defaults(func=cmd_ber)
 
     comp = sub.add_parser("complexity", help="write the fig7 complexity table CSV")
-    comp.add_argument("--u", default=",".join(str(v) for v in complexity.DEFAULT_U_LIST),
-                      help="comma list of user counts")
-    comp.add_argument("--t", type=int, default=complexity.DEFAULT_T,
-                      help="iterations for the iterative detector models")
+    comp.add_argument("--u", help="comma list of user counts")
+    comp.add_argument("--t", type=int, help="iterations for the iterative detector models")
     comp.add_argument("--out", default="complexity.csv", help="output CSV path")
     comp.set_defaults(func=cmd_complexity)
 

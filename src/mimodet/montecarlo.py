@@ -9,8 +9,10 @@ chunk order, so results are byte-identical regardless of worker count.
 
 The sweep is chunk-major: chunks run in trial order, and each is drawn
 once and evaluated for every SNR point still running, so a trial costs
-one draw and one Gramian per sweep. Each detector runs one stacked
-solve and one slice per (point, chunk). The counted solvers raise on
+one draw, one matched filter of its unit noise and one Gramian per
+sweep, whatever the number of points. Each point's matched filters and
+SIMO estimates follow by stacked arithmetic on the chunk. Each detector
+runs one stacked solve and one slice per (point, chunk). The counted solvers raise on
 the first system they cannot solve; a (point, detector, chunk) whose
 stacked solve raises is solved again one trial at a time, so a
 numerical failure costs only its own trial.
@@ -139,18 +141,6 @@ def trial_realization(
     return bits, x, h, noise
 
 
-def _simo_soft(h: np.ndarray, x: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Soft estimates of the SIMO bound on the shared realization.
-
-    Each user k is detected as if alone: y_k = h_k x_k + noise with the
-    trial's noise (sigma2 = U / snr_lin, the sweep's convention), then
-    maximum-ratio combining h_k^H y_k / ||h_k||^2. Sliced, this is the
-    interference-free lower bound on any multiuser detector.
-    """
-    y = h * x + noise[:, None]
-    return np.einsum("nk,nk->k", h.conj(), y) / np.einsum("nk,nk->k", h.conj(), h).real
-
-
 def _eval_trials(
     config: SweepConfig,
     snr_points: tuple[float, ...],
@@ -160,49 +150,44 @@ def _eval_trials(
 ) -> list[list[list[int]]]:
     """Errors/failures per point and detector over trials [lo, hi); chunk worker.
 
-    Each trial is drawn once with unit noise; its Gramian and H x are
-    formed once (not when only SIMO runs), its matched filter or SIMO
-    estimates once per point with the noise scaled to that point's
-    sigma2. At point p each detector in ``active[p]`` runs one stacked
-    solve (see ``_solve_chunk``) and one slice; the others report zeros.
-    A trial whose estimate is not finite counts every bit as an error and
-    one failure; the rest of the chunk is scored as usual.
+    Each trial is drawn once with unit noise n; its matched filter H^H n
+    and column norms ||h_k||^2 are formed once, and its Gramian
+    G0 = H^H H once while a detector other than SIMO runs. With
+    s = sqrt(sigma2), y = H x + s n, so every point's matched filter is
+    the stacked sum x_mf = G0 x + s H^H n. The SIMO bound detects each
+    user k as if alone, y_k = h_k x_k + s n, by maximum-ratio combining:
+    h_k^H y_k / ||h_k||^2 = x_k + s h_k^H n / ||h_k||^2. Sliced, this is
+    the interference-free lower bound on any multiuser detector.
+
+    At point p each detector in ``active[p]`` runs one stacked solve (see
+    ``_solve_chunk``) and one slice; the others report zeros. A trial
+    whose estimate is not finite counts every bit as an error and one
+    failure; the rest of the chunk is scored as usual.
     """
     const = phy.make_constellation(config.order)
-    box = const.box_radius
     bits_per_trial = config.u * const.bits_per_symbol
-    sigma2 = [phy.sigma2_from_snr(snr, config.u) for snr in snr_points]
-    kinds = [{config.detectors[d].kind for d in act} for act in active]
-    need_simo = [Kind.SIMO in k for k in kinds]
-    need_mf = [bool(k - {Kind.SIMO}) for k in kinds]
+    need_g0 = any(config.detectors[d].kind is not Kind.SIMO for act in active for d in act)
     scratch = OpCount()
-    bits, g0 = [], []
-    x_mf = [[] for _ in snr_points]
-    simo = [[] for _ in snr_points]
+    draws = []
     for trial in range(lo, hi):
-        b, x, h, unit = trial_realization(config, 1.0, trial)
-        bits.append(b)
-        if any(need_mf):
-            g0.append(detect.gramian(h, 0.0, scratch))
-            hx = h @ x
-        for p, s2 in enumerate(sigma2):
-            noise = np.sqrt(s2) * unit
-            if need_mf[p]:
-                x_mf[p].append(detect.matched_filter(h, hx + noise, scratch))
-            if need_simo[p]:
-                simo[p].append(_simo_soft(h, x, noise))
-    bits, g0 = np.stack(bits), np.stack(g0) if g0 else None
-    x_mf = [np.stack(v) if v else None for v in x_mf]
+        b, x, h, n = trial_realization(config, 1.0, trial)
+        g = detect.gramian(h, 0.0, scratch) if need_g0 else None
+        draws.append((b, x, detect.matched_filter(h, n, scratch),
+                      np.einsum("nk,nk->k", h.conj(), h).real, g))
+    bits, x, n_mf, norms, g0 = (None if v[0] is None else np.stack(v) for v in zip(*draws))
+    gx = None if g0 is None else (g0 @ x[..., None])[..., 0]
 
     out = []
-    for p, act in enumerate(active):
+    for snr, act in zip(snr_points, active):
+        sigma2 = phy.sigma2_from_snr(snr, config.u)
+        s = np.sqrt(sigma2)
         point = [[0, 0] for _ in config.detectors]
         for d in act:
             spec = config.detectors[d]
             if spec.kind is Kind.SIMO:
-                soft = np.stack(simo[p])
+                soft = x + s * n_mf / norms
             else:
-                soft = _solve_chunk(spec, g0, x_mf[p], sigma2[p], box, scratch)
+                soft = _solve_chunk(spec, g0, gx + s * n_mf, sigma2, const.box_radius, scratch)
             failed = ~np.isfinite(soft).all(axis=1)
             _, bits_hat = phy.hard_slice(np.where(failed[:, None], 0.0, soft), const)
             errors = np.count_nonzero(bits_hat.reshape(bits.shape) != bits, axis=1)

@@ -1,6 +1,7 @@
 """Command-line contract: flags, presets, CSV schemas, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +182,51 @@ class TestBerCommand:
         cx = (tmp_path / "cx.csv").read_text().strip().split("\n")
         assert cx[0] == "U,algorithm,t,formula_rm,measured_rm"
         assert len(cx) == 1 + 2 * 6
+
+    SWEEP = {"n": 8, "u": 2, "mod": "qpsk", "snr": "0", "det": "mmse", "trials": 4, "seed": 1}
+
+    @pytest.mark.parametrize("exp,field", [
+        ({**SWEEP, "snr": ["a", 3]}, "snr"),
+        ({**SWEEP, "snr": 5}, "snr"),
+        ({**SWEEP, "det": 5}, "det"),
+        ({"sweeps": 5}, "sweeps"),
+        ({"sweeps": [5]}, "sweeps"),
+        ({"sweeps": [SWEEP], "complexity": 5}, "complexity"),
+        ({"sweeps": [SWEEP], "complexity": {"u": [0, 4]}}, "u"),
+        ({"sweeps": [SWEEP], "complexity": {"u": "4,x"}}, "u"),
+        ({"sweeps": [SWEEP], "complexity": {"u": [4.5]}}, "u"),
+        ({"sweeps": [SWEEP], "complexity": {"u": []}}, "u"),
+        ({"sweeps": [SWEEP], "complexity": {"t": 0}}, "t"),
+        ({"sweeps": [SWEEP], "complexity": {"t": "three"}}, "t"),
+        ({**SWEEP, "out_dir": 5}, "out_dir"),
+    ])
+    def test_experiment_file_types_name_the_field(self, tmp_path, monkeypatch, capsys,
+                                                  exp, field):
+        # refused before any sweep runs, so nothing is written
+        monkeypatch.chdir(tmp_path)
+        Path("exp.json").write_text(json.dumps(exp))
+        assert run(["ber", "--config", "exp.json"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
+    def test_complexity_only_file(self, tmp_path, capsys):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"complexity": {"u": "4,8", "t": 1}}))
+        assert run(["ber", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
+        assert "warning: t=1" in capsys.readouterr().err
+        cx = (tmp_path / "complexity.csv").read_text().strip().split("\n")
+        assert len(cx) == 1 + 2 * 6
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["complexity.csv", "exp.json"]
+
+    def test_shipped_example_is_valid(self, tmp_path, monkeypatch):
+        example = Path(__file__).resolve().parents[1] / "docs" / "example_experiment.json"
+        monkeypatch.chdir(tmp_path)
+        args = cli.build_parser().parse_args(["ber", "--config", str(example)])
+        out_dir, configs, request = cli.plan_ber(args)
+        assert out_dir == Path("results") and not out_dir.exists()
+        assert [(c.n, c.u, c.order, len(c.detectors)) for c in configs] == [
+            (64, 16, 64, 4), (32, 32, 4, 3)]
+        assert request == (Path("results/complexity.csv"), (4, 8, 16, 32, 64, 128), 3)
 
     def test_bad_config_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -361,17 +361,25 @@ class TestChunkMajor:
 
     def test_each_trial_drawn_once(self, monkeypatch):
         draw, drawn = mc.trial_realization, []
+        matched_filter, filtered = detect.matched_filter, []
 
         def spy(config, sigma2, trial):
             drawn.append((sigma2, trial))
             return draw(config, sigma2, trial)
 
+        def spy_mf(h, y, acc):
+            filtered.append(y.shape)
+            return matched_filter(h, y, acc)
+
         monkeypatch.setattr(mc, "trial_realization", spy)
+        monkeypatch.setattr(detect, "matched_filter", spy_mf)
         lines = []
         records = mc.run_sweep(staggered_config(), progress=lines.append)
         assert all(sigma2 == 1.0 for sigma2, _ in drawn)
         assert max(collections.Counter(t for _, t in drawn).values()) == 1
         assert len(drawn) == max(r.trials_run for r in records) == 50
+        # one matched filter per drawn trial, whatever the number of points
+        assert filtered == [(8,)] * len(drawn)
         # one progress line per point, in the order the points ended
         assert [line.split(" dB")[0] for line in lines] == ["snr -3", "snr 3", "snr 6"]
 
