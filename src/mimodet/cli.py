@@ -57,6 +57,10 @@ PRESETS = {
 
 # settings a preset fixes; the other flags (trials, seed, stop_at, threads) override it
 _PRESET_FIXED = ("n", "u", "mod", "snr", "det")
+# the keys a sweep entry, a complexity request and an experiment file may hold
+_SWEEP_KEYS = _PRESET_FIXED + ("trials", "seed", "stop_at", "threads")
+_COMPLEXITY_KEYS = ("u", "t", "out")
+_FILE_KEYS = ("complexity", "out_dir")
 
 
 def parse_snr_range(text: str) -> tuple[float, ...]:
@@ -127,9 +131,18 @@ def _integer(field_name: str, value, default: int | None = None) -> int:
         raise ConfigError(field_name, f"must be an integer, got {value!r}") from None
 
 
+def _reject_unknown(settings: dict, known: tuple[str, ...], where: str) -> None:
+    """A key outside ``known`` is a ConfigError naming it, never silently dropped."""
+    for key in settings:
+        if key not in known:
+            raise ConfigError(str(key), f"unknown key in {where} (expected one of "
+                              f"{', '.join(known)})")
+
+
 def build_sweep(settings: dict) -> SweepConfig:
     """SweepConfig from a flat settings mapping (file and/or flags)."""
-    for key in ("n", "u", "mod", "snr", "det"):
+    _reject_unknown(settings, _SWEEP_KEYS, "a sweep")
+    for key in _PRESET_FIXED:
         if settings.get(key) is None:
             raise ConfigError(key, "missing required setting")
     det = settings["det"]
@@ -233,6 +246,8 @@ def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...]
     complexity request as (path, U list, t), or None without one.
     """
     file_data = _load_experiment_file(args.config) if args.config else {}
+    _reject_unknown(file_data, ("sweeps",) + _FILE_KEYS if "sweeps" in file_data
+                    else _SWEEP_KEYS + _FILE_KEYS, "the experiment file")
     out_dir = args.out_dir or file_data.get("out_dir") or "."
     if not isinstance(out_dir, str):
         raise ConfigError("out_dir", f"must be a directory path, got {out_dir!r}")
@@ -260,7 +275,7 @@ def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...]
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ConfigError("sweeps", "must be a list of sweep objects")
     else:
-        entry = {k: v for k, v in file_data.items() if k not in ("complexity", "out_dir")}
+        entry = {k: v for k, v in file_data.items() if k not in _FILE_KEYS}
         # a file that asks only for the complexity table runs no sweep
         entries = [entry] if entry or overrides or "complexity" not in file_data else []
     configs = [build_sweep({**entry, **overrides}) for entry in entries]
@@ -270,8 +285,11 @@ def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...]
         spec = file_data["complexity"]
         if not isinstance(spec, dict):
             raise ConfigError("complexity", f"must be an object with u, t and out, got {spec!r}")
+        _reject_unknown(spec, _COMPLEXITY_KEYS, "complexity")
         request = (out_dir / str(spec.get("out", "complexity.csv")),
                    *complexity_request(spec.get("u"), spec.get("t")))
+    if not configs and request is None:
+        raise ConfigError("sweeps", "needs at least one sweep or a complexity request")
     return out_dir, configs, request
 
 

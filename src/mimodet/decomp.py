@@ -6,6 +6,16 @@ so the executed real-multiplication totals can be compared against the
 closed-form complexity model. Counts are structure-only: two matrices of
 the same size always produce identical tallies.
 
+With ``acc=None`` a routine computes values only. QR and the triangular
+solves then run their counted loop with nothing tallied, so their values
+are bit-identical to a counted call. Cholesky and LDL instead factor
+through one batched LAPACK Cholesky after the same input checks, with
+the counted loop's pivot rule applied to diag(L)^2 (LDL's pivots are
+Cholesky's): they agree with the counted factors to rounding. QR keeps
+its loop because its failure rule is defined on classical Gram-Schmidt's
+computed column norms, which Householder QR does not reproduce near
+singularity.
+
 Every routine follows ``np.linalg``'s conventions: it takes one system
 or a stack with any leading shape (``... x U x U``, ``... x U``) and
 returns plain arrays, ``(q, r)``, ``l`` or ``(l, d)`` for the factorizations.
@@ -37,6 +47,7 @@ import numpy as np
 
 from .kernels import (
     OpCount,
+    charge,
     cmul,
     counted_recip,
     counted_sqrt,
@@ -99,7 +110,7 @@ def _check_hermitian(a: np.ndarray, tol: np.ndarray) -> None:
         raise ValueError("matrix is not Hermitian within 1e-12 relative")
 
 
-def gram_schmidt_qr(a: np.ndarray, acc: OpCount) -> tuple[np.ndarray, np.ndarray]:
+def gram_schmidt_qr(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.ndarray]:
     """Classical Gram-Schmidt QR of a square complex matrix (or a stack): (q, r).
 
     Column i is normalized by its Euclidean norm (one square root and
@@ -128,7 +139,26 @@ def gram_schmidt_qr(a: np.ndarray, acc: OpCount) -> tuple[np.ndarray, np.ndarray
     return q, r
 
 
-def cholesky(a: np.ndarray, acc: OpCount) -> np.ndarray:
+def _lapack_cholesky(a: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Uncounted Cholesky factor of a checked stack, and its diagonal.
+
+    A pivot diag(L)^2 at or below ``tol`` raises as the counted loop's
+    pivot check does; so does a stack LAPACK cannot factor.
+    """
+    try:
+        l = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        flag_non_finite(a)  # a NaN input fails as the counted loop fails it
+        raise NotPositiveDefiniteError("matrix is not positive definite") from None
+    diag = np.diagonal(l, axis1=-2, axis2=-1).real
+    piv = diag * diag
+    if (piv <= tol[..., None]).any():
+        raise NotPositiveDefiniteError(f"a pivot is not positive ({piv.min():.3e})")
+    flag_non_finite(l)
+    return l, diag
+
+
+def cholesky(a: np.ndarray, acc: OpCount | None) -> np.ndarray:
     """Cholesky factor L with A = L L^H for Hermitian positive-definite A.
 
     A non-Hermitian input fails with ``ValueError``, a non-positive pivot
@@ -137,12 +167,14 @@ def cholesky(a: np.ndarray, acc: OpCount) -> np.ndarray:
     a = as_stack(a)
     tol = pivot_tol(a)
     _check_hermitian(a, tol)
+    if acc is None:
+        return _lapack_cholesky(a, tol)[0]
     n = a.shape[-1]
     l = np.zeros_like(a)
     with np.errstate(all="ignore"):
         for i in range(n):
             piv = a[..., i, i].real - norm_sq(l[..., i, :i], acc)
-            acc.sub += piv.size
+            charge(acc, sub=piv.size)
             if (piv <= tol).any():
                 raise NotPositiveDefiniteError(f"pivot {i} is not positive ({piv.min():.3e})")
             lii = counted_sqrt(piv, acc)
@@ -154,18 +186,23 @@ def cholesky(a: np.ndarray, acc: OpCount) -> np.ndarray:
     return l
 
 
-def ldl(a: np.ndarray, acc: OpCount) -> tuple[np.ndarray, np.ndarray]:
+def ldl(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.ndarray]:
     """LDL^H factorization with unit lower-triangular L and real D > 0: (l, d).
 
     ``d`` holds the diagonal of D. Pivots stay complex in the working
     state and the D-weighted columns W = L D are cached, so each
     inner-product term, column scaling and W fill is one complex
     multiplication. A non-Hermitian input fails with ``ValueError``, a
-    non-positive pivot with :class:`NotPositiveDefiniteError`.
+    non-positive pivot with :class:`NotPositiveDefiniteError`. Values
+    only (``acc=None``), the factors come from the Cholesky factor C:
+    L = C / diag(C) column by column, and D = diag(C)^2.
     """
     a = as_stack(a)
     tol = pivot_tol(a)
     _check_hermitian(a, tol)
+    if acc is None:
+        c, diag = _lapack_cholesky(a, tol)
+        return c / diag[..., None, :], diag * diag
     n = a.shape[-1]
     l = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape).copy()
     w = np.zeros_like(a)
@@ -185,7 +222,9 @@ def ldl(a: np.ndarray, acc: OpCount) -> tuple[np.ndarray, np.ndarray]:
     return l, d.real
 
 
-def _triangular_sub(t: np.ndarray, b: np.ndarray, acc: OpCount, lower: bool) -> np.ndarray:
+def _triangular_sub(
+    t: np.ndarray, b: np.ndarray, acc: OpCount | None, lower: bool
+) -> np.ndarray:
     t = as_stack(t)
     n = t.shape[-1]
     b = vector_stack(b, n)
@@ -205,12 +244,12 @@ def _triangular_sub(t: np.ndarray, b: np.ndarray, acc: OpCount, lower: bool) -> 
     return x
 
 
-def forward_sub(l: np.ndarray, b: np.ndarray, acc: OpCount) -> np.ndarray:
+def forward_sub(l: np.ndarray, b: np.ndarray, acc: OpCount | None) -> np.ndarray:
     """Solve L z = b for lower-triangular L by forward substitution."""
     return _triangular_sub(l, b, acc, lower=True)
 
 
-def backward_sub(u: np.ndarray, b: np.ndarray, acc: OpCount) -> np.ndarray:
+def backward_sub(u: np.ndarray, b: np.ndarray, acc: OpCount | None) -> np.ndarray:
     """Solve U x = b for upper-triangular U by backward substitution."""
     return _triangular_sub(u, b, acc, lower=False)
 

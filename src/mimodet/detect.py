@@ -17,6 +17,14 @@ or a stack with any leading shape, returns plain arrays, charges B
 times the single-system tally for B systems, computed from shapes, and
 raises on the first system it cannot solve; the sweep retries a raising
 chunk one trial at a time.
+
+``acc=None`` computes values only, as in ``kernels`` and ``decomp``; the
+sweep passes it everywhere. NSA, GS, CG and the QR backend then run
+their counted loops with nothing tallied, bit for bit. Cholesky and LDL
+factor through LAPACK (see ``decomp``), and ADMIN inverts its unit
+factor L once per stack, so each of its x-updates is two stacked
+products and a scale, L^-H (D^-1 (L^-1 r)), instead of two looped
+triangular solves.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from .decomp import (
 from .kernels import (
     OpCount,
     cadd,
+    charge,
     charge_dots,
     counted_recip,
     csub,
@@ -131,12 +140,12 @@ class DetectorSpec:
         return beta
 
 
-def matched_filter(h: np.ndarray, y: np.ndarray, acc: OpCount) -> np.ndarray:
+def matched_filter(h: np.ndarray, y: np.ndarray, acc: OpCount | None) -> np.ndarray:
     """x_mf = H^H y, the right-hand side of every Gramian system."""
     return matmul(hermitian(h), y, acc)
 
 
-def gramian(h: np.ndarray, reg: float, acc: OpCount) -> np.ndarray:
+def gramian(h: np.ndarray, reg: float, acc: OpCount | None) -> np.ndarray:
     """G = H^H H + reg*I, formed in one product and mirrored from its upper triangle.
 
     Charged as the U(U+1)/2 inner products of the upper triangle plus one
@@ -155,11 +164,13 @@ def gramian(h: np.ndarray, reg: float, acc: OpCount) -> np.ndarray:
     g[..., idx, idx] = product[..., idx, idx].real + reg
     systems = g.size // (u * u)
     charge_dots(acc, n, systems * u * (u + 1) // 2)
-    acc.add += systems * u
+    charge(acc, add=systems * u)
     return g
 
 
-def exact_solve(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount) -> np.ndarray:
+def exact_solve(
+    g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None
+) -> np.ndarray:
     """Solve G x = b through the chosen decomposition backend."""
     if backend is Backend.QR:
         q, r = gram_schmidt_qr(g, acc)
@@ -172,14 +183,14 @@ def exact_solve(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount) ->
     raise ValueError(f"unknown backend {backend}")
 
 
-def _ldl_solve(l: np.ndarray, d: np.ndarray, b: np.ndarray, acc: OpCount) -> np.ndarray:
+def _ldl_solve(l: np.ndarray, d: np.ndarray, b: np.ndarray, acc: OpCount | None) -> np.ndarray:
     """Solve L D L^H x = b from the factors ``ldl`` returns."""
     z = rcmul(counted_recip(d, acc), forward_sub(l, b, acc), acc)
     return backward_sub(hermitian(l), z, acc)
 
 
 def nsa_solve(
-    g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount
+    g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Truncated Neumann series applied to x_mf, terms 0 .. t-1.
 
@@ -210,7 +221,7 @@ def nsa_solve(
     return total, diverged
 
 
-def gs_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarray:
+def gs_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None) -> np.ndarray:
     """t Gauss-Seidel sweeps on G x = x_mf.
 
     (D + L) is applied by forward substitution inside each sweep, never
@@ -237,7 +248,7 @@ def gs_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarra
     return x
 
 
-def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarray:
+def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None) -> np.ndarray:
     """t conjugate-gradient steps on G x = x_mf from x = 0, r = p = x_mf.
 
     A system whose residual is exactly zero keeps its estimate for the
@@ -261,12 +272,12 @@ def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount) -> np.ndarra
             if (live & (curvature <= 0.0)).any():
                 raise CgBreakdownError("p^H G p <= 0; Gramian is not positive definite")
             alpha = rs * counted_recip(np.where(live, curvature, 1.0), acc)
-            acc.real_mul += alpha.size
+            charge(acc, real_mul=alpha.size)
             x = cadd(x, rcmul(alpha[..., None], p, acc), acc)
             r = csub(r, rcmul(alpha[..., None], gp, acc), acc)
             rs_new = norm_sq(r, acc)
             beta = rs_new * counted_recip(np.where(live, rs, 1.0), acc)
-            acc.real_mul += beta.size
+            charge(acc, real_mul=beta.size)
             p = cadd(r, rcmul(beta[..., None], p, acc), acc)
             rs = rs_new
     flag_non_finite(x)
@@ -283,7 +294,7 @@ def admin_solve(
     t: int,
     beta: float,
     box: float,
-    acc: OpCount,
+    acc: OpCount | None,
 ) -> np.ndarray:
     """ADMM loop for the box-constrained detector.
 
@@ -291,26 +302,40 @@ def admin_solve(
     every x-solve. Scaled updates with unit step: z clips x + lambda to
     the per-axis box, lambda accumulates x - z. With z and lambda
     starting at zero the first solve consumes x_mf unchanged, which is
-    exactly the MMSE estimate with sigma2 replaced by beta.
+    exactly the MMSE estimate with sigma2 replaced by beta. Values only
+    (``acc=None``), L^-1 is formed once and every x-solve is
+    L^-H (D^-1 (L^-1 r)).
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if beta <= 0:
         raise ValueError("beta must be positive")
     l, d = ldl(g_admin, acc)
-    x = _ldl_solve(l, d, x_mf, acc)
+    x_mf = vector_stack(x_mf, l.shape[-1])
+    if acc is None:
+        l_inv = np.linalg.inv(l)
+        l_inv_h = hermitian(l_inv)
+
+        def solve(rhs):
+            return (l_inv_h @ ((l_inv @ rhs[..., None]) / d[..., None]))[..., 0]
+    else:
+        def solve(rhs):
+            return _ldl_solve(l, d, rhs, acc)
+    x = solve(x_mf)
     z = _clip_box(x, box)
     lam = csub(x, z, acc)
     for _ in range(1, t):
         rhs = cadd(x_mf, rcmul(beta, csub(z, lam, acc), acc), acc)
-        x = _ldl_solve(l, d, rhs, acc)
+        x = solve(rhs)
         z = _clip_box(cadd(x, lam, acc), box)
         lam = cadd(lam, csub(x, z, acc), acc)
+    flag_non_finite(x)
     return x
 
 
 def soft_estimate(
-    spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: float, box: float, acc: OpCount
+    spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: float, box: float,
+    acc: OpCount | None,
 ) -> np.ndarray:
     """Soft symbol estimates of one detector from the shared products.
 

@@ -21,9 +21,14 @@ makes the decomposition counts in ``decomp`` land exactly on their
 closed forms.
 
 Every kernel takes an explicit :class:`OpCount` accumulator; there is no
-global counter. Kernels do not check their results: a non-finite value
-travels to the end of its system, where the solver that produced it
-raises (see ``decomp``).
+global counter. ``acc=None`` computes the same values and tallies
+nothing: every charge goes through :func:`charge`, the one place that
+skips it, so a counted and an uncounted call run identical arithmetic.
+The Monte-Carlo sweep passes None, because a count depends only on
+shapes and is taken once by whoever asks for it (``complexity``, the
+tests). Kernels do not check their results: a non-finite value travels
+to the end of its system, where the solver that produced it raises (see
+``decomp``).
 """
 
 from __future__ import annotations
@@ -44,53 +49,63 @@ class OpCount:
     sub: int = 0
 
 
-def charge_dots(acc: OpCount, n: int, count: int) -> None:
+def charge(
+    acc: OpCount | None, *, sqrt: int = 0, reciprocal: int = 0, real_mul: int = 0,
+    add: int = 0, sub: int = 0,
+) -> None:
+    """Add to ``acc``'s tally; with ``acc=None`` (values only) do nothing."""
+    if acc is None:
+        return
+    acc.sqrt += sqrt
+    acc.reciprocal += reciprocal
+    acc.real_mul += real_mul
+    acc.add += add
+    acc.sub += sub
+
+
+def charge_dots(acc: OpCount | None, n: int, count: int) -> None:
     """Charge ``count`` complex inner products of length ``n``."""
-    acc.real_mul += 4 * n * count
-    acc.add += count * (n + max(0, 2 * (n - 1)))
-    acc.sub += n * count
+    charge(acc, real_mul=4 * n * count, add=count * (n + max(0, 2 * (n - 1))), sub=n * count)
 
 
-def cmul(a, b, acc: OpCount):
+def cmul(a, b, acc: OpCount | None):
     """Elementwise complex product, 4 real mults, 1 add, 1 sub each."""
     out = np.multiply(a, b)
     k = out.size
-    acc.real_mul += 4 * k
-    acc.add += k
-    acc.sub += k
+    charge(acc, real_mul=4 * k, add=k, sub=k)
     return out
 
 
-def rcmul(r, b, acc: OpCount):
+def rcmul(r, b, acc: OpCount | None):
     """Elementwise real-times-complex product, 2 real mults each."""
     out = np.multiply(r, b)
-    acc.real_mul += 2 * out.size
+    charge(acc, real_mul=2 * out.size)
     return out
 
 
-def cadd(a, b, acc: OpCount):
+def cadd(a, b, acc: OpCount | None):
     out = np.add(a, b)
-    acc.add += 2 * out.size
+    charge(acc, add=2 * out.size)
     return out
 
 
-def csub(a, b, acc: OpCount):
+def csub(a, b, acc: OpCount | None):
     out = np.subtract(a, b)
-    acc.sub += 2 * out.size
+    charge(acc, sub=2 * out.size)
     return out
 
 
-def counted_sqrt(x, acc: OpCount):
+def counted_sqrt(x, acc: OpCount | None):
     """Elementwise real square root on the dedicated tally."""
     out = np.sqrt(x)
-    acc.sqrt += out.size
+    charge(acc, sqrt=out.size)
     return out
 
 
-def counted_recip(x, acc: OpCount):
+def counted_recip(x, acc: OpCount | None):
     """Elementwise reciprocal of (real or complex) pivots, one unit each."""
     out = np.divide(1.0, x)
-    acc.reciprocal += out.size
+    charge(acc, reciprocal=out.size)
     return out
 
 
@@ -100,7 +115,7 @@ def _contract(a: np.ndarray, b: np.ndarray, name: str) -> int:
     return a.shape[-1]
 
 
-def dot_h(a: np.ndarray, b: np.ndarray, acc: OpCount):
+def dot_h(a: np.ndarray, b: np.ndarray, acc: OpCount | None):
     """Hermitian inner products sum_k conj(a[..., k]) * b[..., k].
 
     Leading axes broadcast; each output element is charged as one inner
@@ -112,7 +127,7 @@ def dot_h(a: np.ndarray, b: np.ndarray, acc: OpCount):
     return out
 
 
-def dot_u(a: np.ndarray, b: np.ndarray, acc: OpCount):
+def dot_u(a: np.ndarray, b: np.ndarray, acc: OpCount | None):
     """Unconjugated inner products sum_k a[..., k] * b[..., k], as dot_h."""
     n = _contract(a, b, "dot_u")
     out = np.einsum("...k,...k->...", a, b)
@@ -120,7 +135,7 @@ def dot_u(a: np.ndarray, b: np.ndarray, acc: OpCount):
     return out
 
 
-def norm_sq(a: np.ndarray, acc: OpCount):
+def norm_sq(a: np.ndarray, acc: OpCount | None):
     """Squared Euclidean norms over the last axis, at the complex-mult rate.
 
     One complex multiplication (4 real mults) per element plus the real
@@ -130,13 +145,11 @@ def norm_sq(a: np.ndarray, acc: OpCount):
     n = a.shape[-1]
     out = np.einsum("...k,...k->...", a.conj(), a).real
     k = out.size
-    acc.real_mul += 4 * n * k
-    acc.add += k * (n + max(0, n - 1))
-    acc.sub += n * k
+    charge(acc, real_mul=4 * n * k, add=k * (n + max(0, n - 1)), sub=n * k)
     return out
 
 
-def matmul(a: np.ndarray, b: np.ndarray, acc: OpCount) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, acc: OpCount | None) -> np.ndarray:
     """Counted (stacked) matrix-matrix or matrix-vector product.
 
     ``a`` is (..., m, k). ``b`` is a stack of vectors (..., k) when it has

@@ -12,8 +12,11 @@ once and evaluated for every SNR point still running, so a trial costs
 one draw, one matched filter of its unit noise and one Gramian per
 sweep, whatever the number of points. Each point's matched filters and
 SIMO estimates follow by stacked arithmetic on the chunk. Each detector
-runs one stacked solve and one slice per (point, chunk). The counted solvers raise on
-the first system they cannot solve; a (point, detector, chunk) whose
+runs one stacked solve and one slice per (point, chunk). The sweep needs
+values only, so it calls every product and solver with ``acc=None`` and
+tallies nothing: an operation count depends on shapes alone and is
+taken outside the sweep (``complexity``). The solvers raise on the
+first system they cannot solve; a (point, detector, chunk) whose
 stacked solve raises is solved again one trial at a time, so a
 numerical failure costs only its own trial.
 
@@ -33,7 +36,6 @@ import numpy as np
 from . import detect, phy
 from .decomp import DecompositionError
 from .detect import DetectorSpec, Kind
-from .kernels import OpCount
 
 
 class ConfigError(ValueError):
@@ -167,12 +169,11 @@ def _eval_trials(
     const = phy.make_constellation(config.order)
     bits_per_trial = config.u * const.bits_per_symbol
     need_g0 = any(config.detectors[d].kind is not Kind.SIMO for act in active for d in act)
-    scratch = OpCount()
     draws = []
     for trial in range(lo, hi):
         b, x, h, n = trial_realization(config, 1.0, trial)
-        g = detect.gramian(h, 0.0, scratch) if need_g0 else None
-        draws.append((b, x, detect.matched_filter(h, n, scratch),
+        g = detect.gramian(h, 0.0, None) if need_g0 else None
+        draws.append((b, x, detect.matched_filter(h, n, None),
                       np.einsum("nk,nk->k", h.conj(), h).real, g))
     bits, x, n_mf, norms, g0 = (None if v[0] is None else np.stack(v) for v in zip(*draws))
     gx = None if g0 is None else (g0 @ x[..., None])[..., 0]
@@ -187,7 +188,7 @@ def _eval_trials(
             if spec.kind is Kind.SIMO:
                 soft = x + s * n_mf / norms
             else:
-                soft = _solve_chunk(spec, g0, gx + s * n_mf, sigma2, const.box_radius, scratch)
+                soft = _solve_chunk(spec, g0, gx + s * n_mf, sigma2, const.box_radius)
             failed = ~np.isfinite(soft).all(axis=1)
             _, bits_hat = phy.hard_slice(np.where(failed[:, None], 0.0, soft), const)
             errors = np.count_nonzero(bits_hat.reshape(bits.shape) != bits, axis=1)
@@ -201,22 +202,22 @@ _SOLVE_ERRORS = (DecompositionError, detect.DetectError, FloatingPointError)
 
 
 def _solve_chunk(
-    spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: float, box: float,
-    acc: OpCount,
+    spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: float, box: float
 ) -> np.ndarray:
-    """One stacked ``soft_estimate``; if it raises, the chunk again trial by trial.
+    """One stacked, uncounted ``soft_estimate``; if it raises, the chunk
+    again trial by trial.
 
     A trial whose own solve raises gets a NaN estimate, which the caller
     scores as a failure.
     """
     try:
-        return detect.soft_estimate(spec, g0, x_mf, sigma2, box, acc)
+        return detect.soft_estimate(spec, g0, x_mf, sigma2, box, None)
     except _SOLVE_ERRORS:
         pass
     soft = np.full(x_mf.shape, np.nan, dtype=np.complex128)
     for i in range(len(g0)):
         try:
-            soft[i] = detect.soft_estimate(spec, g0[i], x_mf[i], sigma2, box, acc)
+            soft[i] = detect.soft_estimate(spec, g0[i], x_mf[i], sigma2, box, None)
         except _SOLVE_ERRORS:
             pass
     return soft

@@ -199,6 +199,12 @@ class TestBerCommand:
         ({"sweeps": [SWEEP], "complexity": {"t": 0}}, "t"),
         ({"sweeps": [SWEEP], "complexity": {"t": "three"}}, "t"),
         ({**SWEEP, "out_dir": 5}, "out_dir"),
+        # an unknown key is refused wherever it sits, never silently dropped
+        ({**SWEEP, "trails": 40}, "trails"),
+        ({"sweeps": [{**SWEEP, "trails": 40}]}, "trails"),
+        ({"sweeps": [SWEEP], "trials": 40}, "trials"),
+        ({"sweeps": [SWEEP], "complexity": {"u": [4], "tt": 3}}, "tt"),
+        ({"sweeps": []}, "sweeps"),
     ])
     def test_experiment_file_types_name_the_field(self, tmp_path, monkeypatch, capsys,
                                                   exp, field):

@@ -10,7 +10,7 @@ import signal
 import numpy as np
 import pytest
 
-from mimodet import cli, detect, montecarlo as mc, phy
+from mimodet import cli, decomp, detect, kernels, montecarlo as mc, phy
 from mimodet.detect import Backend, DetectorSpec, Kind
 from mimodet.kernels import OpCount
 from mimodet.montecarlo import BerRecord, ConfigError, SweepConfig
@@ -313,6 +313,36 @@ class TestRetry:
         records = mc.run_sweep(cfg)
         assert len(records) == 2 * len(specs)
         assert all(r.failures == 0 and r.trials_run == 50 for r in records)
+
+
+class TestValuesOnly:
+    def test_sweep_counts_nothing(self, monkeypatch):
+        # every tally the sweep reaches is skipped (acc=None), and the
+        # counted solvers, patched back in, give the same records
+        specs = tuple(DetectorSpec(Kind.MMSE, be) for be in Backend) + tuple(
+            DetectorSpec(kind) for kind in (Kind.NSA, Kind.GS, Kind.CG, Kind.ADMIN, Kind.SIMO))
+        cfg = small_config(n=8, u=8, snr_db=(0.0, 12.0), trials=24, chunk_size=8,
+                           detectors=specs)
+        accs = []
+        with monkeypatch.context() as m:
+            for name in ("charge_dots", "charge"):
+                fn = getattr(kernels, name)
+
+                def spy(acc, *args, fn=fn, **kwargs):
+                    accs.append(acc)
+                    return fn(acc, *args, **kwargs)
+
+                # every module that calls it, under the name it imported
+                for module in (kernels, decomp, detect):
+                    if hasattr(module, name):
+                        m.setattr(module, name, spy)
+            values = mc.run_sweep(cfg)
+        assert accs and all(acc is None for acc in accs)
+
+        solve = detect.soft_estimate
+        monkeypatch.setattr(detect, "soft_estimate",
+                            lambda *args: solve(*args[:-1], OpCount()))
+        assert mc.run_sweep(cfg) == values
 
 
 def staggered_config(**overrides):

@@ -1,4 +1,5 @@
-"""Stacked solves: pinned exact tallies, stack equals singles, failures raise.
+"""Stacked solves: pinned exact tallies, stack equals singles, failures raise,
+and the values-only calls (``acc=None``) agree with the counted ones.
 
 ``opcounts.json`` holds the full tally (sqrt, reciprocal, real_mul, add,
 sub) of every counted function, taken from the one-system-at-a-time
@@ -16,7 +17,7 @@ import pytest
 
 from mimodet import decomp, detect
 from mimodet.complexity import seeded_gramian
-from mimodet.detect import Backend
+from mimodet.detect import Backend, DetectorSpec, Kind
 from mimodet.kernels import OpCount
 
 COUNTS = json.loads(Path(__file__).with_name("opcounts.json").read_text())
@@ -181,7 +182,19 @@ FAILURES = [
                  FloatingPointError, id="cg-non-finite"),
     pytest.param(lambda g, b, acc: detect.admin_solve(g, b, 3, 0.5, 1.0, acc),
                  None, FloatingPointError, id="admin-non-finite"),
+    pytest.param(lambda g, b, acc: detect.admin_solve(g, b, 3, 0.5, 1.0, acc), _indefinite,
+                 decomp.NotPositiveDefiniteError, id="admin-indefinite"),
 ]
+
+
+def one_bad_stack(corrupt) -> tuple[dict, dict, dict]:
+    """Three 8 x 8 systems, system 1 corrupted: (system 1, the stack, the good two)."""
+    systems = [system(8, seed) for seed in range(3)]
+    if corrupt is None:
+        systems[1]["b"][3] = np.nan
+    else:
+        corrupt(systems[1]["g"])
+    return systems[1], stack(systems), stack([systems[0], systems[2]])
 
 
 @pytest.mark.parametrize("call,corrupt,error", FAILURES)
@@ -189,18 +202,68 @@ def test_one_bad_system_fails_alone(call, corrupt, error):
     # the stack raises what a call on its bad system alone raises, and the
     # good systems solve without it (the sweep isolates a failed trial by
     # solving its chunk again one trial at a time)
-    systems = [system(8, seed) for seed in range(3)]
-    if corrupt is None:
-        systems[1]["b"][3] = np.nan
-    else:
-        corrupt(systems[1]["g"])
-    operands = stack(systems)
-    good = stack([systems[0], systems[2]])
+    bad, operands, good = one_bad_stack(corrupt)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a failure is the solver's exception, never a warning
         with pytest.raises(error) as stacked:
             call(operands["g"], operands["b"], OpCount())
         with pytest.raises(error) as single:
-            call(systems[1]["g"], systems[1]["b"], OpCount())
+            call(bad["g"], bad["b"], OpCount())
         call(good["g"], good["b"], OpCount())
     assert type(stacked.value) is type(single.value)
+
+
+@pytest.mark.parametrize("call,corrupt,error", FAILURES)
+def test_values_only_fails_as_counted(call, corrupt, error):
+    # acc=None raises, on the same bad system, the type the counted call raises
+    _, operands, good = one_bad_stack(corrupt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as values:
+            call(operands["g"], operands["b"], None)
+        with pytest.raises(error) as counted:
+            call(operands["g"], operands["b"], OpCount())
+        call(good["g"], good["b"], None)
+    assert type(values.value) is type(counted.value)
+
+
+# Cholesky and LDL factor through LAPACK when uncounted, so they (and the
+# solvers built on them) agree with the counted loop to rounding; every
+# other routine runs its counted loop with nothing tallied, bit for bit
+LAPACK = {"cholesky", "ldl", "exact_solve.chol", "exact_solve.ldl", "admin_solve"}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_values_only_equals_counted(name):
+    operands = stack([system(8, seed) for seed in range(3)])
+    got = outputs(CALLS[name](operands, 3, None))
+    want = outputs(CALLS[name](operands, 3, OpCount()))
+    for g, w in zip(got, want):
+        if name in LAPACK:
+            assert g.shape == w.shape
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+        else:
+            assert np.array_equal(g, w)
+
+
+SPECS = [DetectorSpec(kind, be) for kind in (Kind.ZF, Kind.MMSE) for be in Backend] + [
+    DetectorSpec(kind) for kind in (Kind.NSA, Kind.GS, Kind.CG, Kind.ADMIN)]
+
+
+@pytest.mark.parametrize("b,n,u", [(4, 32, 32), (60, 256, 16)])
+@pytest.mark.parametrize("spec", SPECS, ids=lambda spec: f"{spec.name}-{spec.params}")
+def test_sweep_shaped_values_only_estimate(b, n, u, spec):
+    # the stacks a sweep chunk solves: fig5/fig6 (32 x 32) and fig2 (256 x 16)
+    rng = np.random.Generator(np.random.Philox(key=[b, u]))
+    h = (rng.standard_normal((b, n, u)) + 1j * rng.standard_normal((b, n, u))) / np.sqrt(2)
+    y = rng.standard_normal((b, n)) + 1j * rng.standard_normal((b, n))
+    g0 = detect.gramian(h, 0.0, OpCount())
+    x_mf = detect.matched_filter(h, y, OpCount())
+    got = detect.soft_estimate(spec, g0, x_mf, 0.5, 1.0, None)
+    want = detect.soft_estimate(spec, g0, x_mf, 0.5, 1.0, OpCount())
+    looped = spec.kind in (Kind.NSA, Kind.GS, Kind.CG) or (
+        spec.kind in (Kind.ZF, Kind.MMSE) and spec.backend is Backend.QR)
+    if looped:
+        assert np.array_equal(got, want)
+    else:
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
