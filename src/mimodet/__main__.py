@@ -1,0 +1,8 @@
+"""``python -m mimodet``: the ``mimodet`` command line (see ``cli``)."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

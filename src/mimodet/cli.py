@@ -269,6 +269,10 @@ def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...]
             if flag_settings[key] is not None:
                 raise ConfigError(key, f"--{key} cannot change --preset {args.preset}; "
                                   "use an experiment file for another shape")
+        for key in file_data:
+            if key not in _FILE_KEYS:
+                raise ConfigError(key, f"an experiment file cannot change --preset {args.preset} "
+                                  f"(it may hold only {', '.join(_FILE_KEYS)}); use flags")
         entries = [PRESETS[args.preset]]
     elif "sweeps" in file_data:
         entries = file_data["sweeps"]

@@ -6,15 +6,18 @@ so the executed real-multiplication totals can be compared against the
 closed-form complexity model. Counts are structure-only: two matrices of
 the same size always produce identical tallies.
 
-With ``acc=None`` a routine computes values only. QR and the triangular
-solves then run their counted loop with nothing tallied, so their values
-are bit-identical to a counted call. Cholesky and LDL instead factor
-through one batched LAPACK Cholesky after the same input checks, with
-the counted loop's pivot rule applied to diag(L)^2 (LDL's pivots are
-Cholesky's): they agree with the counted factors to rounding. QR keeps
-its loop because its failure rule is defined on classical Gram-Schmidt's
-computed column norms, which Householder QR does not reproduce near
-singularity.
+With ``acc=None`` a routine computes values only. The triangular solves
+then run their counted loop with nothing tallied, so their values are
+bit-identical to a counted call. The factorizations instead run the same
+input checks, then factor the whole stack with one batched LAPACK call,
+and apply the counted loop's pivot rule to the same quantity: QR
+(Householder) to |diag(R)|, Cholesky and LDL to diag(L)^2 (LDL's pivots
+are Cholesky's). A full-rank matrix has one R up to unit phases, so
+|diag(R)| are Gram-Schmidt's column norms; the values path rescales R to
+Gram-Schmidt's real positive diagonal. The factors agree with the
+counted ones to rounding. Near singularity the two QRs keep the same
+|diag(R)| to a few digits but not the same Q: classical Gram-Schmidt's
+loses its orthogonality, Householder's keeps it.
 
 Every routine follows ``np.linalg``'s conventions: it takes one system
 or a stack with any leading shape (``... x U x U``, ``... x U``) and
@@ -116,11 +119,15 @@ def gram_schmidt_qr(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.
     Column i is normalized by its Euclidean norm (one square root and
     one reciprocal per column), then removed from all later columns.
     A column norm at or below 1e-12 times the largest input magnitude
-    raises :class:`NearSingularError`.
+    raises :class:`NearSingularError`. Values only (``acc=None``), the
+    factors come from one batched Householder QR with the same rule on
+    |diag(R)|.
     """
     a = as_stack(a)
-    n = a.shape[-1]
     tol = pivot_tol(a)
+    if acc is None:
+        return _lapack_qr(a, tol)
+    n = a.shape[-1]
     qt = np.swapaxes(a, -1, -2).copy()  # qt[..., i, :] is column i of Q
     r = np.zeros_like(a)
     with np.errstate(all="ignore"):
@@ -135,6 +142,26 @@ def gram_schmidt_qr(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.
             r[..., i, i + 1 :] = rij
             qt[..., i + 1 :, :] = csub(qt[..., i + 1 :, :], cmul(rij[..., None], qi[..., None, :], acc), acc)
     q = np.swapaxes(qt, -1, -2)
+    flag_non_finite(q, r)
+    return q, r
+
+
+def _lapack_qr(a: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Uncounted Householder QR of a stack, in Gram-Schmidt's convention.
+
+    |diag(R)| at or below ``tol`` raises as the counted loop's column-norm
+    check does. Each column of Q takes the phase of R's diagonal entry and
+    the matching row of R its conjugate, so diag(R) is real and positive.
+    """
+    with np.errstate(all="ignore"):
+        q, r = np.linalg.qr(a)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
+        mag = np.abs(diag)
+        if (mag <= tol[..., None]).any():
+            raise NearSingularError(f"a column collapsed during orthogonalization ({mag.min():.3e})")
+        phase = diag / mag
+        q = q * phase[..., None, :]
+        r = r * phase.conj()[..., :, None]
     flag_non_finite(q, r)
     return q, r
 

@@ -19,12 +19,12 @@ raises on the first system it cannot solve; the sweep retries a raising
 chunk one trial at a time.
 
 ``acc=None`` computes values only, as in ``kernels`` and ``decomp``; the
-sweep passes it everywhere. NSA, GS, CG and the QR backend then run
-their counted loops with nothing tallied, bit for bit. Cholesky and LDL
-factor through LAPACK (see ``decomp``), and ADMIN inverts its unit
-factor L once per stack, so each of its x-updates is two stacked
-products and a scale, L^-H (D^-1 (L^-1 r)), instead of two looped
-triangular solves.
+sweep passes it everywhere. NSA, GS and CG then run their counted loops
+with nothing tallied, bit for bit. QR, Cholesky and LDL factor through
+LAPACK with the counted failure rules (see ``decomp``), and ADMIN
+inverts its unit factor L once per stack, so each of its x-updates is
+two stacked products and a scale, L^-H (D^-1 (L^-1 r)), instead of two
+looped triangular solves.
 """
 
 from __future__ import annotations

@@ -1,6 +1,9 @@
 """Command-line contract: flags, presets, CSV schemas, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,6 +154,32 @@ class TestBerCommand:
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("exp,field", [
+        ({"trials": 5, "n": 8}, "trials"),
+        ({"n": 8}, "n"),
+        ({"out_dir": "res", "seed": 2}, "seed"),
+        ({"sweeps": [{"n": 8, "u": 2, "mod": "qpsk", "snr": "0", "det": "mmse"}]}, "sweeps"),
+    ])
+    def test_preset_rejects_sweep_keys_in_file(self, tmp_path, monkeypatch, capsys,
+                                               exp, field):
+        # a file's sweep settings would be dropped under --preset, so they are
+        # refused, naming the key, before anything is created
+        monkeypatch.chdir(tmp_path)
+        Path("exp.json").write_text(json.dumps(exp))
+        assert run(["ber", "--preset", "fig2", "--seed", "1", "--config", "exp.json"]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
+    def test_preset_takes_out_dir_and_complexity_from_file(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"out_dir": "res", "complexity": {"u": [4], "t": 3}}))
+        args = cli.build_parser().parse_args(
+            ["ber", "--preset", "fig2", "--seed", "1", "--trials", "5", "--config", str(path)])
+        out_dir, configs, request = cli.plan_ber(args)
+        assert out_dir == Path("res")
+        assert [(c.n, c.u, c.trials, c.master_seed) for c in configs] == [(256, 16, 5, 1)]
+        assert request == (Path("res") / "complexity.csv", (4,), 3)
+
     def test_unknown_preset(self, capsys):
         assert run(["ber", "--preset", "fig9", "--seed", "1"]) == 2
 
@@ -285,6 +314,16 @@ class TestComplexityCommand:
     def test_bad_u_list(self, capsys):
         assert run(["complexity", "--u", "4,x"]) == 2
         assert "u" in capsys.readouterr().err
+
+
+def test_runs_as_module():
+    # python -m mimodet is the installed mimodet command
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run([sys.executable, "-m", "mimodet", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "ber" in proc.stdout and "complexity" in proc.stdout
 
 
 class TestSelftest:

@@ -315,6 +315,32 @@ class TestRetry:
         assert all(r.failures == 0 and r.trials_run == 50 for r in records)
 
 
+class TestNearSingularQr:
+    """Why ``TestRetry``'s near-singular trial is scored by QR only."""
+
+    def test_values_only_qr_keeps_the_counted_diagonal(self, monkeypatch):
+        # the same trial as test_near_singular_zf_backends_disagree: the
+        # Householder |diag R| match Gram-Schmidt's column norms, both far
+        # above PIVOT_RTOL * max|G|, so neither QR raises; Householder's Q
+        # stays orthogonal, so its estimate is nearer np.linalg.solve's
+        cfg = small_config(n=4, u=4, snr_db=(10.0,), trials=4, master_seed=1,
+                           detectors=(DetectorSpec(Kind.ZF, Backend.QR),))
+        corrupt_trial(monkeypatch, 0, lambda h, t: h[:, 0] + 1e-6 * phy.draw_channel(
+            cfg.n, 1, phy.substream(7, t))[:, 0])
+        _, x, h, noise = mc.trial_realization(cfg, phy.sigma2_from_snr(10.0, cfg.u), 0)
+        g0 = detect.gramian(h, 0.0, None)
+        x_mf = detect.matched_filter(h, h @ x + noise, None)
+        values = np.abs(np.diagonal(decomp.gram_schmidt_qr(g0, None)[1]))
+        counted = np.abs(np.diagonal(decomp.gram_schmidt_qr(g0, OpCount())[1]))
+        np.testing.assert_allclose(values, counted, rtol=1e-2)
+        assert values.min() > 1e3 * decomp.pivot_tol(g0)
+        oracle = np.linalg.solve(g0, x_mf)
+        spec = DetectorSpec(Kind.ZF, Backend.QR)
+        lapack = detect.soft_estimate(spec, g0, x_mf, 0.0, 1.0, None)
+        loop = detect.soft_estimate(spec, g0, x_mf, 0.0, 1.0, OpCount())
+        assert np.linalg.norm(lapack - oracle) < np.linalg.norm(loop - oracle)
+
+
 class TestValuesOnly:
     def test_sweep_counts_nothing(self, monkeypatch):
         # every tally the sweep reaches is skipped (acc=None), and the

@@ -148,11 +148,19 @@ def _zero_diagonal(g):
     g[2, 2] = 0.0
 
 
+def _nan(g):
+    g[4, 2] = np.nan
+
+
 # (call(g, b, acc), corruption of system 1's Gramian or None for a NaN
 # right-hand side, exception type a single-system call raises)
 FAILURES = [
     pytest.param(lambda g, b, acc: detect.gram_schmidt_qr(g, acc), _rank_one,
                  decomp.NearSingularError, id="qr-rank-one"),
+    pytest.param(lambda g, b, acc: detect.gram_schmidt_qr(g, acc), _nan,
+                 FloatingPointError, id="qr-non-finite"),
+    pytest.param(lambda g, b, acc: detect.exact_solve(g, b, Backend.QR, acc), _nan,
+                 FloatingPointError, id="exact-qr-non-finite-gramian"),
     pytest.param(lambda g, b, acc: detect.cholesky(g, acc), _indefinite,
                  decomp.NotPositiveDefiniteError, id="chol-indefinite"),
     pytest.param(lambda g, b, acc: detect.cholesky(g, acc), _skew, ValueError,
@@ -227,10 +235,11 @@ def test_values_only_fails_as_counted(call, corrupt, error):
     assert type(values.value) is type(counted.value)
 
 
-# Cholesky and LDL factor through LAPACK when uncounted, so they (and the
-# solvers built on them) agree with the counted loop to rounding; every
+# QR, Cholesky and LDL factor through LAPACK when uncounted, so they (and
+# the solvers built on them) agree with the counted loop to rounding; every
 # other routine runs its counted loop with nothing tallied, bit for bit
-LAPACK = {"cholesky", "ldl", "exact_solve.chol", "exact_solve.ldl", "admin_solve"}
+LAPACK = {"gram_schmidt_qr", "cholesky", "ldl", "exact_solve.qr", "exact_solve.chol",
+          "exact_solve.ldl", "admin_solve"}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -261,9 +270,23 @@ def test_sweep_shaped_values_only_estimate(b, n, u, spec):
     x_mf = detect.matched_filter(h, y, OpCount())
     got = detect.soft_estimate(spec, g0, x_mf, 0.5, 1.0, None)
     want = detect.soft_estimate(spec, g0, x_mf, 0.5, 1.0, OpCount())
-    looped = spec.kind in (Kind.NSA, Kind.GS, Kind.CG) or (
-        spec.kind in (Kind.ZF, Kind.MMSE) and spec.backend is Backend.QR)
-    if looped:
+    if spec.kind in (Kind.NSA, Kind.GS, Kind.CG):
         assert np.array_equal(got, want)
     else:
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("b,u", [(4, 32), (100, 32), (60, 16)])
+def test_values_only_qr_convention(b, u):
+    # the Householder factors in Gram-Schmidt's convention: R upper
+    # triangular with a real positive diagonal, Q unitary, QR = A
+    rng = np.random.Generator(np.random.Philox(key=[b, u]))
+    h = (rng.standard_normal((b, 2 * u, u)) + 1j * rng.standard_normal((b, 2 * u, u))) / np.sqrt(2)
+    a = detect.gramian(h, 0.0, None)
+    q, r = detect.gram_schmidt_qr(a, None)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    assert np.array_equal(r, np.triu(r))
+    assert np.all(diag.imag == 0) and np.all(diag.real > 0)
+    qh = np.swapaxes(q, -1, -2).conj()
+    assert np.abs(qh @ q - np.eye(u)).max() <= 1e-12
+    assert np.linalg.norm(q @ r - a) <= 1e-12 * np.linalg.norm(a)
