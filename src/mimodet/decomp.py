@@ -30,8 +30,8 @@ exactly B times the single-system tally.
 A routine raises on the first bad system of a stack, with the type a
 call on that system alone raises: the pivot tolerance, the Hermitian
 check and a final non-finite check each test every system at once. The
-sweep isolates a failed trial itself, by solving a chunk that raised
-again one trial at a time (see ``montecarlo``).
+sweep isolates a failed trial itself, by solving a stack that raised
+again one (point, trial) at a time (see ``montecarlo``).
 
 Measured totals (exact for every U):
 

@@ -16,7 +16,9 @@ Like the routines in ``decomp``, every function here takes one system
 or a stack with any leading shape, returns plain arrays, charges B
 times the single-system tally for B systems, computed from shapes, and
 raises on the first system it cannot solve; the sweep retries a raising
-chunk one trial at a time.
+stack one (point, trial) at a time. NSA and GS also take a diagonal
+shift ``reg``: they solve against G + reg*I reading G's off-diagonal
+part in place, so one Gramian stack serves every SNR point at once.
 
 ``acc=None`` computes values only, as in ``kernels`` and ``decomp``; the
 sweep passes it everywhere. NSA, GS and CG then run their counted loops
@@ -56,7 +58,7 @@ from .kernels import (
     dot_h,
     dot_u,
     hermitian,
-    matmul,
+    matvec,
     norm_sq,
     rcmul,
 )
@@ -142,7 +144,7 @@ class DetectorSpec:
 
 def matched_filter(h: np.ndarray, y: np.ndarray, acc: OpCount | None) -> np.ndarray:
     """x_mf = H^H y, the right-hand side of every Gramian system."""
-    return matmul(hermitian(h), y, acc)
+    return matvec(hermitian(h), y, acc)
 
 
 def gramian(h: np.ndarray, reg: float, acc: OpCount | None) -> np.ndarray:
@@ -174,7 +176,7 @@ def exact_solve(
     """Solve G x = b through the chosen decomposition backend."""
     if backend is Backend.QR:
         q, r = gram_schmidt_qr(g, acc)
-        return backward_sub(r, matmul(hermitian(q), b, acc), acc)
+        return backward_sub(r, matvec(hermitian(q), b, acc), acc)
     if backend is Backend.CHOLESKY:
         l = cholesky(g, acc)
         return backward_sub(hermitian(l), forward_sub(l, b, acc), acc)
@@ -190,30 +192,36 @@ def _ldl_solve(l: np.ndarray, d: np.ndarray, b: np.ndarray, acc: OpCount | None)
 
 
 def nsa_solve(
-    g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None
+    g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None,
+    reg: float | np.ndarray = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated Neumann series applied to x_mf, terms 0 .. t-1.
+    """Truncated Neumann series on (G + reg*I) x = x_mf, terms 0 .. t-1.
 
-    Splits G into its diagonal X and off-diagonal E and accumulates
-    u_{k+1} = -X^-1 (E u_k) starting from u_0 = X^-1 x_mf. The
-    divergence flag (one per system of a stack) is set when the final
-    term outgrew the previous one; the estimate is still returned.
+    Splits G + reg*I into its diagonal X = diag(G) + reg and its
+    off-diagonal E, which is G's own, and accumulates
+    u_{k+1} = -X^-1 (E u_k) starting from u_0 = X^-1 x_mf. ``reg`` is a
+    scalar or an array that broadcasts against diag(G), shape (..., U):
+    a (P, 1, 1) shift on a (T, U, U) stack gives P x T systems, each
+    G[t] shifted by reg[p], without a copy of G per shift.
+    The divergence flag (one per system of a stack) is set when the
+    final term outgrew the previous one; the estimate is still returned.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     g = as_stack(g)
     x_mf = vector_stack(x_mf, g.shape[-1])
+    diag = np.diagonal(g, axis1=-2, axis2=-1) + reg
     with np.errstate(all="ignore"):
-        d_inv = counted_recip(np.diagonal(g, axis1=-2, axis2=-1).real, acc)
+        d_inv = counted_recip(diag.real, acc)
         e = g.copy()
         idx = np.arange(g.shape[-1])
         e[..., idx, idx] = 0.0
         term = rcmul(d_inv, x_mf, acc)
         total = term
-        diverged = np.zeros(g.shape[:-2], dtype=bool)
+        diverged = np.zeros(term.shape[:-1], dtype=bool)
         for k in range(1, t):
             prev = np.linalg.norm(term, axis=-1)
-            term = -rcmul(d_inv, matmul(e, term, acc), acc)
+            term = -rcmul(d_inv, matvec(e, term, acc), acc)
             total = cadd(total, term, acc)
             if k == t - 1:
                 diverged = np.linalg.norm(term, axis=-1) > prev
@@ -221,22 +229,33 @@ def nsa_solve(
     return total, diverged
 
 
-def gs_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None) -> np.ndarray:
-    """t Gauss-Seidel sweeps on G x = x_mf.
+def gs_solve(
+    g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None,
+    reg: float | np.ndarray = 0.0,
+) -> np.ndarray:
+    """t Gauss-Seidel sweeps on (G + reg*I) x = x_mf.
 
     (D + L) is applied by forward substitution inside each sweep, never
-    formed. The start is x = 0, so sweep 1 returns (D + L)^-1 x_mf.
+    formed. The start is x = 0, so sweep 1 returns (D + L)^-1 x_mf. The
+    off-diagonal entries are read from G itself and D is diag(G) + reg,
+    with ``reg`` as in :func:`nsa_solve`; the pivot tolerance is
+    ``pivot_tol(G + reg*I)``.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     g = as_stack(g)
     u = g.shape[-1]
     x_mf = vector_stack(x_mf, u)
-    diag = np.diagonal(g, axis1=-2, axis2=-1)
-    small = np.abs(diag) <= pivot_tol(g)[..., None]
+    diag = np.diagonal(g, axis1=-2, axis2=-1) + reg
+    # pivot_tol(G + reg*I): the largest of |G|'s off-diagonal and |diag|
+    off = np.abs(g)
+    idx = np.arange(u)
+    off[..., idx, idx] = 0.0
+    largest = np.maximum(off.max(axis=(-2, -1)), np.abs(diag).max(axis=-1))
+    small = np.abs(diag) <= pivot_tol(largest[..., None, None])[..., None]
     if small.any():
         raise SingularTriangularError(f"zero Gramian diagonal at {np.nonzero(small)[-1].min()}")
-    x = np.zeros_like(x_mf)
+    x = np.zeros(np.broadcast_shapes(diag.shape, x_mf.shape), dtype=np.complex128)
     with np.errstate(all="ignore"):
         d_inv = counted_recip(diag.real, acc)
         for _ in range(t):
@@ -267,7 +286,7 @@ def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None) -> np
         rs = norm_sq(r, acc)
         for _ in range(t):
             live = rs != 0.0
-            gp = matmul(g, p, acc)
+            gp = matvec(g, p, acc)
             curvature = dot_h(p, gp, acc).real
             if (live & (curvature <= 0.0)).any():
                 raise CgBreakdownError("p^H G p <= 0; Gramian is not positive definite")
@@ -334,27 +353,30 @@ def admin_solve(
 
 
 def soft_estimate(
-    spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: float, box: float,
-    acc: OpCount | None,
+    spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: float | np.ndarray,
+    box: float, acc: OpCount | None,
 ) -> np.ndarray:
     """Soft symbol estimates of one detector from the shared products.
 
     ``g0`` is the unregularized Gramian H^H H (or a stack of them),
-    ``x_mf`` = H^H y and ``box`` the per-axis ADMIN clipping bound. Each
-    kind regularizes its own copy of ``g0``: ZF with 0, MMSE/NSA/GS/CG
-    with sigma2, ADMIN with its beta. A system that cannot be solved
-    raises, as in every counted solver. The solvers are looked up as
-    module globals at call time, so a wrapper installed on this module
-    sees every call.
+    ``x_mf`` = H^H y and ``box`` the per-axis ADMIN clipping bound. NSA
+    and GS read ``g0`` in place and shift only its diagonal by sigma2,
+    so for them ``sigma2`` may also be an array shaped (P, 1, 1): with
+    ``g0`` shaped (T, U, U) and ``x_mf`` (P, T, U), one call solves P
+    SNR points at once. The other kinds take a float ``sigma2`` and
+    regularize their own copy of ``g0``: ZF with 0, MMSE/CG with sigma2,
+    ADMIN with its beta. A system that cannot be solved raises, as in
+    every counted solver. The solvers are looked up as module globals
+    at call time, so a wrapper installed on this module sees every call.
     """
     if spec.kind in _EXACT:
         reg = sigma2 if spec.kind is Kind.MMSE else 0.0
         return exact_solve(_regularize(g0, reg), x_mf, spec.backend, acc)
     if spec.kind is Kind.NSA:
-        x, _ = nsa_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
+        x, _ = nsa_solve(g0, x_mf, spec.iterations, acc, reg=sigma2)
         return x
     if spec.kind is Kind.GS:
-        return gs_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
+        return gs_solve(g0, x_mf, spec.iterations, acc, reg=sigma2)
     if spec.kind is Kind.CG:
         return cg_solve(_regularize(g0, sigma2), x_mf, spec.iterations, acc)
     if spec.kind is Kind.ADMIN:

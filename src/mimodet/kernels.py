@@ -150,20 +150,35 @@ def norm_sq(a: np.ndarray, acc: OpCount | None):
 
 
 def matmul(a: np.ndarray, b: np.ndarray, acc: OpCount | None) -> np.ndarray:
-    """Counted (stacked) matrix-matrix or matrix-vector product.
+    """Counted (stacked) matrix product of (..., m, k) and (..., k, cols).
 
-    ``a`` is (..., m, k). ``b`` is a stack of vectors (..., k) when it has
-    one axis fewer than ``a``, else a stack of matrices (..., k, cols).
-    Each of the m * cols outputs per matrix is charged as one inner
-    product of length k.
+    Leading axes broadcast. Each of the m * cols outputs per matrix is
+    charged as one inner product of length k. A stack of vectors goes
+    to :func:`matvec`.
+    """
+    if a.ndim < 2 or b.ndim < 2:
+        raise ValueError("matmul: both operands must be matrices")
+    if a.shape[-1] != b.shape[-2]:
+        raise ValueError(f"matmul: dimension mismatch {a.shape} x {b.shape}")
+    out = a @ b
+    charge_dots(acc, a.shape[-1], out.size)
+    return out
+
+
+def matvec(a: np.ndarray, b: np.ndarray, acc: OpCount | None) -> np.ndarray:
+    """Counted (stacked) matrix-vector product of (..., m, k) and (..., k).
+
+    ``b`` is always a vector or a stack of vectors, whatever its number
+    of axes. Leading axes broadcast: one (m, k) matrix times a (B, k)
+    stack gives B products, and a (T, m, k) stack times a (P, T, k)
+    stack gives P x T. Each of the m outputs per product is charged as
+    one inner product of length k.
     """
     if a.ndim < 2:
-        raise ValueError("matmul: left operand must be a matrix")
-    vector = b.ndim == a.ndim - 1
-    inner = b.shape[-1] if vector else b.shape[-2]
-    if a.shape[-1] != inner:
-        raise ValueError(f"matmul: dimension mismatch {a.shape} x {b.shape}")
-    out = (a @ b[..., None])[..., 0] if vector else a @ b
+        raise ValueError("matvec: left operand must be a matrix")
+    if a.shape[-1] != b.shape[-1]:
+        raise ValueError(f"matvec: dimension mismatch {a.shape} x {b.shape}")
+    out = (a @ b[..., None])[..., 0]
     charge_dots(acc, a.shape[-1], out.size)
     return out
 

@@ -11,14 +11,18 @@ The sweep is chunk-major: chunks run in trial order, and each is drawn
 once and evaluated for every SNR point still running, so a trial costs
 one draw, one matched filter of its unit noise and one Gramian per
 sweep, whatever the number of points. Each point's matched filters and
-SIMO estimates follow by stacked arithmetic on the chunk. Each detector
-runs one stacked solve and one slice per (point, chunk). The sweep needs
-values only, so it calls every product and solver with ``acc=None`` and
-tallies nothing: an operation count depends on shapes alone and is
-taken outside the sweep (``complexity``). The solvers raise on the
-first system they cannot solve; a (point, detector, chunk) whose
-stacked solve raises is solved again one trial at a time, so a
-numerical failure costs only its own trial.
+SIMO estimates follow by stacked arithmetic on the chunk. NSA and GS
+read G0's off-diagonal in place and shift only its diagonal by sigma2,
+so each runs one call per chunk for every point still running, on a
+(points, trials, U) stack; ZF/MMSE, CG and ADMIN multiply or factor the
+whole regularized Gramian, so they run one stacked solve per (point,
+chunk) rather than copy G0 once per point. Each (point, detector) is
+sliced once per chunk. The sweep needs values only, so it calls every
+product and solver with ``acc=None`` and tallies nothing: an operation
+count depends on shapes alone and is taken outside the sweep
+(``complexity``). The solvers raise on the first system they cannot
+solve; a stacked solve that raises is solved again one (point, trial)
+at a time, so a numerical failure costs only its own trial.
 
 Early stopping is per (SNR point, detector): once a detector has
 accumulated ``stop_at_errors`` bit errors its tally is frozen at the end
@@ -161,10 +165,11 @@ def _eval_trials(
     h_k^H y_k / ||h_k||^2 = x_k + s h_k^H n / ||h_k||^2. Sliced, this is
     the interference-free lower bound on any multiuser detector.
 
-    At point p each detector in ``active[p]`` runs one stacked solve (see
-    ``_solve_chunk``) and one slice; the others report zeros. A trial
-    whose estimate is not finite counts every bit as an error and one
-    failure; the rest of the chunk is scored as usual.
+    Each detector runs on the points whose ``active`` entry holds it
+    (see ``_solve_chunk``): SIMO, NSA and GS once for all of them, the
+    other kinds once per point; the points it skips report zeros. A
+    trial whose estimate is not finite counts every bit as an error and
+    one failure; the rest of the chunk is scored as usual.
     """
     const = phy.make_constellation(config.order)
     bits_per_trial = config.u * const.bits_per_symbol
@@ -176,48 +181,62 @@ def _eval_trials(
         draws.append((b, x, detect.matched_filter(h, n, None),
                       np.einsum("nk,nk->k", h.conj(), h).real, g))
     bits, x, n_mf, norms, g0 = (None if v[0] is None else np.stack(v) for v in zip(*draws))
+    sigma2 = np.array([phy.sigma2_from_snr(snr, config.u) for snr in snr_points])[:, None, None]
+    s = np.sqrt(sigma2)
     gx = None if g0 is None else (g0 @ x[..., None])[..., 0]
 
-    out = []
-    for snr, act in zip(snr_points, active):
-        sigma2 = phy.sigma2_from_snr(snr, config.u)
-        s = np.sqrt(sigma2)
-        point = [[0, 0] for _ in config.detectors]
-        for d in act:
-            spec = config.detectors[d]
-            if spec.kind is Kind.SIMO:
-                soft = x + s * n_mf / norms
-            else:
-                soft = _solve_chunk(spec, g0, gx + s * n_mf, sigma2, const.box_radius)
-            failed = ~np.isfinite(soft).all(axis=1)
-            _, bits_hat = phy.hard_slice(np.where(failed[:, None], 0.0, soft), const)
-            errors = np.count_nonzero(bits_hat.reshape(bits.shape) != bits, axis=1)
-            errors[failed] = bits_per_trial
-            point[d] = [int(errors.sum()), int(failed.sum())]
-        out.append(point)
+    def score(soft: np.ndarray) -> list[int]:
+        failed = ~np.isfinite(soft).all(axis=1)
+        _, bits_hat = phy.hard_slice(np.where(failed[:, None], 0.0, soft), const)
+        errors = np.count_nonzero(bits_hat.reshape(bits.shape) != bits, axis=1)
+        errors[failed] = bits_per_trial
+        return [int(errors.sum()), int(failed.sum())]
+
+    out = [[[0, 0] for _ in config.detectors] for _ in snr_points]
+    for d, spec in enumerate(config.detectors):
+        points = [p for p, act in enumerate(active) if d in act]
+        if not points:
+            continue
+        if spec.kind is Kind.SIMO:
+            soft = x + s[points] * n_mf / norms
+        elif spec.kind in _SHIFTED:
+            soft = _solve_chunk(spec, g0, gx + s[points] * n_mf, sigma2[points],
+                                const.box_radius)
+        else:
+            soft = (_solve_chunk(spec, g0, gx + s[p] * n_mf, float(sigma2[p, 0, 0]),
+                                 const.box_radius) for p in points)
+        for p, soft_p in zip(points, soft):
+            out[p][d] = score(soft_p)
     return out
 
 
 _SOLVE_ERRORS = (DecompositionError, detect.DetectError, FloatingPointError)
+# Detectors that read G0 in place and shift only its diagonal, so one
+# call serves every SNR point of a chunk (see ``detect.soft_estimate``).
+_SHIFTED = (Kind.NSA, Kind.GS)
 
 
 def _solve_chunk(
-    spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: float, box: float
+    spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: float | np.ndarray,
+    box: float,
 ) -> np.ndarray:
-    """One stacked, uncounted ``soft_estimate``; if it raises, the chunk
-    again trial by trial.
+    """One stacked, uncounted ``soft_estimate``; if it raises, each system
+    again on its own.
 
-    A trial whose own solve raises gets a NaN estimate, which the caller
-    scores as a failure.
+    ``x_mf`` is (trials, U) with a float ``sigma2``, or (points, trials,
+    U) with ``sigma2`` shaped (points, 1, 1). A (point, trial) whose own
+    solve raises gets a NaN estimate, which the caller scores as a
+    failure.
     """
     try:
         return detect.soft_estimate(spec, g0, x_mf, sigma2, box, None)
     except _SOLVE_ERRORS:
         pass
     soft = np.full(x_mf.shape, np.nan, dtype=np.complex128)
-    for i in range(len(g0)):
+    for idx in np.ndindex(x_mf.shape[:-1]):
+        s2 = np.asarray(sigma2)[idx[:-1]].item()
         try:
-            soft[i] = detect.soft_estimate(spec, g0[i], x_mf[i], sigma2, box, None)
+            soft[idx] = detect.soft_estimate(spec, g0[idx[-1]], x_mf[idx], s2, box, None)
         except _SOLVE_ERRORS:
             pass
     return soft

@@ -13,3 +13,10 @@ BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 NUMPY_LOADED_FIRST = "numpy" in sys.modules
 for _var in BLAS_VARS:
     os.environ.setdefault(_var, "1")
+
+from hypothesis import settings  # noqa: E402  (after the pins: it must not load numpy first)
+
+# Property tests run the same examples every time and keep no example
+# database; each test bounds its own max_examples.
+settings.register_profile("mimodet", derandomize=True, deadline=None, database=None)
+settings.load_profile("mimodet")

@@ -309,19 +309,17 @@ def test_criterion_12_mmse_never_beats_ml():
     cfg = mc.SweepConfig(n=n, u=u, order=order, snr_db=(snr_db,),
                          detectors=(DetectorSpec(Kind.MMSE, Backend.CHOLESKY),),
                          trials=10_000, master_seed=777, stop_at_errors=None)
-    mmse_errs = 0
-    ml_errs = 0
-    for trial in range(cfg.trials):
-        bits, x, h, noise = mc.trial_realization(cfg, sigma2, trial)
-        y = h @ x + noise
-        acc = OpCount()
-        g = detect.gramian(h, sigma2, acc)
-        x_mf = detect.matched_filter(h, y, acc)
-        soft = detect.exact_solve(g, x_mf, Backend.CHOLESKY, acc)
-        _, bhat = phy.hard_slice(soft, const)
-        mmse_errs += int(np.count_nonzero(bhat != bits))
-        dists = np.linalg.norm(y[:, None] - h @ cands.T, axis=0)
-        ml_errs += int(np.count_nonzero(cand_bits[int(np.argmin(dists))] != bits))
+    # every trial at once, values only (a count depends on shapes alone)
+    bits, x, h, noise = (np.stack(v) for v in zip(
+        *(mc.trial_realization(cfg, sigma2, trial) for trial in range(cfg.trials))))
+    y = (h @ x[..., None])[..., 0] + noise
+    g = detect.gramian(h, sigma2, None)
+    x_mf = detect.matched_filter(h, y, None)
+    soft = detect.exact_solve(g, x_mf, Backend.CHOLESKY, None)
+    _, bhat = phy.hard_slice(soft, const)
+    mmse_errs = int(np.count_nonzero(bhat.reshape(bits.shape) != bits))
+    dists = np.linalg.norm(y[:, :, None] - h @ cands.T, axis=1)
+    ml_errs = int(np.count_nonzero(cand_bits[np.argmin(dists, axis=1)] != bits))
     bits_total = cfg.trials * u * const.bits_per_symbol
     report(
         "criterion 12 (MMSE BER >= exhaustive-ML BER)",

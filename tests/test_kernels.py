@@ -14,6 +14,7 @@ from mimodet.kernels import (
     dot_u,
     hermitian,
     matmul,
+    matvec,
     norm_sq,
     rcmul,
 )
@@ -116,6 +117,42 @@ def test_matmul_dimension_mismatch():
         matmul(np.ones((2, 3), dtype=complex), np.ones((2, 2), dtype=complex), OpCount())
 
 
+def test_matmul_wants_matrices():
+    with pytest.raises(ValueError):
+        matmul(np.ones((2, 2), dtype=complex), np.ones(2, dtype=complex), OpCount())
+
+
+def test_matvec_stack_of_vectors_against_one_matrix():
+    # four length-4 vectors against one 4x4 matrix are four products,
+    # charged as 16 inner products, not the matrix product a @ b
+    rng = np.random.Generator(np.random.Philox(key=[11, 1]))
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    b = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    acc, one = OpCount(), OpCount()
+    out = matvec(a, b, acc)
+    matvec(a, b[0], one)
+    assert np.allclose(out, np.stack([a @ v for v in b]), atol=1e-12)
+    assert not np.allclose(out, a @ b)
+    assert acc == OpCount(*(4 * v for v in (one.sqrt, one.reciprocal, one.real_mul,
+                                             one.add, one.sub)))
+
+
+def test_matvec_broadcasts_leading_axes():
+    # a (3, 4, 4) stack against (2, 3, 4) vectors: 2 x 3 products, as NSA
+    # needs for P SNR points sharing T Gramians
+    rng = np.random.Generator(np.random.Philox(key=[11, 2]))
+    g = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+    v = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+    acc = OpCount()
+    out = matvec(g, v, acc)
+    assert out.shape == (2, 3, 4)
+    for p in range(2):
+        assert np.array_equal(out[p], matvec(g, v[p], None))
+    assert acc.real_mul == 2 * 3 * 4 * (4 * 4)
+    with pytest.raises(ValueError):
+        matvec(g, v[..., :3], OpCount())
+
+
 def test_hermitian():
     assert np.array_equal(hermitian(np.eye(3, dtype=complex)), np.eye(3))
     assert hermitian(np.array([[1 + 2j]]))[0, 0] == 1 - 2j
@@ -156,7 +193,9 @@ def test_arrays_charge_per_output_element():
         (lambda acc: dot_h(b, a, acc), lambda acc: dot_h(a[0, 0], a[0, 1], acc), 12),
         (lambda acc: dot_u(b, a, acc), lambda acc: dot_u(a[0, 0], a[0, 1], acc), 12),
         (lambda acc: norm_sq(a, acc), lambda acc: norm_sq(a[0, 0], acc), 12),
-        (lambda acc: matmul(a, a[:, 0, :], acc), lambda acc: matmul(a[0], a[0, 0], acc), 3),
+        (lambda acc: matvec(a, a[:, 0, :], acc), lambda acc: matvec(a[0], a[0, 0], acc), 3),
+        (lambda acc: matmul(a, hermitian(a), acc),
+         lambda acc: matmul(a[0], hermitian(a[0]), acc), 3),
     ]
     for stacked, single, k in cases:
         many, one = OpCount(), OpCount()
@@ -171,7 +210,7 @@ def test_stacked_values_match_elementwise():
     a = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
     v = a[:, 0, :]
     assert np.allclose(dot_h(a, a, OpCount()), norm_sq(a, OpCount()), atol=1e-12)
-    assert np.allclose(matmul(a, v, OpCount()), np.einsum("bij,bj->bi", a, v), atol=1e-12)
+    assert np.allclose(matvec(a, v, OpCount()), np.einsum("bij,bj->bi", a, v), atol=1e-12)
     assert np.allclose(matmul(a, hermitian(a), OpCount()), a @ a.conj().transpose(0, 2, 1),
                        atol=1e-12)
     assert np.allclose(dot_u(a, a, OpCount()), (a * a).sum(axis=-1), atol=1e-12)

@@ -251,7 +251,9 @@ class TestRetry:
 
     def test_only_the_raising_chunk_is_retried(self, monkeypatch):
         # trial 6 (chunk 1 of 3) has a rank-deficient H: ZF at N = U raises
-        # on it, the regularized MMSE and GS do not
+        # on it, the regularized MMSE and GS do not. Each call is read as
+        # the (detector, sigma2, trial) systems it solves, its trials told
+        # apart by their Gramians
         specs = (DetectorSpec(Kind.ZF, Backend.QR), DetectorSpec(Kind.MMSE, Backend.LDL),
                  DetectorSpec(Kind.GS))
         cfg = small_config(n=4, u=4, snr_db=(6.0, 12.0), trials=12, chunk_size=4,
@@ -259,31 +261,68 @@ class TestRetry:
         corrupt_trial(monkeypatch, 6, lambda h, t: h[:, 0])
         per_trial = [[[mc.run_trial(cfg, snr, spec, t) for t in range(cfg.trials)]
                       for spec in specs] for snr in cfg.snr_db]
+        trial_of = {detect.gramian(mc.trial_realization(cfg, 1.0, t)[2], 0.0, None).tobytes(): t
+                    for t in range(cfg.trials)}
 
-        calls = []
+        stacked, alone, raised = [], [], []
         solve = detect.soft_estimate
 
         def spy(spec, g0, x_mf, sigma2, *args):
-            calls.append((spec, sigma2, g0.ndim))
-            return solve(spec, g0, x_mf, sigma2, *args)
+            trials = [trial_of[g.tobytes()] for g in g0.reshape(-1, cfg.u, cfg.u)]
+            systems = [(spec.name, s2, t) for s2 in np.ravel(sigma2).tolist() for t in trials]
+            assert x_mf.shape == np.broadcast_shapes(np.shape(sigma2), g0.shape[:-1])
+            (stacked if g0.ndim == 3 else alone).append(systems)
+            try:
+                return solve(spec, g0, x_mf, sigma2, *args)
+            except mc._SOLVE_ERRORS:
+                raised.append(systems)
+                raise
 
         monkeypatch.setattr(detect, "soft_estimate", spy)
         records = mc.run_sweep(cfg)
         sigma2 = [phy.sigma2_from_snr(snr, cfg.u) for snr in cfg.snr_db]
-        expected = []
-        for chunk in range(3):
-            for s2 in sigma2:
-                for spec in specs:
-                    expected.append((spec, s2, 3))
-                    if chunk == 1 and spec.kind is Kind.ZF:
-                        expected += [(spec, s2, 2)] * cfg.chunk_size
-        assert calls == expected
+        # every (point, trial) of every detector is solved once, in calls
+        # that each cover one chunk: ZF and MMSE one per (chunk, point),
+        # GS one per chunk for both points
+        assert sorted(s for call in stacked for s in call) == sorted(
+            (spec.name, s2, t) for spec in specs for s2 in sigma2 for t in range(cfg.trials))
+        assert all(len({t // cfg.chunk_size for _, _, t in call}) == 1 for call in stacked)
+        assert sorted((call[0][0], len(call)) for call in stacked) == sorted(
+            [("zf", 4)] * 6 + [("mmse", 4)] * 6 + [("gs", 8)] * 3)
+        # only ZF's calls on chunk 1 raised; their systems, and no others,
+        # were solved again one at a time, and alone only trial 6 raises
+        chunk1_zf = sorted(("zf", s2, t) for s2 in sigma2 for t in range(4, 8))
+        assert sorted(s for call in raised if len(call) > 1 for s in call) == chunk1_zf
+        assert all(len(call) == 1 for call in alone)
+        assert sorted(call[0] for call in alone) == chunk1_zf
+        assert sorted(call for call in raised if len(call) == 1) == sorted(
+            [("zf", s2, 6)] for s2 in sigma2)
         bits_per_trial = cfg.u * 2
         for rec, errs in zip(records, (e for point in per_trial for e in point)):
             zf = rec.detector == "zf"
             assert rec.bit_errors == sum(errs), rec
             assert rec.failures == (1 if zf else 0), rec
             assert (errs[6] == bits_per_trial) if zf else (errs[6] < bits_per_trial)
+
+    @pytest.mark.parametrize("kind", [Kind.NSA, Kind.GS])
+    def test_stack_of_points_is_retried_system_by_system(self, kind):
+        # one call solves 2 points x 3 trials; a NaN in (point 1, trial 2)
+        # makes it raise, and every other system then gets the estimate
+        # it gets on its own, at its own point's sigma2
+        rng = np.random.Generator(np.random.Philox(key=[5, 0]))
+        h = rng.standard_normal((3, 8, 4)) + 1j * rng.standard_normal((3, 8, 4))
+        g0 = detect.gramian(h, 0.0, None)
+        x_mf = rng.standard_normal((2, 3, 4)) + 1j * rng.standard_normal((2, 3, 4))
+        x_mf[1, 2, 0] = np.nan
+        sigma2 = np.array([4.0, 0.25])[:, None, None]
+        spec = DetectorSpec(kind)
+        soft = mc._solve_chunk(spec, g0, x_mf, sigma2, 1.0)
+        for p, t in np.ndindex(2, 3):
+            if (p, t) == (1, 2):
+                assert np.isnan(soft[p, t]).all()
+            else:
+                assert np.array_equal(soft[p, t], detect.soft_estimate(
+                    spec, g0[t], x_mf[p, t], float(sigma2[p, 0, 0]), 1.0, None))
 
     def test_near_singular_zf_backends_disagree(self, monkeypatch):
         # column 1 = column 0 + 1e-6 w: sigma_min / max|G| is about 2e-14.

@@ -123,6 +123,20 @@ def test_channel_fixed_seed_is_frozen():
     assert np.array_equal(h, phy.draw_channel(2, 2, phy.substream(12345, 6)))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 777, 2**64 - 1])
+@pytest.mark.parametrize("n, u", [(1, 1), (4, 4), (32, 32), (256, 16)])
+def test_complex_draws_equal_the_sum_formula(seed, n, u):
+    # the draws are built in place; they must stay bitwise
+    # (g[0] + 1j g[1]) / sqrt(2) on the same normals
+    for index in range(3):
+        g = phy.substream(seed, index).standard_normal((2, n, u))
+        h = phy.draw_channel(n, u, phy.substream(seed, index))
+        assert h.tobytes() == ((g[0] + 1j * g[1]) / np.sqrt(2.0)).tobytes()
+        g = phy.substream(seed, index).standard_normal((2, n))
+        noise = phy.draw_noise_unit(n, phy.substream(seed, index))
+        assert noise.tobytes() == ((g[0] + 1j * g[1]) / np.sqrt(2.0)).tobytes()
+
+
 def test_substream_keys_every_seed_below_2_64():
     # seeds past 2**63 must not collapse onto their float64 neighbours
     draws = {phy.substream(seed, 0).integers(0, 2**63)
