@@ -14,7 +14,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
-import argparse
 import json
 import sys
 from pathlib import Path
@@ -410,7 +409,10 @@ def cmd_selftest(args) -> int:
     return 0 if all(ok for _, ok, _ in rows) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The command line's ``argparse.ArgumentParser``."""
+    import argparse  # here, so that importing the module does not load it
+
     parser = argparse.ArgumentParser(
         prog="mimodet",
         description="Massive MIMO detection simulator: BER sweeps and "

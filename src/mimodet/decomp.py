@@ -57,6 +57,7 @@ from .kernels import (
     csub,
     dot_h,
     dot_u,
+    hermitian,
     norm_sq,
     rcmul,
 )
@@ -108,7 +109,8 @@ def pivot_tol(a: np.ndarray) -> np.ndarray:
 
 
 def _check_hermitian(a: np.ndarray, tol: np.ndarray) -> None:
-    skew = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1))
+    diff = hermitian(a)
+    skew = np.abs(np.subtract(a, diff, out=diff)).max(axis=(-2, -1))
     if (skew > tol).any():
         raise ValueError("matrix is not Hermitian within 1e-12 relative")
 
@@ -160,8 +162,8 @@ def _lapack_qr(a: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if (mag <= tol[..., None]).any():
             raise NearSingularError(f"a column collapsed during orthogonalization ({mag.min():.3e})")
         phase = diag / mag
-        q = q * phase[..., None, :]
-        r = r * phase.conj()[..., :, None]
+        q *= phase[..., None, :]
+        r *= phase.conj()[..., :, None]
     flag_non_finite(q, r)
     return q, r
 

@@ -19,6 +19,7 @@ raises on the first system it cannot solve; the sweep retries a raising
 stack one (point, trial) at a time. NSA and GS also take a diagonal
 shift ``reg``: they solve against G + reg*I reading G's off-diagonal
 part in place, so one Gramian stack serves every SNR point at once.
+``soft_estimate`` takes a per-point sigma2 for every kind (see there).
 
 ``acc=None`` computes values only, as in ``kernels`` and ``decomp``; the
 sweep passes it everywhere. NSA, GS and CG then run their counted loops
@@ -135,31 +136,47 @@ class DetectorSpec:
             return "mrc"
         return f"t={self.iterations}"
 
-    def admin_beta(self, sigma2: float) -> float:
+    @property
+    def per_point_gramian(self) -> bool:
+        """Whether ``soft_estimate`` regularizes its own copy of G0 per SNR
+        point: MMSE, CG and ADMIN with ``beta_scale`` do; ZF, ADMIN with a
+        fixed ``beta``, NSA and GS solve on G0 itself for every point."""
+        return self.kind in (Kind.MMSE, Kind.CG) or (self.kind is Kind.ADMIN and self.beta is None)
+
+    def admin_beta(self, sigma2: float | np.ndarray) -> float | np.ndarray:
+        """ADMIN's beta at ``sigma2`` (a float, or an array of them)."""
         beta = self.beta if self.beta is not None else self.beta_scale * sigma2
-        if not 0 < beta < np.inf:
+        if not np.all((0 < beta) & (beta < np.inf)):
             raise ValueError(f"ADMIN needs a finite beta > 0, got {beta!r} at sigma2 = {sigma2!r}")
         return beta
 
 
-def matched_filter(h: np.ndarray, y: np.ndarray, acc: OpCount | None) -> np.ndarray:
-    """x_mf = H^H y, the right-hand side of every Gramian system."""
-    return matvec(hermitian(h), y, acc)
+def matched_filter(
+    h: np.ndarray, y: np.ndarray, acc: OpCount | None, h_h: np.ndarray | None = None,
+) -> np.ndarray:
+    """x_mf = H^H y, the right-hand side of every Gramian system.
+
+    ``h_h`` is ``hermitian(h)`` when the caller has formed it already.
+    """
+    return matvec(hermitian(h) if h_h is None else h_h, y, acc)
 
 
-def gramian(h: np.ndarray, reg: float, acc: OpCount | None) -> np.ndarray:
+def gramian(
+    h: np.ndarray, reg: float, acc: OpCount | None, h_h: np.ndarray | None = None,
+) -> np.ndarray:
     """G = H^H H + reg*I, formed in one product and mirrored from its upper triangle.
 
     Charged as the U(U+1)/2 inner products of the upper triangle plus one
     addition per diagonal entry. The diagonal is forced real, so the
     result is exactly Hermitian and positive definite whenever reg > 0.
+    ``h_h`` is as in :func:`matched_filter`.
     """
     n, u = h.shape[-2:]
     if n < u:
         raise ValueError(f"gramian needs N >= U, got {n} < {u}")
     if reg < 0:
         raise ValueError("regularization must be non-negative")
-    product = hermitian(h) @ h
+    product = (hermitian(h) if h_h is None else h_h) @ h
     upper = np.triu(product, 1)
     g = upper + hermitian(upper)
     idx = np.arange(u)
@@ -176,7 +193,8 @@ def exact_solve(
     """Solve G x = b through the chosen decomposition backend."""
     if backend is Backend.QR:
         q, r = gram_schmidt_qr(g, acc)
-        return backward_sub(r, matvec(hermitian(q), b, acc), acc)
+        q = hermitian(q)  # Q^H replaces Q: one of them is alive at a time
+        return backward_sub(r, matvec(q, b, acc), acc)
     if backend is Backend.CHOLESKY:
         l = cholesky(g, acc)
         return backward_sub(hermitian(l), forward_sub(l, b, acc), acc)
@@ -311,7 +329,7 @@ def admin_solve(
     g_admin: np.ndarray,
     x_mf: np.ndarray,
     t: int,
-    beta: float,
+    beta: float | np.ndarray,
     box: float,
     acc: OpCount | None,
 ) -> np.ndarray:
@@ -323,11 +341,13 @@ def admin_solve(
     starting at zero the first solve consumes x_mf unchanged, which is
     exactly the MMSE estimate with sigma2 replaced by beta. Values only
     (``acc=None``), L^-1 is formed once and every x-solve is
-    L^-H (D^-1 (L^-1 r)).
+    L^-H (D^-1 (L^-1 r)). ``beta`` is a float, or an array that
+    broadcasts against the stack's leading axes, such as (P, 1, 1) for
+    one beta per SNR point of a (P, T, U, U) stack.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if beta <= 0:
+    if np.any(np.asarray(beta) <= 0):
         raise ValueError("beta must be positive")
     l, d = ldl(g_admin, acc)
     x_mf = vector_stack(x_mf, l.shape[-1])
@@ -359,19 +379,22 @@ def soft_estimate(
     """Soft symbol estimates of one detector from the shared products.
 
     ``g0`` is the unregularized Gramian H^H H (or a stack of them),
-    ``x_mf`` = H^H y and ``box`` the per-axis ADMIN clipping bound. NSA
-    and GS read ``g0`` in place and shift only its diagonal by sigma2,
-    so for them ``sigma2`` may also be an array shaped (P, 1, 1): with
-    ``g0`` shaped (T, U, U) and ``x_mf`` (P, T, U), one call solves P
-    SNR points at once. The other kinds take a float ``sigma2`` and
-    regularize their own copy of ``g0``: ZF with 0, MMSE/CG with sigma2,
-    ADMIN with its beta. A system that cannot be solved raises, as in
-    every counted solver. The solvers are looked up as module globals
-    at call time, so a wrapper installed on this module sees every call.
+    ``x_mf`` = H^H y and ``box`` the per-axis ADMIN clipping bound.
+    ``sigma2`` is a float, or an array shaped (P, 1, 1) for every kind:
+    with ``g0`` shaped (T, U, U) and ``x_mf`` (P, T, U), one call solves
+    P SNR points x T trials, each system as a call on its own would. NSA
+    and GS read ``g0`` in place and shift only its diagonal. ZF, and
+    ADMIN with a fixed beta, factor ``g0`` (regularized by beta) once for
+    every point. MMSE, CG and ADMIN with ``beta_scale`` regularize one
+    (P, T, U, U) copy of ``g0``, by sigma2 or beta per point (see
+    ``DetectorSpec.per_point_gramian``). A system that cannot be solved
+    raises, as in every counted solver. The solvers are looked up as
+    module globals at call time, so a wrapper installed on this module
+    sees every call.
     """
     if spec.kind in _EXACT:
-        reg = sigma2 if spec.kind is Kind.MMSE else 0.0
-        return exact_solve(_regularize(g0, reg), x_mf, spec.backend, acc)
+        g = _regularize(g0, sigma2) if spec.kind is Kind.MMSE else g0
+        return exact_solve(g, x_mf, spec.backend, acc)
     if spec.kind is Kind.NSA:
         x, _ = nsa_solve(g0, x_mf, spec.iterations, acc, reg=sigma2)
         return x
@@ -385,8 +408,11 @@ def soft_estimate(
     raise ValueError(f"no soft estimate for {spec.kind}")
 
 
-def _regularize(g0: np.ndarray, reg: float) -> np.ndarray:
-    g = g0.copy()
-    idx = np.arange(g.shape[-1])
-    g[..., idx, idx] += reg
+def _regularize(g0: np.ndarray, reg: float | np.ndarray) -> np.ndarray:
+    """G0 + reg*I; a ``reg`` shaped (P, 1, 1) gives one copy of G0 per point."""
+    idx = np.arange(g0.shape[-1])
+    diag = g0[..., idx, idx] + reg
+    g = np.empty(diag.shape + diag.shape[-1:], dtype=diag.dtype)
+    g[...] = g0
+    g[..., idx, idx] = diag
     return g

@@ -184,5 +184,10 @@ def matvec(a: np.ndarray, b: np.ndarray, acc: OpCount | None) -> np.ndarray:
 
 
 def hermitian(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose of the last two axes; free of multiplications."""
-    return np.ascontiguousarray(np.swapaxes(a, -1, -2).conj())
+    """Conjugate transpose of the last two axes; free of multiplications.
+
+    Written in one pass into a C-contiguous array, the layout BLAS reads
+    without a further copy.
+    """
+    out = np.empty(a.shape[:-2] + a.shape[:-3:-1], dtype=a.dtype)
+    return np.conjugate(np.swapaxes(a, -1, -2), out=out)

@@ -8,21 +8,26 @@ depends on the point. Aggregation is integer bit-error counting in fixed
 chunk order, so results are byte-identical regardless of worker count.
 
 The sweep is chunk-major: chunks run in trial order, and each is drawn
-once and evaluated for every SNR point still running, so a trial costs
-one draw, one matched filter of its unit noise and one Gramian per
-sweep, whatever the number of points. Each point's matched filters and
-SIMO estimates follow by stacked arithmetic on the chunk. NSA and GS
-read G0's off-diagonal in place and shift only its diagonal by sigma2,
-so each runs one call per chunk for every point still running, on a
-(points, trials, U) stack; ZF/MMSE, CG and ADMIN multiply or factor the
-whole regularized Gramian, so they run one stacked solve per (point,
-chunk) rather than copy G0 once per point. Each (point, detector) is
-sliced once per chunk. The sweep needs values only, so it calls every
-product and solver with ``acc=None`` and tallies nothing: an operation
-count depends on shapes alone and is taken outside the sweep
-(``complexity``). The solvers raise on the first system they cannot
-solve; a stacked solve that raises is solved again one (point, trial)
-at a time, so a numerical failure costs only its own trial.
+once and evaluated for every SNR point still running. A trial costs one
+draw, and its Gramian G0 = H^H H, its matched filter H^H n of unit noise
+and its column norms are formed once per sweep, in stacked products
+over the chunk's trials, whatever the number of points. Each point's
+matched filters and SIMO estimates follow by stacked arithmetic on the
+chunk. Every detector then solves all the points it runs on in one
+``detect.soft_estimate`` call per chunk, on a (points, trials, U)
+stack: NSA and GS shift only G0's diagonal, ZF (and ADMIN with a fixed
+beta) factor G0 once for every point, and MMSE, CG and ADMIN with
+``beta_scale`` regularize one (points, trials, U, U) copy of G0. Every
+stack is bounded by one working-set budget, ``_WORKING_SET``: where a
+chunk's stack would pass it, its trials (products) or points (solves)
+are split into blocks that fit, one call each, so each call's arrays
+stay cache-sized. Each (chunk, detector) is sliced and scored once.
+The sweep needs values only, so it calls every product and solver with
+``acc=None`` and tallies nothing: an operation count depends on shapes
+alone and is taken outside the sweep (``complexity``). The solvers
+raise on the first system they cannot solve; a stacked solve that
+raises is solved again one (point, trial) at a time, so a numerical
+failure costs only its own trial.
 
 Early stopping is per (SNR point, detector): once a detector has
 accumulated ``stop_at_errors`` bit errors its tally is frozen at the end
@@ -31,7 +36,6 @@ of that chunk, and later chunks skip it (and a point with none left).
 
 from __future__ import annotations
 
-import concurrent.futures as cf
 import dataclasses
 from dataclasses import dataclass, field
 
@@ -40,6 +44,14 @@ import numpy as np
 from . import detect, phy
 from .decomp import DecompositionError
 from .detect import DetectorSpec, Kind
+from .kernels import hermitian
+
+# Working-set budget of one stacked call, in bytes: a block of trials'
+# H and H^H (``_products``), or a group of points' regularized
+# Gramians with the three copies a QR of them makes (``_eval_trials``).
+# Measured on 32x32 and 256x16 sweeps: larger budgets were no faster and
+# raised the peak RSS.
+_WORKING_SET = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -147,6 +159,23 @@ def trial_realization(
     return bits, x, h, noise
 
 
+def _products(
+    config: SweepConfig, lo: int, hi: int, need_g0: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+    """Bits, symbols, H^H n, column norms ||h_k||^2 and G0 = H^H H (None
+    unless ``need_g0``) of trials [lo, hi), each stacked over the trials.
+
+    Each trial is drawn once with unit noise n; the three products share
+    one H^H.
+    """
+    draws = (trial_realization(config, 1.0, trial) for trial in range(lo, hi))
+    bits, x, h, n = (np.stack(v) for v in zip(*draws))
+    h_h = hermitian(h)
+    return (bits, x, detect.matched_filter(h, n, None, h_h=h_h),
+            np.einsum("...kn,...nk->...k", h_h, h).real,
+            detect.gramian(h, 0.0, None, h_h=h_h) if need_g0 else None)
+
+
 def _eval_trials(
     config: SweepConfig,
     snr_points: tuple[float, ...],
@@ -156,41 +185,31 @@ def _eval_trials(
 ) -> list[list[list[int]]]:
     """Errors/failures per point and detector over trials [lo, hi); chunk worker.
 
-    Each trial is drawn once with unit noise n; its matched filter H^H n
-    and column norms ||h_k||^2 are formed once, and its Gramian
-    G0 = H^H H once while a detector other than SIMO runs. With
-    s = sqrt(sigma2), y = H x + s n, so every point's matched filter is
-    the stacked sum x_mf = G0 x + s H^H n. The SIMO bound detects each
-    user k as if alone, y_k = h_k x_k + s n, by maximum-ratio combining:
+    The chunk's products come from ``_products``, in blocks of trials
+    whose H and H^H fit ``_WORKING_SET``; G0 only while a detector other
+    than SIMO runs. With s = sqrt(sigma2), y = H x + s n, so every
+    point's matched filter is the stacked sum x_mf = G0 x + s H^H n. The
+    SIMO bound detects each user k as if alone, y_k = h_k x_k + s n, by
+    maximum-ratio combining:
     h_k^H y_k / ||h_k||^2 = x_k + s h_k^H n / ||h_k||^2. Sliced, this is
     the interference-free lower bound on any multiuser detector.
 
-    Each detector runs on the points whose ``active`` entry holds it
-    (see ``_solve_chunk``): SIMO, NSA and GS once for all of them, the
-    other kinds once per point; the points it skips report zeros. A
-    trial whose estimate is not finite counts every bit as an error and
-    one failure; the rest of the chunk is scored as usual.
+    Each detector runs on the points whose ``active`` entry holds it, in
+    one ``_solve_chunk`` call for all of them, unless it regularizes a
+    copy of G0 per point (``DetectorSpec.per_point_gramian``): then in
+    groups of points whose copies, four times over, fit ``_WORKING_SET``.
+    The points it skips report zeros. A trial whose estimate is not
+    finite counts every bit as an error and one failure; the rest of the
+    chunk is scored as usual.
     """
     const = phy.make_constellation(config.order)
-    bits_per_trial = config.u * const.bits_per_symbol
     need_g0 = any(config.detectors[d].kind is not Kind.SIMO for act in active for d in act)
-    draws = []
-    for trial in range(lo, hi):
-        b, x, h, n = trial_realization(config, 1.0, trial)
-        g = detect.gramian(h, 0.0, None) if need_g0 else None
-        draws.append((b, x, detect.matched_filter(h, n, None),
-                      np.einsum("nk,nk->k", h.conj(), h).real, g))
-    bits, x, n_mf, norms, g0 = (None if v[0] is None else np.stack(v) for v in zip(*draws))
+    block = max(1, _WORKING_SET // (2 * config.n * config.u * 16))
+    blocks = [_products(config, a, min(a + block, hi), need_g0) for a in range(lo, hi, block)]
+    bits, x, n_mf, norms, g0 = (None if v[0] is None else np.concatenate(v) for v in zip(*blocks))
     sigma2 = np.array([phy.sigma2_from_snr(snr, config.u) for snr in snr_points])[:, None, None]
     s = np.sqrt(sigma2)
     gx = None if g0 is None else (g0 @ x[..., None])[..., 0]
-
-    def score(soft: np.ndarray) -> list[int]:
-        failed = ~np.isfinite(soft).all(axis=1)
-        _, bits_hat = phy.hard_slice(np.where(failed[:, None], 0.0, soft), const)
-        errors = np.count_nonzero(bits_hat.reshape(bits.shape) != bits, axis=1)
-        errors[failed] = bits_per_trial
-        return [int(errors.sum()), int(failed.sum())]
 
     out = [[[0, 0] for _ in config.detectors] for _ in snr_points]
     for d, spec in enumerate(config.detectors):
@@ -199,21 +218,31 @@ def _eval_trials(
             continue
         if spec.kind is Kind.SIMO:
             soft = x + s[points] * n_mf / norms
-        elif spec.kind in _SHIFTED:
-            soft = _solve_chunk(spec, g0, gx + s[points] * n_mf, sigma2[points],
-                                const.box_radius)
         else:
-            soft = (_solve_chunk(spec, g0, gx + s[p] * n_mf, float(sigma2[p, 0, 0]),
-                                 const.box_radius) for p in points)
-        for p, soft_p in zip(points, soft):
-            out[p][d] = score(soft_p)
+            x_mf, s2 = gx + s[points] * n_mf, sigma2[points]
+            group = max(1, _WORKING_SET // (4 * g0.nbytes)) if spec.per_point_gramian else len(points)
+            soft = np.concatenate([
+                _solve_chunk(spec, g0, x_mf[i:i + group], s2[i:i + group], const.box_radius)
+                for i in range(0, len(points), group)])
+        for p, score in zip(points, _score(soft, bits, const)):
+            out[p][d] = score
     return out
 
 
+def _score(soft: np.ndarray, bits: np.ndarray, const: phy.Constellation) -> list[list[int]]:
+    """[bit errors, failures] per point of (points, trials, U) estimates.
+
+    A trial whose estimate is not finite counts every bit as an error and
+    one failure.
+    """
+    failed = ~np.isfinite(soft).all(axis=-1)
+    _, bits_hat = phy.hard_slice(np.where(failed[..., None], 0.0, soft), const)
+    errors = np.count_nonzero(bits_hat.reshape(failed.shape + bits.shape[-1:]) != bits, axis=-1)
+    errors[failed] = bits.shape[-1]
+    return np.stack([errors.sum(axis=-1), failed.sum(axis=-1)], axis=-1).tolist()
+
+
 _SOLVE_ERRORS = (DecompositionError, detect.DetectError, FloatingPointError)
-# Detectors that read G0 in place and shift only its diagonal, so one
-# call serves every SNR point of a chunk (see ``detect.soft_estimate``).
-_SHIFTED = (Kind.NSA, Kind.GS)
 
 
 def _solve_chunk(
@@ -225,7 +254,7 @@ def _solve_chunk(
 
     ``x_mf`` is (trials, U) with a float ``sigma2``, or (points, trials,
     U) with ``sigma2`` shaped (points, 1, 1). A (point, trial) whose own
-    solve raises gets a NaN estimate, which the caller scores as a
+    solve raises gets a NaN estimate, which ``_score`` counts as a
     failure.
     """
     try:
@@ -300,36 +329,42 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
                     progress(f"snr {config.snr_db[p]:g} dB done: "
                              + ", ".join(f"{r.detector}={r.ber:.3g}" for r in records[p]))
 
-    pool = cf.ProcessPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
-    pending: dict[cf.Future, tuple[int, tuple[int, ...]]] = {}
-    results: dict[int, tuple[tuple[int, ...], list]] = {}
-
-    def submit(chunk_idx: int) -> None:
+    def work(chunk_idx: int) -> tuple[tuple[int, ...], tuple]:
+        """The points a chunk runs on now, and ``_eval_trials``' arguments for it."""
         points = running()
         lo, hi = chunks[chunk_idx]
-        args = (config, tuple(config.snr_db[p] for p in points), lo, hi,
-                tuple(tuple(d for d in range(ndet) if not stopped[p][d]) for p in points))
-        if pool is not None:
-            fut = pool.submit(_eval_trials, *args)
-        else:  # one worker: the same loop with a window of one, evaluated inline
-            fut = cf.Future()
-            fut.set_result(_eval_trials(*args))
-        pending[fut] = (chunk_idx, points)
+        return points, (config, tuple(config.snr_db[p] for p in points), lo, hi,
+                        tuple(tuple(d for d in range(ndet) if not stopped[p][d]) for p in points))
 
+    # the pool module is imported only when a pool starts; its attributes
+    # are looked up at call time, so a wrapper installed on it sees them
+    pool = None
+    if config.workers > 1:
+        import concurrent.futures as cf
+
+        pool = cf.ProcessPoolExecutor(max_workers=config.workers)
+    pending: dict = {}  # future -> (chunk index, points)
+    results: dict[int, tuple[tuple[int, ...], list]] = {}
     next_submit = next_merge = 0
     try:
         while running():
-            while len(pending) < config.workers and next_submit < len(chunks):
-                submit(next_submit)
+            if pool is None:  # one worker: the next chunk, evaluated inline
+                points, args = work(next_submit)
+                results[next_submit] = (points, _eval_trials(*args))
                 next_submit += 1
-            done, _ = cf.wait(pending, return_when=cf.FIRST_COMPLETED)
-            for fut in done:
-                try:
-                    results[pending[fut][0]] = (pending[fut][1], fut.result())
-                except cf.BrokenExecutor:  # every chunk in flight is lost with it
-                    raise WorkerDied([(tuple(config.snr_db[p] for p in points), *chunks[idx])
-                                      for idx, points in sorted(pending.values())]) from None
-                del pending[fut]
+            else:
+                while len(pending) < config.workers and next_submit < len(chunks):
+                    points, args = work(next_submit)
+                    pending[pool.submit(_eval_trials, *args)] = (next_submit, points)
+                    next_submit += 1
+                done, _ = cf.wait(pending, return_when=cf.FIRST_COMPLETED)
+                for fut in done:
+                    try:
+                        results[pending[fut][0]] = (pending[fut][1], fut.result())
+                    except cf.BrokenExecutor:  # every chunk in flight is lost with it
+                        raise WorkerDied([(tuple(config.snr_db[p] for p in points), *chunks[idx])
+                                          for idx, points in sorted(pending.values())]) from None
+                    del pending[fut]
             # chunks merge in trial order; merge skips the points a chunk ran past
             while next_merge in results:
                 merge(next_merge, *results.pop(next_merge))

@@ -102,7 +102,7 @@ def _axis_index(coord: np.ndarray, constellation: Constellation) -> np.ndarray:
     m = constellation.levels_per_axis
     u = (coord / constellation.scale + (m - 1)) / 2.0
     idx = np.ceil(u - 0.5)
-    return np.clip(idx, 0, m - 1).astype(np.int64)
+    return np.clip(idx, 0, m - 1).astype(np.uint8)
 
 
 def hard_slice(
@@ -124,8 +124,9 @@ def hard_slice(
     kq = _axis_index(x_soft.imag, constellation)
     labels = (gray_encode(ki) << half) | gray_encode(kq)
     symbols = constellation.points[labels]
-    shifts = np.arange(constellation.bits_per_symbol - 1, -1, -1)
-    bits = ((labels[..., None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+    # uint8 labels (order <= 64), so the bits cost one byte each throughout
+    shifts = np.arange(constellation.bits_per_symbol - 1, -1, -1, dtype=np.uint8)
+    bits = ((labels[..., None] >> shifts) & 1).reshape(-1)
     return symbols, bits
 
 

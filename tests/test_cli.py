@@ -326,6 +326,21 @@ def test_runs_as_module():
     assert "ber" in proc.stdout and "complexity" in proc.stdout
 
 
+def test_import_loads_neither_pool_nor_parser():
+    # a one-worker sweep uses neither the process pool (which loads
+    # logging) nor argparse, so importing the package loads neither
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = ("import sys\n"
+            "import mimodet.cli, mimodet.complexity, mimodet.detect, mimodet.montecarlo, mimodet.phy\n"
+            "print(sorted(m for m in ('concurrent.futures', 'logging', 'argparse')"
+            " if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestSelftest:
     def test_passes_on_fresh_build(self, capsys):
         assert run(["selftest"]) == 0

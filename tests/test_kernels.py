@@ -167,6 +167,23 @@ def test_hermitian():
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * max(np.linalg.norm(rhs), 1.0)
 
 
+@pytest.mark.parametrize("shape", [(3, 5), (4, 7, 2), (2, 3, 6, 4)])
+@pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+def test_hermitian_is_one_contiguous_copy(shape, dtype):
+    # the bytes of the conjugate transpose, laid out C-contiguous, also
+    # from a non-contiguous view, and never a view of its input
+    rng = np.random.Generator(np.random.Philox(key=[12, len(shape)]))
+    a = rng.standard_normal(shape).astype(dtype)
+    if dtype is np.complex128:
+        a += 1j * rng.standard_normal(shape)
+    for src in (a, np.swapaxes(a, -1, -2)):
+        got = hermitian(src)
+        want = np.ascontiguousarray(np.swapaxes(src, -1, -2).conj())
+        assert got.flags.c_contiguous and got.dtype == want.dtype
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert not np.shares_memory(got, src)
+
+
 def test_determinism():
     a = np.arange(6, dtype=complex).reshape(2, 3) + 0.5j
     b = np.arange(6, dtype=complex).reshape(3, 2) - 0.25j

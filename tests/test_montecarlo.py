@@ -208,16 +208,21 @@ class TestStoppedDetectors:
                           tuple(tuple(range(len(config.detectors))) for _ in snr_points)))
             unskipped = mc.run_sweep(cfg)
 
-        calls = {"solve": [], "gramian": 0}
+        # each call is read as the trials it covers, told apart by their
+        # channels (Gramian calls) or their Gramians (solves)
+        h_of = [mc.trial_realization(cfg, 1.0, t)[2] for t in range(cfg.trials)]
+        trial_of_h = {h.tobytes(): t for t, h in enumerate(h_of)}
+        trial_of_g = {detect.gramian(h, 0.0, None).tobytes(): t for t, h in enumerate(h_of)}
+        calls = {"solve": [], "gramian": []}
         solve, gramian = detect.soft_estimate, detect.gramian
 
         def spy_solve(spec, g0, *args, **kwargs):
-            calls["solve"].append((spec.kind, g0.shape[0]))
+            calls["solve"].append((spec.kind, [trial_of_g[g.tobytes()] for g in g0]))
             return solve(spec, g0, *args, **kwargs)
 
-        def spy_gramian(*args, **kwargs):
-            calls["gramian"] += 1
-            return gramian(*args, **kwargs)
+        def spy_gramian(h, *args, **kwargs):
+            calls["gramian"].append([trial_of_h[one.tobytes()] for one in h])
+            return gramian(h, *args, **kwargs)
 
         monkeypatch.setattr(detect, "soft_estimate", spy_solve)
         monkeypatch.setattr(detect, "gramian", spy_gramian)
@@ -225,12 +230,17 @@ class TestStoppedDetectors:
         assert records == unskipped
         mmse, admin, simo = records
         assert simo.trials_run > max(mmse.trials_run, admin.trials_run)
-        # one stacked solve per chunk, and none once a detector has stopped
-        assert all(size == 4 for _, size in calls["solve"])
-        solved = {kind: 4 * [k for k, _ in calls["solve"]].count(kind)
+        # each detector's solves cover its trials exactly once, each call
+        # within one chunk, and none once it has stopped
+        assert all(len({t // cfg.chunk_size for t in trials}) == 1 for _, trials in calls["solve"])
+        solved = {kind: sorted(t for k, trials in calls["solve"] if k is kind for t in trials)
                   for kind in (Kind.MMSE, Kind.ADMIN)}
-        assert solved == {Kind.MMSE: mmse.trials_run, Kind.ADMIN: admin.trials_run}
-        assert calls["gramian"] == max(mmse.trials_run, admin.trials_run)
+        assert solved == {Kind.MMSE: list(range(mmse.trials_run)),
+                          Kind.ADMIN: list(range(admin.trials_run))}
+        # the Gramian calls cover each trial up to the last non-SIMO stop
+        # exactly once: the chunks only SIMO runs on form none
+        assert sorted(t for trials in calls["gramian"] for t in trials) == list(
+            range(max(mmse.trials_run, admin.trials_run)))
 
 
 def corrupt_trial(monkeypatch, trial, column):
@@ -282,13 +292,12 @@ class TestRetry:
         records = mc.run_sweep(cfg)
         sigma2 = [phy.sigma2_from_snr(snr, cfg.u) for snr in cfg.snr_db]
         # every (point, trial) of every detector is solved once, in calls
-        # that each cover one chunk: ZF and MMSE one per (chunk, point),
-        # GS one per chunk for both points
+        # that each cover one chunk and, with these small stacks, both of
+        # its points
         assert sorted(s for call in stacked for s in call) == sorted(
             (spec.name, s2, t) for spec in specs for s2 in sigma2 for t in range(cfg.trials))
         assert all(len({t // cfg.chunk_size for _, _, t in call}) == 1 for call in stacked)
-        assert sorted((call[0][0], len(call)) for call in stacked) == sorted(
-            [("zf", 4)] * 6 + [("mmse", 4)] * 6 + [("gs", 8)] * 3)
+        assert all({s2 for _, s2, _ in call} == set(sigma2) for call in stacked)
         # only ZF's calls on chunk 1 raised; their systems, and no others,
         # were solved again one at a time, and alone only trial 6 raises
         chunk1_zf = sorted(("zf", s2, t) for s2 in sigma2 for t in range(4, 8))
@@ -455,28 +464,82 @@ class TestChunkMajor:
                    for r in records)
 
     def test_each_trial_drawn_once(self, monkeypatch):
+        cfg = staggered_config()
         draw, drawn = mc.trial_realization, []
         matched_filter, filtered = detect.matched_filter, []
+        trial_of = {draw(cfg, 1.0, t)[3].tobytes(): t for t in range(cfg.trials)}
 
         def spy(config, sigma2, trial):
             drawn.append((sigma2, trial))
             return draw(config, sigma2, trial)
 
-        def spy_mf(h, y, acc):
-            filtered.append(y.shape)
-            return matched_filter(h, y, acc)
+        def spy_mf(h, y, *args, **kwargs):
+            assert y.shape[1:] == (cfg.n,)
+            filtered.extend(trial_of[noise.tobytes()] for noise in y)
+            return matched_filter(h, y, *args, **kwargs)
 
         monkeypatch.setattr(mc, "trial_realization", spy)
         monkeypatch.setattr(detect, "matched_filter", spy_mf)
         lines = []
-        records = mc.run_sweep(staggered_config(), progress=lines.append)
+        records = mc.run_sweep(cfg, progress=lines.append)
         assert all(sigma2 == 1.0 for sigma2, _ in drawn)
         assert max(collections.Counter(t for _, t in drawn).values()) == 1
         assert len(drawn) == max(r.trials_run for r in records) == 50
-        # one matched filter per drawn trial, whatever the number of points
-        assert filtered == [(8,)] * len(drawn)
+        # the stacked matched filters of the unit noise cover each drawn
+        # trial exactly once, whatever the number of points
+        assert sorted(filtered) == sorted(t for _, t in drawn)
         # one progress line per point, in the order the points ended
         assert [line.split(" dB")[0] for line in lines] == ["snr -3", "snr 3", "snr 6"]
+
+
+class TestWorkingSet:
+    """Where a chunk's stacks pass ``_WORKING_SET`` they are split, with
+    the same records."""
+
+    SPECS = (DetectorSpec(Kind.ZF, Backend.QR), DetectorSpec(Kind.MMSE, Backend.QR),
+             DetectorSpec(Kind.MMSE, Backend.LDL), DetectorSpec(Kind.NSA),
+             DetectorSpec(Kind.GS), DetectorSpec(Kind.CG), DetectorSpec(Kind.ADMIN, beta=0.5),
+             DetectorSpec(Kind.ADMIN, beta_scale=2.0), DetectorSpec(Kind.SIMO))
+
+    def sweep(self, monkeypatch, working_set):
+        # the points stop in different chunks, so the groups change as they do
+        cfg = small_config(n=8, u=4, order=16, snr_db=(0.0, 4.0, 8.0, 12.0, 16.0), trials=30,
+                           chunk_size=6, stop_at_errors=40, detectors=self.SPECS)
+        calls = []
+        solve, gramian = detect.soft_estimate, detect.gramian
+
+        def spy_solve(spec, g0, x_mf, *args):
+            calls.append((spec, x_mf.shape[0] if x_mf.ndim == 3 else None))
+            return solve(spec, g0, x_mf, *args)
+
+        def spy_gramian(h, *args, **kwargs):
+            calls.append(("gramian", h.shape[0]))
+            return gramian(h, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(mc, "_WORKING_SET", working_set)
+            m.setattr(detect, "soft_estimate", spy_solve)
+            m.setattr(detect, "gramian", spy_gramian)
+            return mc.run_sweep(cfg), calls
+
+    def test_records_do_not_depend_on_the_budget(self, monkeypatch):
+        records, calls = self.sweep(monkeypatch, mc._WORKING_SET)
+        split, split_calls = self.sweep(monkeypatch, 1)
+        assert split == records
+        assert len({r.trials_run for r in records}) > 1
+        # the default budget holds these small stacks whole: one Gramian
+        # per chunk, and one call per (chunk, detector) for every point
+        assert all(size == 6 for what, size in calls if what == "gramian")
+        for d, spec in enumerate(self.SPECS[:-1]):
+            last = max(r.trials_run for r in records[d::len(self.SPECS)])
+            assert sum(s == spec for s, _ in calls) == -(-last // 6), spec
+        # a budget of one byte leaves one trial per product and one point
+        # per regularized copy; the kinds that solve on G0 keep every point
+        assert all(size == 1 for what, size in split_calls if what == "gramian")
+        grouped = {spec: {size for s, size in split_calls if s == spec}
+                   for spec in self.SPECS if spec.kind is not Kind.SIMO}
+        for spec, sizes in grouped.items():
+            assert (sizes == {1}) if spec.per_point_gramian else (max(sizes) == 5), spec
 
 
 @pytest.fixture

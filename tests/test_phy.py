@@ -194,3 +194,31 @@ def test_docs_tables_are_current(order, name):
 
     path = Path(__file__).parents[1] / "docs" / "constellations" / f"{name}.csv"
     assert path.read_text() == phy.constellation_csv(phy.make_constellation(order))
+
+
+def old_hard_slice_bits(x_soft, c):
+    """The bits as ``hard_slice`` formed them on int64 labels."""
+    m, half = c.levels_per_axis, c.bits_per_symbol // 2
+
+    def axis(coord):
+        return np.clip(np.ceil((coord / c.scale + (m - 1)) / 2.0 - 0.5), 0, m - 1).astype(np.int64)
+
+    labels = (phy.gray_encode(axis(x_soft.real)) << half) | phy.gray_encode(axis(x_soft.imag))
+    shifts = np.arange(c.bits_per_symbol - 1, -1, -1)
+    return ((labels[..., None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+
+
+@pytest.mark.parametrize("order", [4, 16, 64])
+def test_slice_bits_equal_the_int64_formula(order):
+    # every point, every midpoint between neighbours, far outside the
+    # grid, and a random stack shaped like the sweep's (points, trials, U)
+    c = phy.make_constellation(order)
+    levels = np.unique(c.points.real)
+    coords = np.concatenate([levels, (levels[1:] + levels[:-1]) / 2, [-1e9, 1e9, 0.0]])
+    grid = (coords[:, None] + 1j * coords[None, :]).ravel()
+    rng = np.random.Generator(np.random.Philox(key=[order, 9]))
+    stack = 1.5 * (rng.standard_normal((3, 5, 7)) + 1j * rng.standard_normal((3, 5, 7)))
+    for soft in (grid, stack):
+        _, bits = phy.hard_slice(soft, c)
+        want = old_hard_slice_bits(soft, c)
+        assert bits.dtype == np.uint8 and bits.tobytes() == want.tobytes()

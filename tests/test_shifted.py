@@ -1,9 +1,10 @@
-"""NSA and Gauss-Seidel on a shared Gramian with a per-point diagonal shift.
+"""Every SNR point of a chunk in one call, on a shared Gramian.
 
 ``nsa_solve(g0, x_mf, t, acc, reg=sigma2)`` with ``sigma2`` shaped
 (P, 1, 1), ``g0`` (T, U, U) and ``x_mf`` (P, T, U) must be the P calls
 the sweep made before, each on its own copy G0 + sigma2[p] I, bit for
-bit, with P times their tallies and the same failure types.
+bit, with P times their tallies and the same failure types; so must
+``soft_estimate`` with that ``sigma2``, for every kind and backend.
 """
 
 import numpy as np
@@ -125,3 +126,77 @@ def test_gs_tolerance_is_that_of_the_shifted_matrix(pivot, raises):
     for g, reg in ((regularized(g0, 1.0), 0.0), (g0, 1.0), (g0[None], np.ones((3, 1, 1)))):
         got = outcome(lambda: detect.gs_solve(g, np.ones(2, dtype=complex), 2, None, reg=reg))
         assert (got is decomp.SingularTriangularError) if raises else isinstance(got, tuple)
+
+
+# Every kind through ``soft_estimate``: a (P, 1, 1) sigma2 against the P
+# per-point calls. ZF and ADMIN with a fixed beta factor G0 once for all
+# points; the others regularize a (P, T, U, U) copy.
+SPECS = [
+    *(detect.DetectorSpec(kind, backend) for kind in (detect.Kind.ZF, detect.Kind.MMSE)
+      for backend in detect.Backend),
+    detect.DetectorSpec(detect.Kind.CG),
+    detect.DetectorSpec(detect.Kind.ADMIN, beta=0.5),
+    detect.DetectorSpec(detect.Kind.ADMIN, beta_scale=2.0),
+]
+SPEC_IDS = [f"{s.name}-{s.params}" for s in SPECS]
+BOX = 1.0
+
+
+def per_point(spec, g0, x_mf, sigma2, acc):
+    return [outcome(lambda: detect.soft_estimate(spec, g0, x_mf[p], s2, BOX, acc))
+            for p, s2 in enumerate(sigma2.ravel().tolist())]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+@settings(max_examples=40)
+@given(case=shifted_systems())
+def test_point_stack_equals_per_point_calls(spec, case):
+    g0, x_mf, sigma2, t = case
+    spec = detect.DetectorSpec(spec.kind, spec.backend, t, spec.beta, spec.beta_scale)
+    for counted in (False, True):
+        each_acc, acc = (OpCount(), OpCount()) if counted else (None, None)
+        each = per_point(spec, g0, x_mf, sigma2, each_acc)
+        stacked = outcome(lambda: detect.soft_estimate(spec, g0, x_mf, sigma2, BOX, acc))
+        raised = {o for o in each if isinstance(o, type)}
+        if raised:
+            assert stacked in raised
+            continue
+        (got,) = stacked
+        assert got.shape == x_mf.shape
+        for p, (want,) in enumerate(each):
+            assert np.array_equal(got[p], want)
+        if counted and spec.per_point_gramian:
+            assert acc == each_acc  # one regularized system per (point, trial)
+        elif counted:  # G0 factored once for every point, with U reciprocals per trial
+            assert all(getattr(acc, f) <= getattr(each_acc, f) for f in FIELDS)
+            assert acc.reciprocal < each_acc.reciprocal or len(each) == 1
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=SPEC_IDS)
+@settings(max_examples=25)
+@given(case=shifted_systems(), where=st.tuples(*[st.integers(0, 23)] * 3),
+       value=st.sampled_from([np.nan, np.inf]))
+def test_point_stack_with_one_corrupted_system_raises_its_own_type(spec, case, where, value):
+    g0, x_mf, sigma2, t = case
+    x_mf = x_mf.copy()
+    p, trial, k = (w % size for w, size in zip(where, x_mf.shape))
+    x_mf[p, trial, k] = value
+    with np.errstate(invalid="ignore"):  # the value travels to the final check
+        alone = outcome(lambda: detect.soft_estimate(
+            spec, g0[trial], x_mf[p, trial], float(sigma2[p, 0, 0]), BOX, None))
+        assert isinstance(alone, type)
+        for acc in (None, OpCount()):
+            assert outcome(lambda: detect.soft_estimate(spec, g0, x_mf, sigma2, BOX, acc)) is alone
+
+
+def test_admin_beta_per_point():
+    sigma2 = np.array([0.5, 2.0])[:, None, None]
+    assert np.array_equal(detect.DetectorSpec(detect.Kind.ADMIN, beta_scale=4.0)
+                          .admin_beta(sigma2), 4.0 * sigma2)
+    assert detect.DetectorSpec(detect.Kind.ADMIN, beta=0.5).admin_beta(sigma2) == 0.5
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            detect.DetectorSpec(detect.Kind.ADMIN).admin_beta(np.array([1.0, bad])[:, None, None])
+    with pytest.raises(ValueError):
+        detect.admin_solve(np.eye(2, dtype=complex), np.ones((2, 1, 2), dtype=complex), 2,
+                           np.array([1.0, -1.0])[:, None, None], 1.0, None)
