@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import decomp
+from . import decomp, phy
 from .kernels import OpCount
 
 
@@ -69,10 +69,7 @@ def formula_rm(algo: Algo, u: int, t: int = 1) -> int:
 
 def seeded_gramian(u: int, seed: int, n_ratio: int = 4, reg: float = 0.5) -> np.ndarray:
     """Well-conditioned Hermitian PD test matrix H^H H + reg*I."""
-    rng = np.random.Generator(np.random.Philox(key=[seed, u]))
-    n = n_ratio * u
-    g = rng.standard_normal((2, n, u))
-    h = (g[0] + 1j * g[1]) / np.sqrt(2.0)
+    h = phy.draw_channel(n_ratio * u, u, phy.substream(seed, u))
     a = h.conj().T @ h + reg * np.eye(u)
     return (a + a.conj().T) / 2.0
 

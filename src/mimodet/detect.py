@@ -38,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import (
+    DecompositionError,
     SingularTriangularError,
     as_stack,
     backward_sub,
@@ -73,6 +74,10 @@ class CgBreakdownError(DetectError):
     """Conjugate gradient met a non-positive curvature direction."""
 
 
+# what a solver raises on a system it cannot solve, of any kind
+SOLVE_ERRORS = (DecompositionError, DetectError, FloatingPointError)
+
+
 class Kind(enum.Enum):
     ZF = "zf"
     MMSE = "mmse"
@@ -91,16 +96,24 @@ class Backend(enum.Enum):
 
 _EXACT = (Kind.ZF, Kind.MMSE)
 _DEFAULT_ITERATIONS = {Kind.NSA: 3, Kind.GS: 3, Kind.CG: 3, Kind.ADMIN: 5}
+# kind -> {DetectorSpec field it reads: the setting that field gives}; a kind
+# ignores every other field, and ADMIN's beta replaces beta_scale * sigma2
+_ITERATIVE = {"iterations": "iterations"}
+SPEC_FIELDS = {
+    Kind.ZF: {"backend": "backend"}, Kind.MMSE: {"backend": "backend"},
+    Kind.NSA: _ITERATIVE, Kind.GS: _ITERATIVE, Kind.CG: _ITERATIVE,
+    Kind.ADMIN: {**_ITERATIVE, "beta": "beta", "beta_scale": "beta"}, Kind.SIMO: {},
+}
 
 
 @dataclass(frozen=True)
 class DetectorSpec:
     """Algorithm selector: kind, backend (exact kinds), iterations, beta.
 
-    ``backend`` is ignored for NSA/GS/CG/ADMIN, ``iterations`` for
-    ZF/MMSE. Defaults depend on the kind: backend QR, and t=3 for
-    NSA/GS/CG, t=5 for ADMIN, 1 otherwise. ADMIN regularizes with
-    ``beta`` when given, else ``beta_scale * sigma2``.
+    A kind ignores the fields ``SPEC_FIELDS`` does not give it. The
+    backend defaults to QR and the iterations to the kind's entry in
+    ``_DEFAULT_ITERATIONS``, else 1. ADMIN regularizes with ``beta`` when
+    given, else ``beta_scale * sigma2``.
     """
 
     kind: Kind
@@ -194,7 +207,8 @@ def exact_solve(
     if backend is Backend.QR:
         q, r = gram_schmidt_qr(g, acc)
         q = hermitian(q)  # Q^H replaces Q: one of them is alive at a time
-        return backward_sub(r, matvec(q, b, acc), acc)
+        with np.errstate(all="ignore"):  # a non-finite b raises in backward_sub
+            return backward_sub(r, matvec(q, b, acc), acc)
     if backend is Backend.CHOLESKY:
         l = cholesky(g, acc)
         return backward_sub(hermitian(l), forward_sub(l, b, acc), acc)
@@ -360,14 +374,15 @@ def admin_solve(
     else:
         def solve(rhs):
             return _ldl_solve(l, d, rhs, acc)
-    x = solve(x_mf)
-    z = _clip_box(x, box)
-    lam = csub(x, z, acc)
-    for _ in range(1, t):
-        rhs = cadd(x_mf, rcmul(beta, csub(z, lam, acc), acc), acc)
-        x = solve(rhs)
-        z = _clip_box(cadd(x, lam, acc), box)
-        lam = cadd(lam, csub(x, z, acc), acc)
+    with np.errstate(all="ignore"):
+        x = solve(x_mf)
+        z = _clip_box(x, box)
+        lam = csub(x, z, acc)
+        for _ in range(1, t):
+            rhs = cadd(x_mf, rcmul(beta, csub(z, lam, acc), acc), acc)
+            x = solve(rhs)
+            z = _clip_box(cadd(x, lam, acc), box)
+            lam = cadd(lam, csub(x, z, acc), acc)
     flag_non_finite(x)
     return x
 

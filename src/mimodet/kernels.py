@@ -149,22 +149,6 @@ def norm_sq(a: np.ndarray, acc: OpCount | None):
     return out
 
 
-def matmul(a: np.ndarray, b: np.ndarray, acc: OpCount | None) -> np.ndarray:
-    """Counted (stacked) matrix product of (..., m, k) and (..., k, cols).
-
-    Leading axes broadcast. Each of the m * cols outputs per matrix is
-    charged as one inner product of length k. A stack of vectors goes
-    to :func:`matvec`.
-    """
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError("matmul: both operands must be matrices")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul: dimension mismatch {a.shape} x {b.shape}")
-    out = a @ b
-    charge_dots(acc, a.shape[-1], out.size)
-    return out
-
-
 def matvec(a: np.ndarray, b: np.ndarray, acc: OpCount | None) -> np.ndarray:
     """Counted (stacked) matrix-vector product of (..., m, k) and (..., k).
 

@@ -42,9 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detect, phy
-from .decomp import DecompositionError
-from .detect import DetectorSpec, Kind
-from .kernels import hermitian
+from .detect import SOLVE_ERRORS, DetectorSpec, Kind
+from .kernels import hermitian, matvec
 
 # Working-set budget of one stacked call, in bytes: a block of trials'
 # H and H^H (``_products``), or a group of points' regularized
@@ -81,7 +80,7 @@ class SweepConfig:
     detectors: tuple[DetectorSpec, ...]
     trials: int = 2000
     master_seed: int = 1
-    stop_at_errors: int | None = 200
+    stop_at_errors: int | None = 200  # a desk-scale early stop; None runs every trial
     workers: int = 1
     chunk_size: int = 100
 
@@ -90,7 +89,7 @@ class SweepConfig:
             raise ConfigError("n", "must be a positive antenna count")
         if self.u < 1 or self.u > self.n:
             raise ConfigError("u", f"must satisfy 1 <= u <= n, got u={self.u}, n={self.n}")
-        if self.order not in (4, 16, 64):
+        if self.order not in phy.MOD_NAMES:
             raise ConfigError("mod", f"unsupported constellation order {self.order}")
         if not self.snr_db:
             raise ConfigError("snr", "needs at least one SNR point")
@@ -209,7 +208,7 @@ def _eval_trials(
     bits, x, n_mf, norms, g0 = (None if v[0] is None else np.concatenate(v) for v in zip(*blocks))
     sigma2 = np.array([phy.sigma2_from_snr(snr, config.u) for snr in snr_points])[:, None, None]
     s = np.sqrt(sigma2)
-    gx = None if g0 is None else (g0 @ x[..., None])[..., 0]
+    gx = None if g0 is None else matvec(g0, x, None)
 
     out = [[[0, 0] for _ in config.detectors] for _ in snr_points]
     for d, spec in enumerate(config.detectors):
@@ -242,9 +241,6 @@ def _score(soft: np.ndarray, bits: np.ndarray, const: phy.Constellation) -> list
     return np.stack([errors.sum(axis=-1), failed.sum(axis=-1)], axis=-1).tolist()
 
 
-_SOLVE_ERRORS = (DecompositionError, detect.DetectError, FloatingPointError)
-
-
 def _solve_chunk(
     spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: float | np.ndarray,
     box: float,
@@ -259,14 +255,14 @@ def _solve_chunk(
     """
     try:
         return detect.soft_estimate(spec, g0, x_mf, sigma2, box, None)
-    except _SOLVE_ERRORS:
+    except SOLVE_ERRORS:
         pass
     soft = np.full(x_mf.shape, np.nan, dtype=np.complex128)
     for idx in np.ndindex(x_mf.shape[:-1]):
         s2 = np.asarray(sigma2)[idx[:-1]].item()
         try:
             soft[idx] = detect.soft_estimate(spec, g0[idx[-1]], x_mf[idx], s2, box, None)
-        except _SOLVE_ERRORS:
+        except SOLVE_ERRORS:
             pass
     return soft
 

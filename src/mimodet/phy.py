@@ -22,7 +22,8 @@ from functools import lru_cache
 
 import numpy as np
 
-_MOD_NAMES = {4: "qpsk", 16: "16qam", 64: "64qam"}
+# constellation order -> modulation name, for every order this package supports
+MOD_NAMES = {4: "qpsk", 16: "16qam", 64: "64qam"}
 
 
 @dataclass(frozen=True)
@@ -44,7 +45,7 @@ class Constellation:
 
     @property
     def name(self) -> str:
-        return _MOD_NAMES[self.order]
+        return MOD_NAMES[self.order]
 
     @property
     def box_radius(self) -> float:
@@ -68,7 +69,7 @@ def gray_decode(g: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=None)
 def make_constellation(order: int) -> Constellation:
     """Build the Gray-mapped constellation for order 4, 16 or 64."""
-    if order not in _MOD_NAMES:
+    if order not in MOD_NAMES:
         raise ValueError(f"unsupported constellation order {order}")
     b = int(np.log2(order))
     m = int(np.sqrt(order))
@@ -115,9 +116,12 @@ def hard_slice(
     The QAM grid factorizes per axis, so the Euclidean-nearest point is
     the per-axis nearest level; exact midpoints are rounded toward the
     smaller coordinate (equivalently: toward the point with smaller real,
-    then smaller imaginary part).
+    then smaller imaginary part). A non-finite estimate has no nearest
+    point and raises ``ValueError``.
     """
     x_soft = np.asarray(x_soft)
+    if not np.isfinite(x_soft).all():
+        raise ValueError("hard_slice needs finite estimates")
     half = constellation.bits_per_symbol // 2
     m = constellation.levels_per_axis
     ki = _axis_index(x_soft.real, constellation)

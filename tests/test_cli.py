@@ -1,5 +1,6 @@
 """Command-line contract: flags, presets, CSV schemas, exit codes."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimodet import cli, montecarlo
 from mimodet.detect import Backend, Kind
@@ -39,6 +42,18 @@ class TestParsing:
             cli.parse_detector("sphere")
         with pytest.raises(ConfigError):
             cli.parse_detector("mmse:lu")
+
+    @pytest.mark.parametrize("text,option", [
+        # an option the kind ignores
+        ("nsa:ldl", "ldl"), ("gs:beta=2", "beta=2"), ("mmse:chol:t=7", "t=7"),
+        ("zf:bscale=2", "bscale=2"), ("simo:t=4:bscale=3", "t=4"), ("simo:qr", "qr"),
+        # a setting given twice, or by both of ADMIN's beta options
+        ("mmse:qr:chol", "chol"), ("nsa:t=3:t=4", "t=4"), ("admin:beta=0.5:bscale=8", "bscale=8"),
+    ])
+    def test_option_the_kind_does_not_use_is_refused(self, text, option):
+        with pytest.raises(ConfigError) as err:
+            cli.parse_detector(text)
+        assert err.value.field == "det" and repr(option) in str(err.value)
 
     def test_presets_cover_published_figures(self):
         assert set(cli.PRESETS) == {"fig2", "fig3", "fig4", "fig5", "fig6"}
@@ -270,6 +285,37 @@ class TestBerCommand:
         assert "config" in capsys.readouterr().err
 
 
+REQUIRED = ("n", "u", "mod", "snr", "det")
+OPTIONAL_FIELDS = {"seed": "master_seed", "trials": "trials", "stop_at": "stop_at_errors",
+                   "threads": "workers"}
+CONFIG_DEFAULTS = {f.name: f.default for f in dataclasses.fields(montecarlo.SweepConfig)}
+# JSON-like values of any type; the text alphabet cannot spell "inf", and five
+# characters cannot spell an SNR range of more than ten points
+ANY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text("0123456789:,.-enaqs", max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=4)
+PLAUSIBLE = {
+    "n": st.integers(1, 40) | st.just(0), "u": st.integers(1, 8) | st.just(0),
+    "mod": st.sampled_from(["qpsk", "4QAM", "16qam", "64qam", "8psk"]),
+    "snr": st.sampled_from(["6", "0:5:30", "1,3,9", "5:-1:0", "9,3"])
+    | st.lists(st.floats(-40, 60), min_size=1, max_size=3, unique=True).map(sorted),
+    "det": st.lists(st.sampled_from(["mmse:chol", "zf:ldl", "nsa:t=3", "gs", "cg:t=2", "simo",
+                                     "admin:t=5:bscale=8", "admin:beta=0.5"]), min_size=1, max_size=3)
+    | st.lists(st.sampled_from(["mmse", "gs:t=0", "admin:beta=nan", "nsa:ldl", "lu"]), max_size=2),
+    "trials": st.integers(-1, 5000), "seed": st.integers(-1, 2**64),
+    "stop_at": st.sampled_from([0, "none", 200, -1, "200"]), "threads": st.integers(-1, 4),
+}
+# plausible settings, then up to two keys (known or not) set to any value
+# and up to one required key dropped
+SWEEP_SETTINGS = st.builds(
+    lambda known, messed, dropped: {k: v for k, v in {**known, **messed}.items() if k not in dropped},
+    st.fixed_dictionaries({k: PLAUSIBLE[k] for k in REQUIRED},
+                          optional={k: PLAUSIBLE[k] for k in OPTIONAL_FIELDS}),
+    st.dictionaries(st.sampled_from([*PLAUSIBLE, "trails", "chunk_size"]), ANY_VALUE, max_size=2),
+    st.sampled_from([(), (), (), *[(k,) for k in REQUIRED]]))
+
+
 class TestBuildSweep:
     BASE = {"n": 8, "u": 2, "mod": "qpsk", "snr": "6", "det": "mmse", "stop_at": 0}
 
@@ -293,6 +339,22 @@ class TestBuildSweep:
         assert cfg.stop_at_errors is None
         ref = cli.build_sweep({**self.BASE, "seed": 1, "trials": 40})
         assert montecarlo.run_sweep(cfg) == montecarlo.run_sweep(ref)
+
+    @settings(max_examples=250)
+    @given(entry=SWEEP_SETTINGS)
+    def test_fuzzed_settings_give_a_config_or_name_the_field(self, entry):
+        # any settings mapping either builds a valid config, whose settings
+        # left out are SweepConfig's defaults, or is refused naming one of
+        # its own keys or a required one; nothing else is raised
+        try:
+            cfg = cli.build_sweep(entry)
+        except ConfigError as err:
+            assert err.field in entry or err.field in REQUIRED
+            return
+        cfg.validate()
+        for key, field in OPTIONAL_FIELDS.items():
+            if entry.get(key) is None:
+                assert getattr(cfg, field) == CONFIG_DEFAULTS[field]
 
 
 class TestComplexityCommand:

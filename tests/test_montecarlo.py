@@ -284,7 +284,7 @@ class TestRetry:
             (stacked if g0.ndim == 3 else alone).append(systems)
             try:
                 return solve(spec, g0, x_mf, sigma2, *args)
-            except mc._SOLVE_ERRORS:
+            except detect.SOLVE_ERRORS:
                 raised.append(systems)
                 raise
 

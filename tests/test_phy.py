@@ -76,6 +76,17 @@ def test_slice_tie_break():
     assert list(bits) == [0, 0]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan), complex(1, -np.inf)],
+                         ids=["nan", "inf", "-inf", "nan-imag", "-inf-imag"])
+def test_slice_refuses_non_finite(bad):
+    # a non-finite estimate has no nearest point; it used to slice to an
+    # arbitrary one with only a cast warning
+    soft = np.zeros((2, 3), dtype=complex)
+    soft[1, 2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        phy.hard_slice(soft, phy.make_constellation(16))
+
+
 @pytest.mark.parametrize("order", [4, 16, 64])
 def test_slice_small_perturbation(order):
     c = phy.make_constellation(order)

@@ -152,8 +152,9 @@ def _nan(g):
     g[4, 2] = np.nan
 
 
-# (call(g, b, acc), corruption of system 1's Gramian or None for a NaN
-# right-hand side, exception type a single-system call raises)
+# (call(g, b, acc), corruption of system 1's Gramian or the non-finite
+# value put into its right-hand side, exception type a single-system call
+# raises)
 FAILURES = [
     pytest.param(lambda g, b, acc: detect.gram_schmidt_qr(g, acc), _rank_one,
                  decomp.NearSingularError, id="qr-rank-one"),
@@ -178,18 +179,17 @@ FAILURES = [
     pytest.param(lambda g, b, acc: detect.cg_solve(g, b, 3, acc), _indefinite,
                  detect.CgBreakdownError, id="cg-indefinite"),
     *[
-        pytest.param(lambda g, b, acc, be=be: detect.exact_solve(g, b, be, acc), None,
-                     FloatingPointError, id=f"exact-{be.value}-non-finite")
-        for be in Backend
+        pytest.param(call, value, FloatingPointError, id=f"{name}-{tag}")
+        for name, call in (
+            *[(f"exact-{be.value}", lambda g, b, acc, be=be: detect.exact_solve(g, b, be, acc))
+              for be in Backend],
+            ("nsa", lambda g, b, acc: detect.nsa_solve(g, b, 3, acc)),
+            ("gs", lambda g, b, acc: detect.gs_solve(g, b, 3, acc)),
+            ("cg", lambda g, b, acc: detect.cg_solve(g, b, 3, acc)),
+            ("admin", lambda g, b, acc: detect.admin_solve(g, b, 3, 0.5, 1.0, acc)),
+        )
+        for value, tag in ((np.nan, "non-finite"), (np.inf, "inf"))
     ],
-    pytest.param(lambda g, b, acc: detect.nsa_solve(g, b, 3, acc), None,
-                 FloatingPointError, id="nsa-non-finite"),
-    pytest.param(lambda g, b, acc: detect.gs_solve(g, b, 3, acc), None,
-                 FloatingPointError, id="gs-non-finite"),
-    pytest.param(lambda g, b, acc: detect.cg_solve(g, b, 3, acc), None,
-                 FloatingPointError, id="cg-non-finite"),
-    pytest.param(lambda g, b, acc: detect.admin_solve(g, b, 3, 0.5, 1.0, acc),
-                 None, FloatingPointError, id="admin-non-finite"),
     pytest.param(lambda g, b, acc: detect.admin_solve(g, b, 3, 0.5, 1.0, acc), _indefinite,
                  decomp.NotPositiveDefiniteError, id="admin-indefinite"),
 ]
@@ -198,10 +198,10 @@ FAILURES = [
 def one_bad_stack(corrupt) -> tuple[dict, dict, dict]:
     """Three 8 x 8 systems, system 1 corrupted: (system 1, the stack, the good two)."""
     systems = [system(8, seed) for seed in range(3)]
-    if corrupt is None:
-        systems[1]["b"][3] = np.nan
-    else:
+    if callable(corrupt):
         corrupt(systems[1]["g"])
+    else:
+        systems[1]["b"][3] = corrupt
     return systems[1], stack(systems), stack([systems[0], systems[2]])
 
 
