@@ -27,6 +27,8 @@ from .montecarlo import ConfigError, SweepConfig
 
 # modulation name -> constellation order: phy's names, and 4qam for qpsk
 _MOD_ORDERS = {**{name: order for order, name in phy.MOD_NAMES.items()}, "4qam": 4}
+# the most points an SNR range may give (the presets have 7-11)
+_MAX_SNR_POINTS = 10_000
 # detector-spec option -> (DetectorSpec field, parser); a bare option is the backend
 _SPEC_OPTIONS = {"t": ("iterations", int), "beta": ("beta", float), "bscale": ("beta_scale", float)}
 
@@ -66,22 +68,24 @@ _FILE_KEYS = ("complexity", "out_dir")
 
 
 def parse_snr_range(text: str) -> tuple[float, ...]:
-    """SNR grid from 'start:step:stop' (inclusive) or a comma list."""
+    """SNR grid from a comma list, or from a finite 'start:step:stop'
+    (inclusive) of at most ``_MAX_SNR_POINTS`` points."""
     try:
-        if ":" in text:
-            start_s, step_s, stop_s = text.split(":")
-            start, step, stop = float(start_s), float(step_s), float(stop_s)
-            if step <= 0 or stop < start:
-                raise ValueError
-            points = []
-            k = 0
-            while start + k * step <= stop + 1e-9:
-                points.append(round(start + k * step, 9))
-                k += 1
-            return tuple(points)
-        return tuple(float(v) for v in text.split(","))
+        if ":" not in text:
+            return tuple(float(v) for v in text.split(","))
+        start, step, stop = (float(v) for v in text.split(":"))
     except ValueError:
         raise ConfigError("snr", f"cannot parse SNR range {text!r}") from None
+    if not np.isfinite([start, step, stop]).all():
+        raise ConfigError("snr", f"SNR range {text!r} needs a finite start, step and stop")
+    if step <= 0 or stop < start:
+        raise ConfigError("snr", f"cannot parse SNR range {text!r}")
+    points: list[float] = []
+    while start + len(points) * step <= stop + 1e-9:
+        if len(points) == _MAX_SNR_POINTS:
+            raise ConfigError("snr", f"SNR range {text!r} has more than {_MAX_SNR_POINTS:,} points")
+        points.append(round(start + len(points) * step, 9))
+    return tuple(points)
 
 
 def parse_detector(text: str) -> DetectorSpec:

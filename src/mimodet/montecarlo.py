@@ -29,9 +29,19 @@ raise on the first system they cannot solve; a stacked solve that
 raises is solved again one (point, trial) at a time, so a numerical
 failure costs only its own trial.
 
-Early stopping is per (SNR point, detector): once a detector has
-accumulated ``stop_at_errors`` bit errors its tally is frozen at the end
-of that chunk, and later chunks skip it (and a point with none left).
+Early stopping is per (SNR point, detector) pair, and the chunk
+protocol is one mask in and one array out. A chunk is sent with
+``active``, a (points, detectors) bool mask of the pairs still running;
+``_eval_trials`` returns one int64 (points, detectors, 2) array of
+[bit errors, failures] over the chunk's trials, zero where the mask is
+off. ``run_sweep`` keeps three arrays: ``tally`` of that shape, and
+``trials_run`` and ``running``, both (points, detectors). Chunks merge
+in trial order, each only where ``running`` still holds: a chunk sent
+ahead while earlier ones ran may count pairs that have stopped since,
+and those counts are dropped. A pair that reaches ``stop_at_errors``
+freezes at the end of that chunk, which is its ``trials_run``, and
+later chunks skip it; a point ends when none of its pairs runs, or at
+the last chunk.
 """
 
 from __future__ import annotations
@@ -175,14 +185,9 @@ def _products(
             detect.gramian(h, 0.0, None, h_h=h_h) if need_g0 else None)
 
 
-def _eval_trials(
-    config: SweepConfig,
-    snr_points: tuple[float, ...],
-    lo: int,
-    hi: int,
-    active: tuple[tuple[int, ...], ...],
-) -> list[list[list[int]]]:
-    """Errors/failures per point and detector over trials [lo, hi); chunk worker.
+def _eval_trials(config: SweepConfig, active: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Chunk worker: the counts of trials [lo, hi) for the pairs ``active``
+    runs (the protocol is in the module docstring).
 
     The chunk's products come from ``_products``, in blocks of trials
     whose H and H^H fit ``_WORKING_SET``; G0 only while a detector other
@@ -193,27 +198,26 @@ def _eval_trials(
     h_k^H y_k / ||h_k||^2 = x_k + s h_k^H n / ||h_k||^2. Sliced, this is
     the interference-free lower bound on any multiuser detector.
 
-    Each detector runs on the points whose ``active`` entry holds it, in
+    Each detector runs on the points its column of ``active`` holds, in
     one ``_solve_chunk`` call for all of them, unless it regularizes a
     copy of G0 per point (``DetectorSpec.per_point_gramian``): then in
     groups of points whose copies, four times over, fit ``_WORKING_SET``.
-    The points it skips report zeros. A trial whose estimate is not
-    finite counts every bit as an error and one failure; the rest of the
-    chunk is scored as usual.
+    A trial whose estimate is not finite counts every bit as an error and
+    one failure; the rest of the chunk is scored as usual.
     """
     const = phy.make_constellation(config.order)
-    need_g0 = any(config.detectors[d].kind is not Kind.SIMO for act in active for d in act)
+    need_g0 = active[:, [spec.kind is not Kind.SIMO for spec in config.detectors]].any()
     block = max(1, _WORKING_SET // (2 * config.n * config.u * 16))
     blocks = [_products(config, a, min(a + block, hi), need_g0) for a in range(lo, hi, block)]
     bits, x, n_mf, norms, g0 = (None if v[0] is None else np.concatenate(v) for v in zip(*blocks))
-    sigma2 = np.array([phy.sigma2_from_snr(snr, config.u) for snr in snr_points])[:, None, None]
+    sigma2 = np.array([phy.sigma2_from_snr(snr, config.u) for snr in config.snr_db])[:, None, None]
     s = np.sqrt(sigma2)
     gx = None if g0 is None else matvec(g0, x, None)
 
-    out = [[[0, 0] for _ in config.detectors] for _ in snr_points]
+    out = np.zeros(active.shape + (2,), dtype=np.int64)
     for d, spec in enumerate(config.detectors):
-        points = [p for p, act in enumerate(active) if d in act]
-        if not points:
+        points = np.flatnonzero(active[:, d])
+        if not points.size:
             continue
         if spec.kind is Kind.SIMO:
             soft = x + s[points] * n_mf / norms
@@ -223,13 +227,13 @@ def _eval_trials(
             soft = np.concatenate([
                 _solve_chunk(spec, g0, x_mf[i:i + group], s2[i:i + group], const.box_radius)
                 for i in range(0, len(points), group)])
-        for p, score in zip(points, _score(soft, bits, const)):
-            out[p][d] = score
+        out[points, d] = _score(soft, bits, const)
     return out
 
 
-def _score(soft: np.ndarray, bits: np.ndarray, const: phy.Constellation) -> list[list[int]]:
-    """[bit errors, failures] per point of (points, trials, U) estimates.
+def _score(soft: np.ndarray, bits: np.ndarray, const: phy.Constellation) -> np.ndarray:
+    """[bit errors, failures] per point of (points, trials, U) estimates,
+    an int64 (points, 2) array.
 
     A trial whose estimate is not finite counts every bit as an error and
     one failure.
@@ -238,7 +242,7 @@ def _score(soft: np.ndarray, bits: np.ndarray, const: phy.Constellation) -> list
     _, bits_hat = phy.hard_slice(np.where(failed[..., None], 0.0, soft), const)
     errors = np.count_nonzero(bits_hat.reshape(failed.shape + bits.shape[-1:]) != bits, axis=-1)
     errors[failed] = bits.shape[-1]
-    return np.stack([errors.sum(axis=-1), failed.sum(axis=-1)], axis=-1).tolist()
+    return np.stack([errors.sum(axis=-1), failed.sum(axis=-1)], axis=-1)
 
 
 def _solve_chunk(
@@ -272,8 +276,8 @@ def run_trial(
 ) -> int:
     """Bit errors of one detector on one trial (common-random-number draw)."""
     config.validate()
-    one = dataclasses.replace(config, detectors=(detector,))
-    return _eval_trials(one, (snr_db,), trial_index, trial_index + 1, ((0,),))[0][0][0]
+    one = dataclasses.replace(config, snr_db=(snr_db,), detectors=(detector,))
+    return int(_eval_trials(one, np.ones((1, 1), bool), trial_index, trial_index + 1)[0, 0, 0])
 
 
 def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
@@ -289,48 +293,30 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
     """
     config.validate()
     bits_per_trial = config.u * phy.make_constellation(config.order).bits_per_symbol
-    npts, ndet = len(config.snr_db), len(config.detectors)
-    errors = [[0] * ndet for _ in range(npts)]
-    failures = [[0] * ndet for _ in range(npts)]
-    trials_run = [[config.trials] * ndet for _ in range(npts)]
-    stopped = [[False] * ndet for _ in range(npts)]
-    records: list[list[BerRecord] | None] = [None] * npts
+    shape = (len(config.snr_db), len(config.detectors))
+    tally = np.zeros(shape + (2,), dtype=np.int64)  # [bit errors, failures]
+    trials_run = np.full(shape, config.trials)
+    running = np.ones(shape, dtype=bool)
+    stop_at = np.inf if config.stop_at_errors is None else config.stop_at_errors
     chunks = [(lo, min(lo + config.chunk_size, config.trials))
               for lo in range(0, config.trials, config.chunk_size)]
 
-    def running() -> tuple[int, ...]:
-        return tuple(p for p in range(npts) if records[p] is None)
+    def records(p: int) -> list[BerRecord]:
+        return [BerRecord(config.n, config.u, config.order, spec.name, spec.params,
+                          config.snr_db[p], int(trials_run[p, d]), int(tally[p, d, 0]),
+                          int(trials_run[p, d]) * bits_per_trial, int(tally[p, d, 1]))
+                for d, spec in enumerate(config.detectors)]
 
-    def merge(chunk_idx: int, points: tuple[int, ...], chunk_out) -> None:
-        hi = chunks[chunk_idx][1]
-        for p, point_out in zip(points, chunk_out):
-            if records[p] is not None:
-                continue  # ended before this speculative chunk
-            for d in range(ndet):
-                if stopped[p][d]:
-                    continue
-                errors[p][d] += point_out[d][0]
-                failures[p][d] += point_out[d][1]
-                if config.stop_at_errors is not None and errors[p][d] >= config.stop_at_errors:
-                    stopped[p][d] = True
-                    trials_run[p][d] = hi
-            if all(stopped[p]) or hi == config.trials:
-                records[p] = [
-                    BerRecord(config.n, config.u, config.order, spec.name, spec.params,
-                              config.snr_db[p], trials_run[p][d], errors[p][d],
-                              trials_run[p][d] * bits_per_trial, failures[p][d])
-                    for d, spec in enumerate(config.detectors)
-                ]
-                if progress is not None:
-                    progress(f"snr {config.snr_db[p]:g} dB done: "
-                             + ", ".join(f"{r.detector}={r.ber:.3g}" for r in records[p]))
-
-    def work(chunk_idx: int) -> tuple[tuple[int, ...], tuple]:
-        """The points a chunk runs on now, and ``_eval_trials``' arguments for it."""
-        points = running()
-        lo, hi = chunks[chunk_idx]
-        return points, (config, tuple(config.snr_db[p] for p in points), lo, hi,
-                        tuple(tuple(d for d in range(ndet) if not stopped[p][d]) for p in points))
+    def merge(hi: int, counts: np.ndarray) -> None:
+        live = running.any(axis=1)
+        tally[running] += counts[running]
+        reached = running & (tally[..., 0] >= stop_at)
+        trials_run[reached] = hi
+        running[reached | (hi == config.trials)] = False
+        if progress is not None:
+            for p in np.flatnonzero(live & ~running.any(axis=1)):  # the points that ended
+                progress(f"snr {config.snr_db[p]:g} dB done: "
+                         + ", ".join(f"{r.detector}={r.ber:.3g}" for r in records(p)))
 
     # the pool module is imported only when a pool starts; its attributes
     # are looked up at call time, so a wrapper installed on it sees them
@@ -339,36 +325,38 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
         import concurrent.futures as cf
 
         pool = cf.ProcessPoolExecutor(max_workers=config.workers)
-    pending: dict = {}  # future -> (chunk index, points)
-    results: dict[int, tuple[tuple[int, ...], list]] = {}
+    pending: dict = {}  # future -> (chunk index, the mask it was sent with), in chunk order
+    results: dict[int, np.ndarray] = {}
     next_submit = next_merge = 0
     try:
-        while running():
+        while running.any():
             if pool is None:  # one worker: the next chunk, evaluated inline
-                points, args = work(next_submit)
-                results[next_submit] = (points, _eval_trials(*args))
+                results[next_submit] = _eval_trials(config, running.copy(), *chunks[next_submit])
                 next_submit += 1
             else:
                 while len(pending) < config.workers and next_submit < len(chunks):
-                    points, args = work(next_submit)
-                    pending[pool.submit(_eval_trials, *args)] = (next_submit, points)
+                    active = running.copy()  # pickled after submit returns
+                    pending[pool.submit(_eval_trials, config, active, *chunks[next_submit])] = (
+                        next_submit, active)
                     next_submit += 1
                 done, _ = cf.wait(pending, return_when=cf.FIRST_COMPLETED)
                 for fut in done:
                     try:
-                        results[pending[fut][0]] = (pending[fut][1], fut.result())
+                        results[pending[fut][0]] = fut.result()
                     except cf.BrokenExecutor:  # every chunk in flight is lost with it
-                        raise WorkerDied([(tuple(config.snr_db[p] for p in points), *chunks[idx])
-                                          for idx, points in sorted(pending.values())]) from None
+                        raise WorkerDied([
+                            (tuple(config.snr_db[p] for p in np.flatnonzero(active.any(axis=1))),
+                             *chunks[idx])
+                            for idx, active in pending.values()]) from None
                     del pending[fut]
-            # chunks merge in trial order; merge skips the points a chunk ran past
+            # chunks merge in trial order; merge drops the pairs a chunk ran past
             while next_merge in results:
-                merge(next_merge, *results.pop(next_merge))
+                merge(chunks[next_merge][1], results.pop(next_merge))
                 next_merge += 1
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-    return [r for point in records for r in point]
+    return [r for p in range(shape[0]) for r in records(p)]
 
 
 def snr_at_ber(

@@ -7,6 +7,8 @@ these tests make that a test failure instead. The tracer is only read
 here, and every attribute it replaces is restored after each test.
 """
 
+import concurrent.futures as cf
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -57,3 +59,20 @@ def test_traced_sweep_records_every_solver_and_factor(monkeypatch):
         assert f"decomp.factor.{factor}" in names
     assert {"cli.build_sweep", "montecarlo.sweep", "phy.realize", "phy.slice",
             "detect.gramian", "detect.matched_filter", "decomp.trisolve"} <= names
+
+
+def test_pool_tracer_reads_every_chunk_and_wait(monkeypatch):
+    # the pool tracer reads each chunk's trial count from the arguments
+    # the engine submits, and times the parent's waits for results
+    for module, attr in ((montecarlo, "run_sweep"), (cf, "ProcessPoolExecutor"), (cf, "wait")):
+        monkeypatch.setattr(module, attr, getattr(module, attr))  # restored on exit
+    tracer = tracing.Tracer()
+    tracer.install_pool(montecarlo)
+    cfg = cli.build_sweep({
+        "n": 8, "u": 2, "mod": "qpsk", "snr": "0,6", "det": ["mmse"], "trials": 25,
+        "seed": 1, "stop_at": 0, "threads": 2,
+    })
+    montecarlo.run_sweep(dataclasses.replace(cfg, chunk_size=10))
+    assert tracer.missing == []
+    assert tracer.submitted_trials == [10, 10, 5]
+    assert any(span[0] == "montecarlo.pool_wait" for span in tracer.spans)

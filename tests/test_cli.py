@@ -29,6 +29,15 @@ class TestParsing:
         assert cli.parse_snr_range("15:2.5:20") == (15.0, 17.5, 20.0)
         with pytest.raises(ConfigError):
             cli.parse_snr_range("5:-1:0")
+        # an unbounded or non-finite range, or one of more than 10,000
+        # points, is refused; at 1e30 a unit step is below the spacing of
+        # floats, so start + k * step never passes stop
+        for text in ("0:1:inf", "-inf:1:0", "0:1:nan", "nan:1:5", "0:inf:5",
+                     "0:1e-9:1", "0:1:10000", "1e30:1:1e30"):
+            with pytest.raises(ConfigError) as err:
+                cli.parse_snr_range(text)
+            assert err.value.field == "snr" and repr(text) in str(err.value)
+        assert len(cli.parse_snr_range("0:1:9999")) == 10_000
 
     def test_detector_specs(self):
         spec = cli.parse_detector("mmse:chol")

@@ -6,9 +6,12 @@ import functools
 import hashlib
 import os
 import signal
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimodet import cli, decomp, detect, kernels, montecarlo as mc, phy
 from mimodet.detect import Backend, DetectorSpec, Kind
@@ -203,9 +206,9 @@ class TestStoppedDetectors:
         evaluate = mc._eval_trials
         with monkeypatch.context() as m:
             m.setattr(mc, "_eval_trials",
-                      lambda config, snr_points, lo, hi, active: evaluate(
-                          config, snr_points, lo, hi,
-                          tuple(tuple(range(len(config.detectors))) for _ in snr_points)))
+                      lambda config, active, lo, hi: evaluate(
+                          config, np.broadcast_to(active.any(axis=1, keepdims=True), active.shape),
+                          lo, hi))
             unskipped = mc.run_sweep(cfg)
 
         # each call is read as the trials it covers, told apart by their
@@ -542,6 +545,62 @@ class TestWorkingSet:
             assert (sizes == {1}) if spec.per_point_gramian else (max(sizes) == 5), spec
 
 
+SPECS = (DetectorSpec(Kind.ZF, Backend.QR), DetectorSpec(Kind.MMSE, Backend.CHOLESKY),
+         DetectorSpec(Kind.MMSE, Backend.LDL), DetectorSpec(Kind.NSA, iterations=2),
+         DetectorSpec(Kind.GS, iterations=2), DetectorSpec(Kind.CG, iterations=2),
+         DetectorSpec(Kind.ADMIN, beta_scale=2.0), DetectorSpec(Kind.ADMIN, beta=0.5),
+         DetectorSpec(Kind.SIMO))
+
+
+@st.composite
+def small_sweeps(draw):
+    """A validated sweep of at most 8 antennas, 4 users, 4 points and 24 trials."""
+    u = draw(st.integers(1, 4))
+    start = draw(st.integers(-10, 10))
+    steps = draw(st.lists(st.integers(1, 8), max_size=3))
+    return SweepConfig(
+        n=draw(st.integers(u, 8)), u=u, order=draw(st.sampled_from(sorted(phy.MOD_NAMES))),
+        snr_db=tuple(float(start + sum(steps[:i])) for i in range(len(steps) + 1)),
+        detectors=tuple(draw(st.lists(st.sampled_from(SPECS), min_size=1, max_size=3,
+                                      unique=True))),
+        trials=draw(st.integers(1, 24)), master_seed=draw(st.integers(0, 2**32)),
+        stop_at_errors=draw(st.integers(1, 12)), chunk_size=draw(st.integers(1, 8)))
+
+
+def assert_record_invariants(cfg, records):
+    bits_per_trial = cfg.u * phy.make_constellation(cfg.order).bits_per_symbol
+    assert [(r.snr_db, r.detector) for r in records] == [
+        (snr, spec.name) for snr in cfg.snr_db for spec in cfg.detectors]
+    for r in records:
+        assert r.bits_total == r.trials_run * bits_per_trial
+        assert 0 <= r.failures <= r.trials_run
+        if r.trials_run < cfg.trials:  # stopped early, at the end of a chunk
+            assert r.bit_errors >= cfg.stop_at_errors
+            assert r.trials_run % cfg.chunk_size == 0
+
+
+class TestMergeProperty:
+    """Records do not depend on how the trials are chunked or pooled."""
+
+    @settings(max_examples=50)
+    @given(cfg=small_sweeps(), chunk_size=st.integers(1, 8))
+    def test_without_stop_records_do_not_depend_on_the_chunk_size(self, cfg, chunk_size):
+        cfg = dataclasses.replace(cfg, stop_at_errors=None)
+        records = mc.run_sweep(cfg)
+        assert mc.run_sweep(dataclasses.replace(cfg, chunk_size=chunk_size)) == records
+        assert_record_invariants(cfg, records)
+        assert all(r.trials_run == cfg.trials for r in records)
+
+    @settings(max_examples=20)
+    @given(cfg=small_sweeps())
+    def test_with_stop_records_do_not_depend_on_the_workers(self, cfg):
+        records = mc.run_sweep(cfg)
+        assert mc.run_sweep(dataclasses.replace(cfg, workers=2)) == records
+        assert_record_invariants(cfg, records)
+        assert [(r.detector, r.snr_db, r.trials_run, r.bit_errors) for r in records] == (
+            point_major_reference(cfg))
+
+
 @pytest.fixture
 def worker_dies_at_20(monkeypatch):
     """Make the pool worker that evaluates trials [20, 30) exit at once.
@@ -553,10 +612,10 @@ def worker_dies_at_20(monkeypatch):
     evaluate = mc._eval_trials
 
     @functools.wraps(evaluate)
-    def dying(config, snr_points, lo, hi, active):
+    def dying(config, active, lo, hi):
         if lo == 20:
             os._exit(1)
-        return evaluate(config, snr_points, lo, hi, active)
+        return evaluate(config, active, lo, hi)
 
     def hung(signum, frame):
         raise TimeoutError("the sweep hung after its worker died")
@@ -576,6 +635,27 @@ class TestWorkerDied:
             mc.run_sweep(small_config(trials=60, chunk_size=10, workers=2))
         assert "trials [20, 30) at SNR 0, 6, 12 dB" in str(err.value)
         assert ((0.0, 6.0, 12.0), 20, 30) in err.value.chunks
+
+    def test_ended_point_is_not_named(self, monkeypatch):
+        # the point at -10 dB ends with chunk [0, 10). Chunk [10, 20), sent
+        # with it before that, runs on slowly, so the dying chunk [20, 30)
+        # is sent after the point ended: its mask, and so its entry, lacks it
+        dying = mc._eval_trials
+
+        @functools.wraps(dying)
+        def slow_at_10(config, active, lo, hi):
+            if lo == 10:
+                time.sleep(1.0)
+            return dying(config, active, lo, hi)
+
+        monkeypatch.setattr(mc, "_eval_trials", slow_at_10)
+        cfg = small_config(snr_db=(-10.0, 6.0, 12.0), trials=60, chunk_size=10,
+                           stop_at_errors=5, workers=2)
+        with pytest.raises(mc.WorkerDied) as err:
+            mc.run_sweep(cfg)
+        assert err.value.chunks == [((-10.0, 6.0, 12.0), 10, 20), ((6.0, 12.0), 20, 30)]
+        assert str(err.value) == ("a pool worker died evaluating trials [10, 20) at SNR "
+                                  "-10, 6, 12 dB; trials [20, 30) at SNR 6, 12 dB")
 
     def test_cli_exits_3(self, monkeypatch, tmp_path, capsys):
         build = cli.build_sweep
