@@ -48,19 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .kernels import (
-    OpCount,
-    charge,
-    cmul,
-    counted_recip,
-    counted_sqrt,
-    csub,
-    dot_h,
-    dot_u,
-    hermitian,
-    norm_sq,
-    rcmul,
-)
+from .kernels import OpCount, cmul, counted_recip, counted_sqrt, dot_h, dot_u, hermitian, rcmul
 
 PIVOT_RTOL = 1e-12
 
@@ -134,7 +122,8 @@ def gram_schmidt_qr(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.
     r = np.zeros_like(a)
     with np.errstate(all="ignore"):
         for i in range(n):
-            nrm = counted_sqrt(norm_sq(qt[..., i, :], acc), acc)
+            col = qt[..., i, :]
+            nrm = counted_sqrt(dot_h(col, col, acc).real, acc)
             if (nrm <= tol).any():
                 raise NearSingularError(f"column {i} collapsed during orthogonalization")
             r[..., i, i] = nrm
@@ -142,7 +131,7 @@ def gram_schmidt_qr(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.
             qt[..., i, :] = qi
             rij = dot_h(qi[..., None, :], qt[..., i + 1 :, :], acc)
             r[..., i, i + 1 :] = rij
-            qt[..., i + 1 :, :] = csub(qt[..., i + 1 :, :], cmul(rij[..., None], qi[..., None, :], acc), acc)
+            qt[..., i + 1 :, :] -= cmul(rij[..., None], qi[..., None, :], acc)
     q = np.swapaxes(qt, -1, -2)
     flag_non_finite(q, r)
     return q, r
@@ -202,15 +191,15 @@ def cholesky(a: np.ndarray, acc: OpCount | None) -> np.ndarray:
     l = np.zeros_like(a)
     with np.errstate(all="ignore"):
         for i in range(n):
-            piv = a[..., i, i].real - norm_sq(l[..., i, :i], acc)
-            charge(acc, sub=piv.size)
+            row = l[..., i, :i]
+            piv = a[..., i, i].real - dot_h(row, row, acc).real
             if (piv <= tol).any():
                 raise NotPositiveDefiniteError(f"pivot {i} is not positive ({piv.min():.3e})")
             lii = counted_sqrt(piv, acc)
             l[..., i, i] = lii
             inv = counted_recip(lii, acc)
             s = dot_h(l[..., i, None, :i], l[..., i + 1 :, :i], acc)
-            l[..., i + 1 :, i] = rcmul(inv[..., None], csub(a[..., i + 1 :, i], s, acc), acc)
+            l[..., i + 1 :, i] = rcmul(inv[..., None], a[..., i + 1 :, i] - s, acc)
     flag_non_finite(l)
     return l
 
@@ -239,7 +228,7 @@ def ldl(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.ndarray]:
     with np.errstate(all="ignore"):
         for j in range(n):
             # pivot j and column j below it share the inner products with w[j]
-            rest = csub(a[..., j:, j], dot_h(w[..., j, None, :j], l[..., j:, :j], acc), acc)
+            rest = a[..., j:, j] - dot_h(w[..., j, None, :j], l[..., j:, :j], acc)
             dj = rest[..., 0]
             if (dj.real <= tol).any():
                 raise NotPositiveDefiniteError(f"pivot {j} is not positive ({dj.real.min():.3e})")
@@ -267,7 +256,7 @@ def _triangular_sub(
         inv = counted_recip(diag, acc)
         for i in rows:
             known = slice(0, i) if lower else slice(i + 1, n)
-            s = csub(b[..., i], dot_u(t[..., i, known], x[..., known], acc), acc)
+            s = b[..., i] - dot_u(t[..., i, known], x[..., known], acc)
             x[..., i] = cmul(s, inv[..., i], acc)
     flag_non_finite(x)
     return x

@@ -52,16 +52,13 @@ from .decomp import (
 )
 from .kernels import (
     OpCount,
-    cadd,
     charge,
     charge_dots,
     counted_recip,
-    csub,
     dot_h,
     dot_u,
     hermitian,
     matvec,
-    norm_sq,
     rcmul,
 )
 
@@ -179,9 +176,9 @@ def gramian(
 ) -> np.ndarray:
     """G = H^H H + reg*I, formed in one product and mirrored from its upper triangle.
 
-    Charged as the U(U+1)/2 inner products of the upper triangle plus one
-    addition per diagonal entry. The diagonal is forced real, so the
-    result is exactly Hermitian and positive definite whenever reg > 0.
+    Charged as the U(U+1)/2 inner products of the upper triangle. The
+    diagonal is forced real, so the result is exactly Hermitian and
+    positive definite whenever reg > 0.
     ``h_h`` is as in :func:`matched_filter`.
     """
     n, u = h.shape[-2:]
@@ -196,7 +193,6 @@ def gramian(
     g[..., idx, idx] = product[..., idx, idx].real + reg
     systems = g.size // (u * u)
     charge_dots(acc, n, systems * u * (u + 1) // 2)
-    charge(acc, add=systems * u)
     return g
 
 
@@ -254,7 +250,7 @@ def nsa_solve(
         for k in range(1, t):
             prev = np.linalg.norm(term, axis=-1)
             term = -rcmul(d_inv, matvec(e, term, acc), acc)
-            total = cadd(total, term, acc)
+            total = total + term
             if k == t - 1:
                 diverged = np.linalg.norm(term, axis=-1) > prev
     flag_non_finite(total)
@@ -292,8 +288,8 @@ def gs_solve(
         d_inv = counted_recip(diag.real, acc)
         for _ in range(t):
             for i in range(u):
-                s = csub(x_mf[..., i], dot_u(g[..., i, :i], x[..., :i], acc), acc)
-                s = csub(s, dot_u(g[..., i, i + 1 :], x[..., i + 1 :], acc), acc)
+                s = x_mf[..., i] - dot_u(g[..., i, :i], x[..., :i], acc)
+                s = s - dot_u(g[..., i, i + 1 :], x[..., i + 1 :], acc)
                 x[..., i] = rcmul(d_inv[..., i], s, acc)
     flag_non_finite(x)
     return x
@@ -315,7 +311,7 @@ def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None) -> np
     r = x_mf.copy()
     p = x_mf.copy()
     with np.errstate(all="ignore"):
-        rs = norm_sq(r, acc)
+        rs = dot_h(r, r, acc).real
         for _ in range(t):
             live = rs != 0.0
             gp = matvec(g, p, acc)
@@ -324,12 +320,12 @@ def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None) -> np
                 raise CgBreakdownError("p^H G p <= 0; Gramian is not positive definite")
             alpha = rs * counted_recip(np.where(live, curvature, 1.0), acc)
             charge(acc, real_mul=alpha.size)
-            x = cadd(x, rcmul(alpha[..., None], p, acc), acc)
-            r = csub(r, rcmul(alpha[..., None], gp, acc), acc)
-            rs_new = norm_sq(r, acc)
+            x = x + rcmul(alpha[..., None], p, acc)
+            r = r - rcmul(alpha[..., None], gp, acc)
+            rs_new = dot_h(r, r, acc).real
             beta = rs_new * counted_recip(np.where(live, rs, 1.0), acc)
             charge(acc, real_mul=beta.size)
-            p = cadd(r, rcmul(beta[..., None], p, acc), acc)
+            p = r + rcmul(beta[..., None], p, acc)
             rs = rs_new
     flag_non_finite(x)
     return x
@@ -357,12 +353,13 @@ def admin_solve(
     (``acc=None``), L^-1 is formed once and every x-solve is
     L^-H (D^-1 (L^-1 r)). ``beta`` is a float, or an array that
     broadcasts against the stack's leading axes, such as (P, 1, 1) for
-    one beta per SNR point of a (P, T, U, U) stack.
+    one beta per SNR point of a (P, T, U, U) stack; a beta that is not
+    positive and finite raises ``ValueError``, as ``DetectorSpec.admin_beta``.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    if np.any(np.asarray(beta) <= 0):
-        raise ValueError("beta must be positive")
+    if not np.all((0 < beta) & (beta < np.inf)):
+        raise ValueError("beta must be positive and finite")
     l, d = ldl(g_admin, acc)
     x_mf = vector_stack(x_mf, l.shape[-1])
     if acc is None:
@@ -377,12 +374,11 @@ def admin_solve(
     with np.errstate(all="ignore"):
         x = solve(x_mf)
         z = _clip_box(x, box)
-        lam = csub(x, z, acc)
+        lam = x - z
         for _ in range(1, t):
-            rhs = cadd(x_mf, rcmul(beta, csub(z, lam, acc), acc), acc)
-            x = solve(rhs)
-            z = _clip_box(cadd(x, lam, acc), box)
-            lam = cadd(lam, csub(x, z, acc), acc)
+            x = solve(x_mf + rcmul(beta, z - lam, acc))
+            z = _clip_box(x + lam, box)
+            lam = lam + (x - z)
     flag_non_finite(x)
     return x
 

@@ -5,20 +5,21 @@ the operation's cost per output element, so a kernel applied to a stack
 of B independent systems charges exactly B times what it charges for
 one. Counts are computed from operand shapes, never from values.
 
-The hardware-unit convention, per element:
+The paper's complexity measure is the number of real multiplications;
+square roots and reciprocals are tallied on their own. Additions,
+subtractions, conjugation and negation are free and are written as
+plain NumPy arithmetic. Per element:
 
-* complex * complex : 4 real multiplications, 1 addition, 1 subtraction
+* complex * complex : 4 real multiplications
 * real * complex    : 2 real multiplications
-* complex +/- complex : 2 additions / 2 subtractions
-* conjugation, negation : free
-* square root, reciprocal : counted on their own tally
+* square root, reciprocal : one unit on its own tally
 
-An inner product of length n costs n complex multiplications plus the
-complex accumulation additions. A squared vector norm is charged one
-complex multiplication per element (4 real multiplications), not the 2
-that would suffice arithmetically. This matches the accounting that
-makes the decomposition counts in ``decomp`` land exactly on their
-closed forms.
+An inner product of length n costs n complex multiplications. A squared
+vector norm is the inner product of a vector with itself,
+``dot_h(a, a, acc).real``, so it is charged one complex multiplication
+per element (4 real multiplications), not the 2 that would suffice
+arithmetically. This matches the accounting that makes the decomposition
+counts in ``decomp`` land exactly on their closed forms.
 
 Every kernel takes an explicit :class:`OpCount` accumulator; there is no
 global counter. ``acc=None`` computes the same values and tallies
@@ -40,39 +41,31 @@ import numpy as np
 
 @dataclass
 class OpCount:
-    """Tally of square roots, reciprocals, real mults, adds and subs."""
+    """Tally of square roots, reciprocals and real multiplications."""
 
     sqrt: int = 0
     reciprocal: int = 0
     real_mul: int = 0
-    add: int = 0
-    sub: int = 0
 
 
-def charge(
-    acc: OpCount | None, *, sqrt: int = 0, reciprocal: int = 0, real_mul: int = 0,
-    add: int = 0, sub: int = 0,
-) -> None:
+def charge(acc: OpCount | None, *, sqrt: int = 0, reciprocal: int = 0, real_mul: int = 0) -> None:
     """Add to ``acc``'s tally; with ``acc=None`` (values only) do nothing."""
     if acc is None:
         return
     acc.sqrt += sqrt
     acc.reciprocal += reciprocal
     acc.real_mul += real_mul
-    acc.add += add
-    acc.sub += sub
 
 
 def charge_dots(acc: OpCount | None, n: int, count: int) -> None:
     """Charge ``count`` complex inner products of length ``n``."""
-    charge(acc, real_mul=4 * n * count, add=count * (n + max(0, 2 * (n - 1))), sub=n * count)
+    charge(acc, real_mul=4 * n * count)
 
 
 def cmul(a, b, acc: OpCount | None):
-    """Elementwise complex product, 4 real mults, 1 add, 1 sub each."""
+    """Elementwise complex product, 4 real mults each."""
     out = np.multiply(a, b)
-    k = out.size
-    charge(acc, real_mul=4 * k, add=k, sub=k)
+    charge(acc, real_mul=4 * out.size)
     return out
 
 
@@ -80,18 +73,6 @@ def rcmul(r, b, acc: OpCount | None):
     """Elementwise real-times-complex product, 2 real mults each."""
     out = np.multiply(r, b)
     charge(acc, real_mul=2 * out.size)
-    return out
-
-
-def cadd(a, b, acc: OpCount | None):
-    out = np.add(a, b)
-    charge(acc, add=2 * out.size)
-    return out
-
-
-def csub(a, b, acc: OpCount | None):
-    out = np.subtract(a, b)
-    charge(acc, sub=2 * out.size)
     return out
 
 
@@ -132,20 +113,6 @@ def dot_u(a: np.ndarray, b: np.ndarray, acc: OpCount | None):
     n = _contract(a, b, "dot_u")
     out = np.einsum("...k,...k->...", a, b)
     charge_dots(acc, n, out.size)
-    return out
-
-
-def norm_sq(a: np.ndarray, acc: OpCount | None):
-    """Squared Euclidean norms over the last axis, at the complex-mult rate.
-
-    One complex multiplication (4 real mults) per element plus the real
-    accumulation additions; see the module docstring for why 2 per
-    element is deliberately not used.
-    """
-    n = a.shape[-1]
-    out = np.einsum("...k,...k->...", a.conj(), a).real
-    k = out.size
-    charge(acc, real_mul=4 * n * k, add=k * (n + max(0, n - 1)), sub=n * k)
     return out
 
 

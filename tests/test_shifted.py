@@ -16,7 +16,7 @@ from mimodet import decomp, detect
 from mimodet.kernels import OpCount
 
 SOLVERS = ("nsa_solve", "gs_solve")
-FIELDS = ("sqrt", "reciprocal", "real_mul", "add", "sub")
+FIELDS = ("sqrt", "reciprocal", "real_mul")
 
 
 def regularized(g0: np.ndarray, s2: float) -> np.ndarray:
@@ -196,6 +196,13 @@ def test_admin_beta_per_point():
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             detect.DetectorSpec(detect.Kind.ADMIN).admin_beta(np.array([1.0, bad])[:, None, None])
-    with pytest.raises(ValueError):
-        detect.admin_solve(np.eye(2, dtype=complex), np.ones((2, 1, 2), dtype=complex), 2,
-                           np.array([1.0, -1.0])[:, None, None], 1.0, None)
+    # admin_solve refuses what admin_beta refuses, counted or not, as a
+    # ValueError rather than as a numerical failure of the solve
+    for bad in (-1.0, np.nan, np.inf):
+        for acc in (None, OpCount()):
+            with pytest.raises(ValueError, match="beta"):
+                detect.admin_solve(np.eye(2, dtype=complex), np.ones((2, 1, 2), dtype=complex),
+                                   2, np.array([1.0, bad])[:, None, None], 1.0, acc)
+            with pytest.raises(ValueError, match="beta"):
+                detect.admin_solve(np.eye(2, dtype=complex), np.ones(2, dtype=complex), 2, bad,
+                                   1.0, acc)
