@@ -324,11 +324,9 @@ def cmd_complexity(args) -> int:
     return 0
 
 
-def run_selftest(corrupt_counts: bool = False, stream=None) -> list[tuple[str, bool, str]]:
-    """Fast invariant suite; ``corrupt_counts`` is a negative-control hook."""
-    stream = stream or sys.stdout
+def run_selftest() -> list[tuple[str, bool, str]]:
+    """Fast invariant suite: prints one PASS or FAIL line per check."""
     rows: list[tuple[str, bool, str]] = []
-    bump = 1 if corrupt_counts else 0
 
     # each decomposition's measured count against its closed form; the
     # literal spot values below check the closed forms themselves
@@ -338,8 +336,8 @@ def run_selftest(corrupt_counts: bool = False, stream=None) -> list[tuple[str, b
         for u in u_list:
             expected = complexity.formula_rm(algo, u)
             acc = complexity.measure_rm(algo, u)
-            got = acc.real_mul + bump
-            ok, detail = got == expected, f"expected {expected}, measured {got}"
+            ok = acc.real_mul == expected
+            detail = f"expected {expected}, measured {acc.real_mul}"
             if algo is complexity.Algo.LDL:  # LDL takes no square root and U reciprocals
                 ok = ok and acc.sqrt == 0 and acc.reciprocal == u
                 detail += f", sqrt={acc.sqrt}, reciprocal={acc.reciprocal}"
@@ -393,14 +391,14 @@ def run_selftest(corrupt_counts: bool = False, stream=None) -> list[tuple[str, b
 
     width = max(len(name) for name, _, _ in rows)
     for name, ok, detail in rows:
-        print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}", file=stream)
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<{width}}  {detail}")
     n_fail = sum(1 for _, ok, _ in rows if not ok)
-    print(f"{len(rows) - n_fail}/{len(rows)} checks passed", file=stream)
+    print(f"{len(rows) - n_fail}/{len(rows)} checks passed")
     return rows
 
 
 def cmd_selftest(args) -> int:
-    rows = run_selftest(corrupt_counts=args.corrupt_counts)
+    rows = run_selftest()
     return 0 if all(ok for _, ok, _ in rows) else 1
 
 
@@ -439,8 +437,6 @@ def build_parser():
     comp.set_defaults(func=cmd_complexity)
 
     selftest = sub.add_parser("selftest", help="run the fast invariant suite")
-    selftest.add_argument("--corrupt-counts", action="store_true",
-                          help=argparse.SUPPRESS)  # negative-control hook
     selftest.set_defaults(func=cmd_selftest)
     return parser
 

@@ -35,18 +35,18 @@ protocol is one mask in and one array out. A chunk is sent with
 ``_eval_trials`` returns one int64 (points, detectors, 2) array of
 [bit errors, failures] over the chunk's trials, zero where the mask is
 off. ``run_sweep`` keeps three arrays: ``tally`` of that shape, and
-``trials_run`` and ``running``, both (points, detectors). Chunks merge
-in trial order, each only where ``running`` still holds: a chunk sent
-ahead while earlier ones ran may count pairs that have stopped since,
-and those counts are dropped. A pair that reaches ``stop_at_errors``
-freezes at the end of that chunk, which is its ``trials_run``, and
-later chunks skip it; a point ends when none of its pairs runs, or at
-the last chunk.
+``trials_run`` and ``running``, both (points, detectors). Chunks run
+in waves of ``workers``, every chunk of a wave sent with the same mask,
+and each wave is sent after the previous one merged. Chunks merge in
+trial order, each only where ``running`` still holds: a chunk may count
+pairs that stopped in an earlier chunk of its wave, and those counts
+are dropped. A pair that reaches ``stop_at_errors`` freezes at the end
+of that chunk, which is its ``trials_run``, and later waves skip it; a
+point ends when none of its pairs runs, or at the last chunk.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -246,38 +246,26 @@ def _score(soft: np.ndarray, bits: np.ndarray, const: phy.Constellation) -> np.n
 
 
 def _solve_chunk(
-    spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: float | np.ndarray,
-    box: float,
+    spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: np.ndarray, box: float,
 ) -> np.ndarray:
-    """One stacked, uncounted ``soft_estimate``; if it raises, each system
+    """One stacked, uncounted ``soft_estimate`` of (points, trials, U)
+    systems, ``sigma2`` shaped (points, 1, 1); if it raises, each system
     again on its own.
 
-    ``x_mf`` is (trials, U) with a float ``sigma2``, or (points, trials,
-    U) with ``sigma2`` shaped (points, 1, 1). A (point, trial) whose own
-    solve raises gets a NaN estimate, which ``_score`` counts as a
-    failure.
+    A (point, trial) whose own solve raises gets a NaN estimate, which
+    ``_score`` counts as a failure.
     """
     try:
         return detect.soft_estimate(spec, g0, x_mf, sigma2, box, None)
     except SOLVE_ERRORS:
         pass
     soft = np.full(x_mf.shape, np.nan, dtype=np.complex128)
-    for idx in np.ndindex(x_mf.shape[:-1]):
-        s2 = np.asarray(sigma2)[idx[:-1]].item()
+    for p, t in np.ndindex(x_mf.shape[:-1]):
         try:
-            soft[idx] = detect.soft_estimate(spec, g0[idx[-1]], x_mf[idx], s2, box, None)
+            soft[p, t] = detect.soft_estimate(spec, g0[t], x_mf[p, t], sigma2[p].item(), box, None)
         except SOLVE_ERRORS:
             pass
     return soft
-
-
-def run_trial(
-    config: SweepConfig, snr_db: float, detector: DetectorSpec, trial_index: int
-) -> int:
-    """Bit errors of one detector on one trial (common-random-number draw)."""
-    config.validate()
-    one = dataclasses.replace(config, snr_db=(snr_db,), detectors=(detector,))
-    return int(_eval_trials(one, np.ones((1, 1), bool), trial_index, trial_index + 1)[0, 0, 0])
 
 
 def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
@@ -285,8 +273,9 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
 
     Chunks run in trial order, each drawn once for every point still
     running; ``progress`` gets one line per point when it ends. With
-    ``workers`` > 1 that many chunks run ahead in a process pool and
-    merge in order; a worker that dies raises ``WorkerDied``. Library
+    ``workers`` = K > 1 a process pool runs K chunks at a time, each wave
+    sent after the previous one merged; a worker that dies raises
+    ``WorkerDied`` naming the chunks of its wave. Library
     callers must pin ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
     ``MKL_NUM_THREADS`` to 1 before they import numpy: the stacked solves
     call BLAS on small matrices, where its threads only contend.
@@ -325,34 +314,24 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
         import concurrent.futures as cf
 
         pool = cf.ProcessPoolExecutor(max_workers=config.workers)
-    pending: dict = {}  # future -> (chunk index, the mask it was sent with), in chunk order
-    results: dict[int, np.ndarray] = {}
-    next_submit = next_merge = 0
+    sent = 0
     try:
         while running.any():
-            if pool is None:  # one worker: the next chunk, evaluated inline
-                results[next_submit] = _eval_trials(config, running.copy(), *chunks[next_submit])
-                next_submit += 1
+            wave = chunks[sent:sent + config.workers]
+            sent += len(wave)
+            active = running.copy()
+            if pool is None:  # one worker: the chunk, evaluated inline
+                counts = [_eval_trials(config, active, lo, hi) for lo, hi in wave]
             else:
-                while len(pending) < config.workers and next_submit < len(chunks):
-                    active = running.copy()  # pickled after submit returns
-                    pending[pool.submit(_eval_trials, config, active, *chunks[next_submit])] = (
-                        next_submit, active)
-                    next_submit += 1
-                done, _ = cf.wait(pending, return_when=cf.FIRST_COMPLETED)
-                for fut in done:
-                    try:
-                        results[pending[fut][0]] = fut.result()
-                    except cf.BrokenExecutor:  # every chunk in flight is lost with it
-                        raise WorkerDied([
-                            (tuple(config.snr_db[p] for p in np.flatnonzero(active.any(axis=1))),
-                             *chunks[idx])
-                            for idx, active in pending.values()]) from None
-                    del pending[fut]
-            # chunks merge in trial order; merge drops the pairs a chunk ran past
-            while next_merge in results:
-                merge(chunks[next_merge][1], results.pop(next_merge))
-                next_merge += 1
+                futures = [pool.submit(_eval_trials, config, active, lo, hi) for lo, hi in wave]
+                cf.wait(futures)
+                try:
+                    counts = [fut.result() for fut in futures]
+                except cf.BrokenExecutor:  # every chunk of the wave is lost with it
+                    snr = tuple(config.snr_db[p] for p in np.flatnonzero(active.any(axis=1)))
+                    raise WorkerDied([(snr, lo, hi) for lo, hi in wave]) from None
+            for (_, hi), chunk_counts in zip(wave, counts):  # in trial order
+                merge(hi, chunk_counts)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

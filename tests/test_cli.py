@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mimodet import cli, montecarlo
+from mimodet import cli, complexity, montecarlo
 from mimodet.detect import Backend, Kind
 from mimodet.montecarlo import ConfigError
 
@@ -51,6 +51,9 @@ class TestParsing:
             cli.parse_detector("sphere")
         with pytest.raises(ConfigError):
             cli.parse_detector("mmse:lu")
+        with pytest.raises(ConfigError) as err:
+            cli.parse_detector("nsa:x=3")
+        assert err.value.field == "det" and "unknown detector option 'x'" in str(err.value)
 
     @pytest.mark.parametrize("text,option", [
         # an option the kind ignores
@@ -293,6 +296,19 @@ class TestBerCommand:
         assert run(["ber", "--config", str(path)]) == 2
         assert "config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read"),  # no such file
+        ("[1, 2]", "experiment file must hold a JSON object"),
+    ])
+    def test_unreadable_or_non_object_config_names_config(self, tmp_path, capsys,
+                                                         content, message):
+        path = tmp_path / "exp.json"
+        if content is not None:
+            path.write_text(content)
+        assert run(["ber", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config:") and message in err
+
 
 REQUIRED = ("n", "u", "mod", "snr", "det")
 OPTIONAL_FIELDS = {"seed": "master_seed", "trials": "trials", "stop_at": "stop_at_errors",
@@ -419,6 +435,15 @@ class TestSelftest:
         assert "cholesky real_mul U=8" in out and "392" in out
         assert "FAIL" not in out
 
-    def test_negative_control_fails(self, capsys):
-        assert run(["selftest", "--corrupt-counts"]) == 1
+    def test_negative_control_fails(self, monkeypatch, capsys):
+        # a measured tally one multiplication high fails its check
+        measure = complexity.measure_rm
+
+        def one_high(algo, u):
+            acc = measure(algo, u)
+            acc.real_mul += 1
+            return acc
+
+        monkeypatch.setattr(complexity, "measure_rm", one_high)
+        assert run(["selftest"]) == 1
         assert "FAIL" in capsys.readouterr().out

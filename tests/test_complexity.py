@@ -58,6 +58,11 @@ class TestFormula:
     def test_nsa_zero_at_t1(self):
         assert formula_rm(Algo.NSA, 16, 1) == 0
 
+    @pytest.mark.parametrize("u,t,message", [(0, 1, "u must be >= 1"), (4, 0, "t must be >= 1")])
+    def test_needs_one_user_and_one_iteration(self, u, t, message):
+        with pytest.raises(ValueError, match=message):
+            formula_rm(Algo.GS, u, t)
+
     def test_scaling_orders(self):
         # decompositions and the series model grow cubically, the sweep
         # methods quadratically

@@ -8,11 +8,13 @@ from mimodet.decomp import (
     NearSingularError,
     NotPositiveDefiniteError,
     SingularTriangularError,
+    as_stack,
     backward_sub,
     cholesky,
     forward_sub,
     gram_schmidt_qr,
     ldl,
+    vector_stack,
 )
 from mimodet.kernels import OpCount, hermitian
 
@@ -172,6 +174,18 @@ class TestTriangularSolves:
             x = backward_sub(hermitian(l), forward_sub(l, b, OpCount()), OpCount())
             x_oracle = np.linalg.inv(a) @ b
             assert rel_resid(x, x_oracle) <= 1e-8
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 2, 3)])
+def test_as_stack_needs_square_matrices(shape):
+    with pytest.raises(ValueError, match="expected a square matrix"):
+        as_stack(np.ones(shape))
+
+
+@pytest.mark.parametrize("shape", [(), (4,), (2, 3, 2)])
+def test_vector_stack_needs_length_n(shape):
+    with pytest.raises(ValueError, match="expected length 3"):
+        vector_stack(np.ones(shape), 3)
 
 
 def test_reconstruction_property_sample():

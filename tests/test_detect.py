@@ -6,6 +6,7 @@ import pytest
 from mimodet import detect, montecarlo as mc, phy
 from mimodet.detect import Backend, DetectorSpec, Kind
 from mimodet.kernels import OpCount
+from test_montecarlo import trial_errors
 
 
 def seeded_instance(n, u, snr_db, order=64, seed=0):
@@ -75,6 +76,10 @@ class TestGramian:
     def test_rejects_wide(self):
         with pytest.raises(ValueError):
             detect.gramian(np.ones((2, 3), dtype=complex), 0.0, OpCount())
+
+    def test_rejects_negative_reg(self):
+        with pytest.raises(ValueError, match="regularization must be non-negative"):
+            detect.gramian(np.ones((2, 1), dtype=complex), -0.5, OpCount())
 
 
 class TestLinear:
@@ -286,6 +291,18 @@ class TestAdmin:
                                2, 0.0, 1.0, OpCount())
 
 
+@pytest.mark.parametrize("solve", [
+    lambda g, b, t: detect.nsa_solve(g, b, t, None),
+    lambda g, b, t: detect.gs_solve(g, b, t, None),
+    lambda g, b, t: detect.cg_solve(g, b, t, None),
+    lambda g, b, t: detect.admin_solve(g, b, t, 1.0, 1.0, None),
+], ids=["nsa", "gs", "cg", "admin"])
+@pytest.mark.parametrize("t", [0, -1])
+def test_iterative_solvers_need_one_iteration(solve, t):
+    with pytest.raises(ValueError, match="t must be >= 1"):
+        solve(np.eye(3, dtype=complex), np.ones(3, dtype=complex), t)
+
+
 def simo_record(n, u, order, snr_db, trials, seed):
     """The SIMO bound's record from a SIMO-only sweep (sigma2 = U / snr_lin)."""
     cfg = mc.SweepConfig(n=n, u=u, order=order, snr_db=(snr_db,),
@@ -338,7 +355,7 @@ class TestSimoBound:
             for trial in range(20):
                 bits, x, h, noise = mc.trial_realization(cfg, sigma2, trial)
                 want = per_user_simo_errors(h, x, noise, bits, const)
-                assert mc.run_trial(cfg, snr_db, cfg.detectors[0], trial) == want
+                assert trial_errors(cfg, snr_db, cfg.detectors[0], trial) == want
                 total += want
         assert total > 0
 

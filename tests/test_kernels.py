@@ -86,6 +86,15 @@ def test_dot_h_length_mismatch():
         dot_h(np.ones(3, dtype=complex), np.ones(2, dtype=complex), OpCount())
 
 
+@pytest.mark.parametrize("a,b,message", [
+    (np.ones(3), np.ones(3), "left operand must be a matrix"),
+    (np.ones((2, 3)), np.ones(2), "dimension mismatch"),
+])
+def test_matvec_bad_shapes(a, b, message):
+    with pytest.raises(ValueError, match=message):
+        matvec(a, b, OpCount())
+
+
 def test_norm_sq():
     # a squared norm is dot_h(a, a).real, charged at the complex-mult rate
     a = np.array([3 + 4j])

@@ -6,7 +6,6 @@ import functools
 import hashlib
 import os
 import signal
-import time
 
 import numpy as np
 import pytest
@@ -37,6 +36,14 @@ def small_config(**overrides):
     return SweepConfig(**base)
 
 
+def trial_errors(config, snr_db, detector, trial_index):
+    """Bit errors of one detector on one trial: ``_eval_trials`` on a
+    one-point, one-detector copy of ``config`` (common-random-number draw)."""
+    one = dataclasses.replace(config, snr_db=(snr_db,), detectors=(detector,))
+    one.validate()
+    return int(mc._eval_trials(one, np.ones((1, 1), bool), trial_index, trial_index + 1)[0, 0, 0])
+
+
 class TestConfigValidation:
     def test_u_exceeds_n(self):
         with pytest.raises(ConfigError) as err:
@@ -56,6 +63,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             small_config(detectors=()).validate()
 
+    @pytest.mark.parametrize("overrides,field", [
+        (dict(snr_db=()), "snr"),
+        (dict(stop_at_errors=0), "stop_at"),
+    ])
+    def test_empty_grid_or_zero_stop_names_the_field(self, overrides, field):
+        with pytest.raises(ConfigError) as err:
+            small_config(**overrides).validate()
+        assert err.value.field == field
+
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_philox_key_range(self, seed):
         with pytest.raises(ConfigError) as err:
@@ -73,14 +89,14 @@ class TestConfigValidation:
     def test_seed_range_ends_are_valid(self):
         for seed in (0, 2**64 - 1):
             cfg = small_config(master_seed=seed)
-            assert mc.run_trial(cfg, 6.0, DetectorSpec(Kind.SIMO), 0) >= 0
+            assert trial_errors(cfg, 6.0, DetectorSpec(Kind.SIMO), 0) >= 0
 
 
 class TestRunTrial:
     def test_noiseless_mmse_is_error_free(self):
         cfg = small_config(snr_db=(500.0,))  # sigma2 ~ 4e-49
         for trial in range(20):
-            errs = mc.run_trial(cfg, 500.0, DetectorSpec(Kind.MMSE, Backend.QR), trial)
+            errs = trial_errors(cfg, 500.0, DetectorSpec(Kind.MMSE, Backend.QR), trial)
             assert errs == 0
 
     def test_single_user_zf_equals_simo(self):
@@ -88,8 +104,8 @@ class TestRunTrial:
         # matched-filter SIMO detection and ZF see the same decisions
         cfg = small_config(n=8, u=1, snr_db=(3.0,), trials=300)
         for trial in range(300):
-            zf = mc.run_trial(cfg, 3.0, DetectorSpec(Kind.ZF, Backend.CHOLESKY), trial)
-            simo = mc.run_trial(cfg, 3.0, DetectorSpec(Kind.SIMO), trial)
+            zf = trial_errors(cfg, 3.0, DetectorSpec(Kind.ZF, Backend.CHOLESKY), trial)
+            simo = trial_errors(cfg, 3.0, DetectorSpec(Kind.SIMO), trial)
             assert zf == simo
 
     def test_common_random_numbers(self):
@@ -167,7 +183,7 @@ class TestChunkFailures:
             DetectorSpec(Kind.SIMO),
         )
         cfg = small_config(n=4, u=4, snr_db=(10.0,), trials=8, detectors=specs)
-        clean = [[mc.run_trial(cfg, 10.0, spec, t) for t in range(cfg.trials)]
+        clean = [[trial_errors(cfg, 10.0, spec, t) for t in range(cfg.trials)]
                  for spec in specs]
         draw = mc.trial_realization
 
@@ -185,7 +201,7 @@ class TestChunkFailures:
         bits_per_trial = cfg.u * 2
         for spec, errs, rec in zip(specs, clean, records):
             # trial 2 alone, on its own: a failure for ZF, scored for the rest
-            trial2 = mc.run_trial(cfg, 10.0, spec, 2)
+            trial2 = trial_errors(cfg, 10.0, spec, 2)
             zf = spec.kind is Kind.ZF
             assert (trial2 == bits_per_trial) if zf else (trial2 < bits_per_trial)
             others = sum(e for t, e in enumerate(errs) if t not in (2, 5))
@@ -272,7 +288,7 @@ class TestRetry:
         cfg = small_config(n=4, u=4, snr_db=(6.0, 12.0), trials=12, chunk_size=4,
                            detectors=specs)
         corrupt_trial(monkeypatch, 6, lambda h, t: h[:, 0])
-        per_trial = [[[mc.run_trial(cfg, snr, spec, t) for t in range(cfg.trials)]
+        per_trial = [[[trial_errors(cfg, snr, spec, t) for t in range(cfg.trials)]
                       for spec in specs] for snr in cfg.snr_db]
         trial_of = {detect.gramian(mc.trial_realization(cfg, 1.0, t)[2], 0.0, None).tobytes(): t
                     for t in range(cfg.trials)}
@@ -429,7 +445,7 @@ def staggered_config(**overrides):
 
 
 def point_major_reference(cfg):
-    """(detector, snr, trials_run, bit_errors) rows from ``run_trial``, point by point.
+    """(detector, snr, trials_run, bit_errors) rows from ``trial_errors``, point by point.
 
     The documented freeze rule: a detector's tally freezes at the end of
     the chunk in which it reached ``stop_at_errors``; a point ends once
@@ -445,7 +461,7 @@ def point_major_reference(cfg):
             for d, spec in enumerate(cfg.detectors):
                 if stopped[d]:
                     continue
-                errors[d] += sum(mc.run_trial(cfg, snr, spec, t) for t in range(lo, hi))
+                errors[d] += sum(trial_errors(cfg, snr, spec, t) for t in range(lo, hi))
                 if errors[d] >= cfg.stop_at_errors:
                     stopped[d], trials_run[d] = True, hi
             if all(stopped):
@@ -594,8 +610,10 @@ class TestMergeProperty:
     @settings(max_examples=20)
     @given(cfg=small_sweeps())
     def test_with_stop_records_do_not_depend_on_the_workers(self, cfg):
+        # 3 workers leave a partial last wave unless 3 divides the chunk count
         records = mc.run_sweep(cfg)
         assert mc.run_sweep(dataclasses.replace(cfg, workers=2)) == records
+        assert mc.run_sweep(dataclasses.replace(cfg, workers=3)) == records
         assert_record_invariants(cfg, records)
         assert [(r.detector, r.snr_db, r.trials_run, r.bit_errors) for r in records] == (
             point_major_reference(cfg))
@@ -636,26 +654,17 @@ class TestWorkerDied:
         assert "trials [20, 30) at SNR 0, 6, 12 dB" in str(err.value)
         assert ((0.0, 6.0, 12.0), 20, 30) in err.value.chunks
 
-    def test_ended_point_is_not_named(self, monkeypatch):
-        # the point at -10 dB ends with chunk [0, 10). Chunk [10, 20), sent
-        # with it before that, runs on slowly, so the dying chunk [20, 30)
-        # is sent after the point ended: its mask, and so its entry, lacks it
-        dying = mc._eval_trials
-
-        @functools.wraps(dying)
-        def slow_at_10(config, active, lo, hi):
-            if lo == 10:
-                time.sleep(1.0)
-            return dying(config, active, lo, hi)
-
-        monkeypatch.setattr(mc, "_eval_trials", slow_at_10)
+    def test_ended_point_is_not_named(self):
+        # the point at -10 dB ends with chunk [0, 10) of the first wave, so
+        # the second wave, [20, 30) and [30, 40), is sent without it: both
+        # of its chunks are named, at the points their mask holds
         cfg = small_config(snr_db=(-10.0, 6.0, 12.0), trials=60, chunk_size=10,
                            stop_at_errors=5, workers=2)
         with pytest.raises(mc.WorkerDied) as err:
             mc.run_sweep(cfg)
-        assert err.value.chunks == [((-10.0, 6.0, 12.0), 10, 20), ((6.0, 12.0), 20, 30)]
-        assert str(err.value) == ("a pool worker died evaluating trials [10, 20) at SNR "
-                                  "-10, 6, 12 dB; trials [20, 30) at SNR 6, 12 dB")
+        assert err.value.chunks == [((6.0, 12.0), 20, 30), ((6.0, 12.0), 30, 40)]
+        assert str(err.value) == ("a pool worker died evaluating trials [20, 30) at SNR "
+                                  "6, 12 dB; trials [30, 40) at SNR 6, 12 dB")
 
     def test_cli_exits_3(self, monkeypatch, tmp_path, capsys):
         build = cli.build_sweep
@@ -719,6 +728,15 @@ class TestSummarize:
     def test_snr_at_ber_exact_hit(self):
         pts = [(0.0, 0.1, 1000), (10.0, 0.001, 1000)]
         assert mc.snr_at_ber(pts, 0.1) == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("target", [0.0, -0.1])
+    def test_snr_at_ber_needs_a_positive_target(self, target):
+        with pytest.raises(ValueError, match="target BER must be positive"):
+            mc.snr_at_ber([(0.0, 0.1, 1000), (10.0, 0.001, 1000)], target)
+
+    def test_snr_at_ber_flat_segment_gives_its_start(self):
+        pts = [(2.0, 0.1, 1000), (5.0, 0.1, 1000), (8.0, 0.01, 1000)]
+        assert mc.snr_at_ber(pts, 0.1) == 2.0
 
     def test_snr_at_ber_zero_floor(self):
         # a zero-BER point interpolates with the half-error floor

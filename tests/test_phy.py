@@ -168,6 +168,15 @@ def test_sigma2_from_snr():
     assert phy.sigma2_from_snr(7.0, 32) == pytest.approx(2 * phy.sigma2_from_snr(7.0, 16))
 
 
+def test_bad_order_size_or_user_count_is_refused():
+    with pytest.raises(ValueError, match="unsupported constellation order 8"):
+        phy.make_constellation(8)
+    with pytest.raises(ValueError, match="channel dimensions must be positive"):
+        phy.draw_channel(0, 1, phy.substream(1, 0))
+    with pytest.raises(ValueError, match="u must be positive"):
+        phy.sigma2_from_snr(10.0, 0)
+
+
 def test_channel_hardening():
     # (1/N) H^H H concentrates around the identity as N grows; the mean
     # relative Frobenius deviation for i.i.d. CN(0,1) entries is
