@@ -131,10 +131,8 @@ def _mod_order(name: str) -> int:
         raise ConfigError("mod", f"unknown modulation {name!r}") from None
 
 
-def _integer(field_name: str, value, default: int | None = None) -> int:
+def _integer(field_name: str, value) -> int:
     """An integer setting; a bool or a non-integral number is a ConfigError."""
-    if value is None:
-        return default
     if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigError(field_name, f"must be an integer, got {value!r}")
     try:
@@ -171,6 +169,8 @@ def build_sweep(settings: dict) -> SweepConfig:
         snr_points = parse_snr_range(snr)
     else:
         try:
+            if any(isinstance(s, bool) for s in snr):  # float(True) would be 1 dB
+                raise TypeError
             snr_points = tuple(float(s) for s in snr)
         except (TypeError, ValueError):
             raise ConfigError("snr", f"must be a range string or a list of numbers, "
@@ -201,11 +201,11 @@ def ber_csv(records: list[montecarlo.BerRecord]) -> str:
 
 def _load_experiment_file(path: str) -> dict:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config", "experiment file must hold a JSON object")
@@ -229,7 +229,7 @@ def complexity_request(u, t) -> tuple[tuple[int, ...], int]:
     u_list = tuple(_integer("u", v) for v in u)
     if any(v < 1 for v in u_list):
         raise ConfigError("u", "all U values must be positive")
-    t = _integer("t", t, complexity.DEFAULT_T)
+    t = complexity.DEFAULT_T if t is None else _integer("t", t)
     if t < 1:
         raise ConfigError("t", "t must be >= 1")
     if t == 1:

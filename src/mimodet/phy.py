@@ -30,11 +30,13 @@ MOD_NAMES = {4: "qpsk", 16: "16qam", 64: "64qam"}
 class Constellation:
     """Gray-mapped square QAM alphabet with unit average energy.
 
+    ``labels[i, q]`` is the uint8 label of the point at real level index
+    i and imaginary level index q (levels ascending): gray(i) in the high
+    half of its bits, gray(q) in the low half, with the reflected Gray
+    code gray(k) = k ^ (k >> 1).
     ``points[label]`` is the symbol whose bit pattern is the binary
-    expansion of ``label``; the first half of the bits selects the real
-    axis, the second half the imaginary axis, each through a reflected
-    Gray code. ``scale`` maps odd integer levels to normalized
-    coordinates.
+    expansion of ``label``. ``scale`` maps odd integer levels to
+    normalized coordinates.
     """
 
     order: int
@@ -42,6 +44,7 @@ class Constellation:
     levels_per_axis: int
     scale: float
     points: np.ndarray
+    labels: np.ndarray
 
     @property
     def name(self) -> str:
@@ -53,19 +56,6 @@ class Constellation:
         return (self.levels_per_axis - 1) * self.scale
 
 
-def gray_encode(k: np.ndarray) -> np.ndarray:
-    return k ^ (k >> 1)
-
-
-def gray_decode(g: np.ndarray) -> np.ndarray:
-    k = np.array(g, copy=True)
-    shift = k >> 1
-    while shift.any():
-        k ^= shift
-        shift >>= 1
-    return k
-
-
 @lru_cache(maxsize=None)
 def make_constellation(order: int) -> Constellation:
     """Build the Gray-mapped constellation for order 4, 16 or 64."""
@@ -73,17 +63,14 @@ def make_constellation(order: int) -> Constellation:
         raise ValueError(f"unsupported constellation order {order}")
     b = int(np.log2(order))
     m = int(np.sqrt(order))
-    half = b // 2
     scale = 1.0 / np.sqrt(2.0 * (order - 1) / 3.0)
-    labels = np.arange(order)
-    gi = labels >> half
-    gq = labels & (m - 1)
-    ki = gray_decode(gi)
-    kq = gray_decode(gq)
-    levels_i = 2 * ki - (m - 1)
-    levels_q = 2 * kq - (m - 1)
-    points = (levels_i + 1j * levels_q) * scale
-    return Constellation(order, b, m, scale, points)
+    k = np.arange(m)
+    gray = (k ^ (k >> 1)).astype(np.uint8)
+    labels = (gray[:, None] << (b // 2)) | gray
+    levels = 2 * k - (m - 1)
+    points = np.empty(order, dtype=np.complex128)
+    points[labels] = (levels[:, None] + 1j * levels) * scale
+    return Constellation(order, b, m, scale, points, labels)
 
 
 def modulate(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -122,12 +109,12 @@ def hard_slice(
     x_soft = np.asarray(x_soft)
     if not np.isfinite(x_soft).all():
         raise ValueError("hard_slice needs finite estimates")
-    half = constellation.bits_per_symbol // 2
     m = constellation.levels_per_axis
     ki = _axis_index(x_soft.real, constellation)
     kq = _axis_index(x_soft.imag, constellation)
-    labels = (gray_encode(ki) << half) | gray_encode(kq)
-    symbols = constellation.points[labels]
+    # flat takes: fancy indexing (labels[ki, kq], points[labels]) is slower
+    labels = constellation.labels.ravel().take(ki * m + kq)
+    symbols = constellation.points.take(labels)
     # uint8 labels (order <= 64), so the bits cost one byte each throughout
     shifts = np.arange(constellation.bits_per_symbol - 1, -1, -1, dtype=np.uint8)
     bits = ((labels[..., None] >> shifts) & 1).reshape(-1)

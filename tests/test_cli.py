@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,9 @@ class TestBerCommand:
         ({"sweeps": [SWEEP], "trials": 40}, "trials"),
         ({"sweeps": [SWEEP], "complexity": {"u": [4], "tt": 3}}, "tt"),
         ({"sweeps": []}, "sweeps"),
+        ({**SWEEP, "snr": [True]}, "snr"),  # a bool is not an SNR of 1 dB
+        ({**SWEEP, "snr": [False, 6]}, "snr"),
+        ({"sweeps": [SWEEP], "complexity": {"u": [4, None]}}, "u"),
     ])
     def test_experiment_file_types_name_the_field(self, tmp_path, monkeypatch, capsys,
                                                   exp, field):
@@ -299,15 +303,21 @@ class TestBerCommand:
     @pytest.mark.parametrize("content,message", [
         (None, "cannot read"),  # no such file
         ("[1, 2]", "experiment file must hold a JSON object"),
+        pytest.param(b'{"n": \xff}', "invalid JSON", id="not-utf8"),
+        pytest.param("[" * 100_000 + "]" * 100_000, "invalid JSON", id="nested-100000-deep"),
     ])
-    def test_unreadable_or_non_object_config_names_config(self, tmp_path, capsys,
+    def test_unreadable_or_non_object_config_names_config(self, tmp_path, monkeypatch, capsys,
                                                          content, message):
+        monkeypatch.chdir(tmp_path)
         path = tmp_path / "exp.json"
-        if content is not None:
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
             path.write_text(content)
         assert run(["ber", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: config:") and message in err
+        assert [p.name for p in tmp_path.iterdir()] == ([] if content is None else ["exp.json"])
 
 
 REQUIRED = ("n", "u", "mod", "snr", "det")
@@ -380,6 +390,71 @@ class TestBuildSweep:
         for key, field in OPTIONAL_FIELDS.items():
             if entry.get(key) is None:
                 assert getattr(cfg, field) == CONFIG_DEFAULTS[field]
+
+
+# whole experiment files: a sweep list, or one flat sweep, with a complexity
+# request and an output directory, any of them of a wrong type; then as
+# bytes, with files that are not UTF-8 or not JSON, and JSON nested past
+# the recursion limit
+COMPLEXITY_REQUEST = st.fixed_dictionaries({}, optional={
+    "u": st.sampled_from(["4,8", "4,x", [16, 32], [0], [4, None], []]) | ANY_VALUE,
+    "t": st.integers(0, 4) | ANY_VALUE, "out": st.just("cx.csv") | ANY_VALUE,
+    "tt": ANY_VALUE})
+FILE_KEYS = st.fixed_dictionaries({}, optional={
+    "complexity": COMPLEXITY_REQUEST | ANY_VALUE, "out_dir": st.just("out") | ANY_VALUE})
+EXPERIMENT = (
+    st.builds(lambda sweeps, rest: {"sweeps": sweeps, **rest},
+              st.lists(SWEEP_SETTINGS | ANY_VALUE, max_size=2) | ANY_VALUE, FILE_KEYS)
+    | st.builds(lambda sweep, rest: {**sweep, **rest}, SWEEP_SETTINGS, FILE_KEYS)
+    | FILE_KEYS | ANY_VALUE)
+EXPERIMENT_FILE = (EXPERIMENT.map(lambda data: json.dumps(data).encode())
+                   | st.binary(max_size=6)
+                   | st.sampled_from([10, 100_000]).map(lambda d: b"[" * d + b"]" * d))
+FLAGS = st.sampled_from([[], ["--trials", "40"], ["--preset", "fig2", "--seed", "1"],
+                         ["--preset", "fig5", "--seed", "3", "--threads", "2"]])
+
+
+def input_keys(data, flags) -> set:
+    """The keys an experiment file and its flags hold, at every level plan_ber reads."""
+    keys = {flag[2:] for flag in flags if flag.startswith("--")}
+    if not isinstance(data, dict):
+        return keys
+    sweeps = data.get("sweeps")
+    for level in [data, data.get("complexity"), *(sweeps if isinstance(sweeps, list) else [])]:
+        if isinstance(level, dict):
+            keys |= set(level)
+    return keys
+
+
+class TestPlanBer:
+    @settings(max_examples=150)
+    @given(content=EXPERIMENT_FILE, flags=FLAGS)
+    def test_fuzzed_files_give_configs_or_name_a_key(self, content, flags):
+        # any experiment file, with or without a preset, gives valid configs
+        # or is refused naming a key it holds, a required sweep key, the
+        # file itself (config) or its sweeps; nothing else is raised and
+        # nothing is written
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "exp.json"
+            path.write_bytes(content)
+            args = cli.build_parser().parse_args(["ber", "--config", str(path), *flags])
+            try:
+                out_dir, configs, request = cli.plan_ber(args)
+            except ConfigError as err:
+                try:
+                    data = json.loads(content)
+                except (ValueError, RecursionError):
+                    data = None
+                assert err.field in input_keys(data, flags) | set(REQUIRED) | {"config", "sweeps"}
+                return
+            finally:
+                assert [p.name for p in Path(tmp).iterdir()] == ["exp.json"]
+        assert isinstance(out_dir, Path) and (configs or request)
+        for cfg in configs:
+            cfg.validate()
+        if request is not None:
+            _, u_list, t = request
+            assert all(isinstance(u, int) and u >= 1 for u in u_list) and t >= 1
 
 
 class TestComplexityCommand:

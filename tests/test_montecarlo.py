@@ -6,6 +6,7 @@ import functools
 import hashlib
 import os
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -138,6 +139,22 @@ class TestRunSweep:
         recs = mc.run_sweep(cfg)
         assert all(r.trials_run == 50 for r in recs)
         assert all(r.bits_total == 50 * cfg.u * 2 for r in recs)
+
+    def test_memory_does_not_grow_with_trials(self):
+        # a sweep that stops at its first chunk holds as much memory when
+        # asked for 10^7 trials as for 10^4: its chunks are not listed up front
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                records = mc.run_sweep(small_config(snr_db=(0.0,), trials=trials, stop_at_errors=1))
+                return tracemalloc.get_traced_memory()[1], {r.trials_run for r in records}
+            finally:
+                tracemalloc.stop()
+
+        peak(100)  # the one-time allocations (constellation cache, first Philox stream)
+        (small, small_run), (big, big_run) = peak(10**4), peak(10**7)
+        assert small_run == big_run == {100}
+        assert big < 2 * small
 
     def test_mmse_ber_monotone_in_snr(self):
         cfg = small_config(n=64, u=4, order=4, snr_db=(-4.0, 0.0, 4.0, 8.0),

@@ -223,7 +223,10 @@ def old_hard_slice_bits(x_soft, c):
     def axis(coord):
         return np.clip(np.ceil((coord / c.scale + (m - 1)) / 2.0 - 0.5), 0, m - 1).astype(np.int64)
 
-    labels = (phy.gray_encode(axis(x_soft.real)) << half) | phy.gray_encode(axis(x_soft.imag))
+    def gray(k):
+        return k ^ (k >> 1)
+
+    labels = (gray(axis(x_soft.real)) << half) | gray(axis(x_soft.imag))
     shifts = np.arange(c.bits_per_symbol - 1, -1, -1)
     return ((labels[..., None] >> shifts) & 1).astype(np.uint8).reshape(-1)
 

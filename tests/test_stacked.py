@@ -276,6 +276,49 @@ def test_values_only_equals_counted(name):
             assert np.array_equal(g, w)
 
 
+# every detector soft_estimate takes: each exact kind on each backend, the
+# iterative kinds at t = 1..4, and ADMIN with a fixed beta or beta_scale
+ANY_SPEC = st.one_of(
+    st.builds(DetectorSpec, st.sampled_from([Kind.ZF, Kind.MMSE]), st.sampled_from(list(Backend))),
+    st.builds(lambda kind, t: DetectorSpec(kind, iterations=t),
+              st.sampled_from([Kind.NSA, Kind.GS, Kind.CG]), st.integers(1, 4)),
+    st.builds(lambda t, beta: DetectorSpec(Kind.ADMIN, iterations=t, beta=beta),
+              st.integers(1, 6), st.floats(1e-3, 10.0)),
+    st.builds(lambda t, scale: DetectorSpec(Kind.ADMIN, iterations=t, beta_scale=scale),
+              st.integers(1, 6), st.floats(0.1, 10.0)))
+
+
+@settings(max_examples=120)
+@given(spec=ANY_SPEC, u=st.integers(1, 24), extra=st.integers(0, 24),
+       lead=st.lists(st.integers(1, 3), max_size=2), points=st.none() | st.integers(1, 3),
+       sigma2=st.floats(1e-3, 10.0), seed=st.integers(0, 2**32 - 1))
+def test_values_only_estimate_equals_counted(spec, u, extra, lead, points, sigma2, seed):
+    # any U, N = U + extra antennas, any leading shape with a float sigma2,
+    # or P points x T trials with sigma2 shaped (P, 1, 1): the uncounted
+    # estimate is the counted one, bit for bit where no LAPACK factor is
+    # taken, and raises what the counted call raises
+    rng = np.random.Generator(np.random.Philox(key=[seed, u]))
+    n, trials = u + extra, (lead[:1] or [1]) if points else lead
+    h = (rng.standard_normal((*trials, n, u)) + 1j * rng.standard_normal((*trials, n, u))) / np.sqrt(2)
+    g0 = detect.gramian(h, 0.0, None)
+    x_shape = (points, *trials, u) if points else (*trials, u)
+    x_mf = np.sqrt(n) * (rng.standard_normal(x_shape) + 1j * rng.standard_normal(x_shape))
+    if points:
+        sigma2 = sigma2 * rng.uniform(0.1, 1.0, (points, 1, 1))
+    try:
+        want = detect.soft_estimate(spec, g0, x_mf, sigma2, 1.0, OpCount())
+    except detect.SOLVE_ERRORS as err:
+        with pytest.raises(type(err)):
+            detect.soft_estimate(spec, g0, x_mf, sigma2, 1.0, None)
+        return
+    got = detect.soft_estimate(spec, g0, x_mf, sigma2, 1.0, None)
+    assert got.shape == want.shape == x_shape
+    if spec.kind in (Kind.NSA, Kind.GS, Kind.CG):
+        assert np.array_equal(got, want)
+    else:
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+
 SPECS = [DetectorSpec(kind, be) for kind in (Kind.ZF, Kind.MMSE) for be in Backend] + [
     DetectorSpec(kind) for kind in (Kind.NSA, Kind.GS, Kind.CG, Kind.ADMIN)]
 
