@@ -169,7 +169,8 @@ def build_sweep(settings: dict) -> SweepConfig:
         snr_points = parse_snr_range(snr)
     else:
         try:
-            if any(isinstance(s, bool) for s in snr):  # float(True) would be 1 dB
+            # an object would be read by its keys; float(True) would be 1 dB
+            if not isinstance(snr, (list, tuple)) or any(isinstance(s, bool) for s in snr):
                 raise TypeError
             snr_points = tuple(float(s) for s in snr)
         except (TypeError, ValueError):

@@ -38,17 +38,14 @@ Measured totals (exact for every U):
 * Gram-Schmidt QR : U^2 (4U + 2) real mults, U sqrts, U reciprocals
 * Cholesky        : (2U^3 + 3U^2 - 5U) / 3, U sqrts, U reciprocals
 * LDL             : (2U^3 + 12U^2 - 14U) / 3, no sqrts, U reciprocals
-
-The LDL routine keeps its pivots in complex form and caches the
-D-weighted columns, so every product it executes is a full complex
-multiplication; that is what puts its total above Cholesky's.
+  (its pivots stay complex, see ``kernels``)
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .kernels import OpCount, cmul, counted_recip, counted_sqrt, dot_h, dot_u, hermitian, rcmul
+from .kernels import OpCount, counted_recip, counted_sqrt, dot_h, dot_u, hermitian, mul
 
 PIVOT_RTOL = 1e-12
 
@@ -127,11 +124,11 @@ def gram_schmidt_qr(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.
             if (nrm <= tol).any():
                 raise NearSingularError(f"column {i} collapsed during orthogonalization")
             r[..., i, i] = nrm
-            qi = rcmul(counted_recip(nrm, acc)[..., None], qt[..., i, :], acc)
+            qi = mul(counted_recip(nrm, acc)[..., None], qt[..., i, :], acc)
             qt[..., i, :] = qi
             rij = dot_h(qi[..., None, :], qt[..., i + 1 :, :], acc)
             r[..., i, i + 1 :] = rij
-            qt[..., i + 1 :, :] -= cmul(rij[..., None], qi[..., None, :], acc)
+            qt[..., i + 1 :, :] -= mul(rij[..., None], qi[..., None, :], acc)
     q = np.swapaxes(qt, -1, -2)
     flag_non_finite(q, r)
     return q, r
@@ -199,7 +196,7 @@ def cholesky(a: np.ndarray, acc: OpCount | None) -> np.ndarray:
             l[..., i, i] = lii
             inv = counted_recip(lii, acc)
             s = dot_h(l[..., i, None, :i], l[..., i + 1 :, :i], acc)
-            l[..., i + 1 :, i] = rcmul(inv[..., None], a[..., i + 1 :, i] - s, acc)
+            l[..., i + 1 :, i] = mul(inv[..., None], a[..., i + 1 :, i] - s, acc)
     flag_non_finite(l)
     return l
 
@@ -233,9 +230,9 @@ def ldl(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.ndarray]:
             if (dj.real <= tol).any():
                 raise NotPositiveDefiniteError(f"pivot {j} is not positive ({dj.real.min():.3e})")
             d[..., j] = dj
-            lkj = cmul(rest[..., 1:], counted_recip(dj, acc)[..., None], acc)
+            lkj = mul(rest[..., 1:], counted_recip(dj, acc)[..., None], acc)
             l[..., j + 1 :, j] = lkj
-            w[..., j + 1 :, j] = cmul(lkj, dj[..., None], acc)
+            w[..., j + 1 :, j] = mul(lkj, dj[..., None], acc)
     flag_non_finite(l, d)
     return l, d.real
 
@@ -257,7 +254,7 @@ def _triangular_sub(
         for i in rows:
             known = slice(0, i) if lower else slice(i + 1, n)
             s = b[..., i] - dot_u(t[..., i, known], x[..., known], acc)
-            x[..., i] = cmul(s, inv[..., i], acc)
+            x[..., i] = mul(s, inv[..., i], acc)
     flag_non_finite(x)
     return x
 

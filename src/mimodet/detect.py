@@ -53,13 +53,12 @@ from .decomp import (
 from .kernels import (
     OpCount,
     charge,
-    charge_dots,
     counted_recip,
     dot_h,
     dot_u,
     hermitian,
     matvec,
-    rcmul,
+    mul,
 )
 
 
@@ -192,7 +191,7 @@ def gramian(
     idx = np.arange(u)
     g[..., idx, idx] = product[..., idx, idx].real + reg
     systems = g.size // (u * u)
-    charge_dots(acc, n, systems * u * (u + 1) // 2)
+    charge(acc, products=n * systems * u * (u + 1) // 2, operands=(h, h))
     return g
 
 
@@ -215,7 +214,7 @@ def exact_solve(
 
 def _ldl_solve(l: np.ndarray, d: np.ndarray, b: np.ndarray, acc: OpCount | None) -> np.ndarray:
     """Solve L D L^H x = b from the factors ``ldl`` returns."""
-    z = rcmul(counted_recip(d, acc), forward_sub(l, b, acc), acc)
+    z = mul(counted_recip(d, acc), forward_sub(l, b, acc), acc)
     return backward_sub(hermitian(l), z, acc)
 
 
@@ -244,12 +243,12 @@ def nsa_solve(
         e = g.copy()
         idx = np.arange(g.shape[-1])
         e[..., idx, idx] = 0.0
-        term = rcmul(d_inv, x_mf, acc)
+        term = mul(d_inv, x_mf, acc)
         total = term
         diverged = np.zeros(term.shape[:-1], dtype=bool)
         for k in range(1, t):
             prev = np.linalg.norm(term, axis=-1)
-            term = -rcmul(d_inv, matvec(e, term, acc), acc)
+            term = -mul(d_inv, matvec(e, term, acc), acc)
             total = total + term
             if k == t - 1:
                 diverged = np.linalg.norm(term, axis=-1) > prev
@@ -290,7 +289,7 @@ def gs_solve(
             for i in range(u):
                 s = x_mf[..., i] - dot_u(g[..., i, :i], x[..., :i], acc)
                 s = s - dot_u(g[..., i, i + 1 :], x[..., i + 1 :], acc)
-                x[..., i] = rcmul(d_inv[..., i], s, acc)
+                x[..., i] = mul(d_inv[..., i], s, acc)
     flag_non_finite(x)
     return x
 
@@ -318,14 +317,12 @@ def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None) -> np
             curvature = dot_h(p, gp, acc).real
             if (live & (curvature <= 0.0)).any():
                 raise CgBreakdownError("p^H G p <= 0; Gramian is not positive definite")
-            alpha = rs * counted_recip(np.where(live, curvature, 1.0), acc)
-            charge(acc, real_mul=alpha.size)
-            x = x + rcmul(alpha[..., None], p, acc)
-            r = r - rcmul(alpha[..., None], gp, acc)
+            alpha = mul(rs, counted_recip(np.where(live, curvature, 1.0), acc), acc)
+            x = x + mul(alpha[..., None], p, acc)
+            r = r - mul(alpha[..., None], gp, acc)
             rs_new = dot_h(r, r, acc).real
-            beta = rs_new * counted_recip(np.where(live, rs, 1.0), acc)
-            charge(acc, real_mul=beta.size)
-            p = r + rcmul(beta[..., None], p, acc)
+            beta = mul(rs_new, counted_recip(np.where(live, rs, 1.0), acc), acc)
+            p = r + mul(beta[..., None], p, acc)
             rs = rs_new
     flag_non_finite(x)
     return x
@@ -376,7 +373,7 @@ def admin_solve(
         z = _clip_box(x, box)
         lam = x - z
         for _ in range(1, t):
-            x = solve(x_mf + rcmul(beta, z - lam, acc))
+            x = solve(x_mf + mul(beta, z - lam, acc))
             z = _clip_box(x + lam, box)
             lam = lam + (x - z)
     flag_non_finite(x)

@@ -3,33 +3,32 @@
 Every kernel computes one NumPy operation on whole arrays and charges
 the operation's cost per output element, so a kernel applied to a stack
 of B independent systems charges exactly B times what it charges for
-one. Counts are computed from operand shapes, never from values.
+one. Counts are computed from operand shapes and types, never from
+values.
 
 The paper's complexity measure is the number of real multiplications;
 square roots and reciprocals are tallied on their own. Additions,
 subtractions, conjugation and negation are free and are written as
-plain NumPy arithmetic. Per element:
-
-* complex * complex : 4 real multiplications
-* real * complex    : 2 real multiplications
-* square root, reciprocal : one unit on its own tally
-
-An inner product of length n costs n complex multiplications. A squared
-vector norm is the inner product of a vector with itself,
-``dot_h(a, a, acc).real``, so it is charged one complex multiplication
-per element (4 real multiplications), not the 2 that would suffice
-arithmetically. This matches the accounting that makes the decomposition
-counts in ``decomp`` land exactly on their closed forms.
+plain NumPy arithmetic. The operands' types, not the kernel's name, set
+the price of a product: 1 real multiplication, doubled for each complex
+operand, so complex * complex costs 4, real * complex 2 and real * real
+1 real multiplication. :func:`mul` charges this per output element; an
+inner product of length n (:func:`dot_h`, :func:`dot_u`, each output of
+:func:`matvec`) charges it n times. A squared norm ``dot_h(a, a, acc).real`` is thus
+charged 4 per element, not the 2 that would suffice. This accounting
+lands the counts in ``decomp`` exactly on their closed forms; the LDL
+form counts each of its products as a complex multiplication (which puts
+it above Cholesky's), so ``decomp.ldl`` keeps its pivots complex.
 
 Every kernel takes an explicit :class:`OpCount` accumulator; there is no
 global counter. ``acc=None`` computes the same values and tallies
 nothing: every charge goes through :func:`charge`, the one place that
 skips it, so a counted and an uncounted call run identical arithmetic.
 The Monte-Carlo sweep passes None, because a count depends only on
-shapes and is taken once by whoever asks for it (``complexity``, the
-tests). Kernels do not check their results: a non-finite value travels
-to the end of its system, where the solver that produced it raises (see
-``decomp``).
+shapes and types and is taken once by whoever asks for it
+(``complexity``, the tests). Kernels do not check their results: a
+non-finite value travels to the end of its system, where the solver that
+produced it raises (see ``decomp``).
 """
 
 from __future__ import annotations
@@ -48,31 +47,26 @@ class OpCount:
     real_mul: int = 0
 
 
-def charge(acc: OpCount | None, *, sqrt: int = 0, reciprocal: int = 0, real_mul: int = 0) -> None:
-    """Add to ``acc``'s tally; with ``acc=None`` (values only) do nothing."""
+def charge(acc: OpCount | None, *, sqrt=0, reciprocal=0, products=0, operands=()) -> None:
+    """Add to ``acc``'s tally; with ``acc=None`` (values only) do nothing.
+
+    Each of ``products`` scalar products costs 1 real multiplication,
+    doubled for each complex array or scalar among ``operands``.
+    """
     if acc is None:
         return
+    for x in operands:
+        if np.iscomplexobj(x):
+            products *= 2
     acc.sqrt += sqrt
     acc.reciprocal += reciprocal
-    acc.real_mul += real_mul
+    acc.real_mul += products
 
 
-def charge_dots(acc: OpCount | None, n: int, count: int) -> None:
-    """Charge ``count`` complex inner products of length ``n``."""
-    charge(acc, real_mul=4 * n * count)
-
-
-def cmul(a, b, acc: OpCount | None):
-    """Elementwise complex product, 4 real mults each."""
+def mul(a, b, acc: OpCount | None):
+    """Elementwise product, each element charged at its operands' rate."""
     out = np.multiply(a, b)
-    charge(acc, real_mul=4 * out.size)
-    return out
-
-
-def rcmul(r, b, acc: OpCount | None):
-    """Elementwise real-times-complex product, 2 real mults each."""
-    out = np.multiply(r, b)
-    charge(acc, real_mul=2 * out.size)
+    charge(acc, products=out.size, operands=(a, b))
     return out
 
 
@@ -100,11 +94,11 @@ def dot_h(a: np.ndarray, b: np.ndarray, acc: OpCount | None):
     """Hermitian inner products sum_k conj(a[..., k]) * b[..., k].
 
     Leading axes broadcast; each output element is charged as one inner
-    product of the last-axis length.
+    product of the last-axis length, at the operands' rate.
     """
     n = _contract(a, b, "dot_h")
     out = np.einsum("...k,...k->...", a.conj(), b)
-    charge_dots(acc, n, out.size)
+    charge(acc, products=n * out.size, operands=(a, b))
     return out
 
 
@@ -112,7 +106,7 @@ def dot_u(a: np.ndarray, b: np.ndarray, acc: OpCount | None):
     """Unconjugated inner products sum_k a[..., k] * b[..., k], as dot_h."""
     n = _contract(a, b, "dot_u")
     out = np.einsum("...k,...k->...", a, b)
-    charge_dots(acc, n, out.size)
+    charge(acc, products=n * out.size, operands=(a, b))
     return out
 
 
@@ -123,14 +117,14 @@ def matvec(a: np.ndarray, b: np.ndarray, acc: OpCount | None) -> np.ndarray:
     of axes. Leading axes broadcast: one (m, k) matrix times a (B, k)
     stack gives B products, and a (T, m, k) stack times a (P, T, k)
     stack gives P x T. Each of the m outputs per product is charged as
-    one inner product of length k.
+    one inner product of length k, at the operands' rate.
     """
     if a.ndim < 2:
         raise ValueError("matvec: left operand must be a matrix")
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"matvec: dimension mismatch {a.shape} x {b.shape}")
     out = (a @ b[..., None])[..., 0]
-    charge_dots(acc, a.shape[-1], out.size)
+    charge(acc, products=a.shape[-1] * out.size, operands=(a, b))
     return out
 
 

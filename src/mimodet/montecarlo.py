@@ -327,9 +327,9 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
             if pool is None:  # one worker: the chunk, evaluated inline
                 counts = [_eval_trials(config, active, lo, hi) for lo, hi in wave]
             else:
-                futures = [pool.submit(_eval_trials, config, active, lo, hi) for lo, hi in wave]
-                cf.wait(futures)
-                try:
+                try:  # a worker may die before the wave's last chunk is sent
+                    futures = [pool.submit(_eval_trials, config, active, *chunk) for chunk in wave]
+                    cf.wait(futures)
                     counts = [fut.result() for fut in futures]
                 except cf.BrokenExecutor:  # every chunk of the wave is lost with it
                     snr = tuple(config.snr_db[p] for p in np.flatnonzero(active.any(axis=1)))

@@ -6,7 +6,7 @@ gate relative curve positions, never absolute ones. Each test prints a
 single PASS/FAIL line; run with ``pytest tests/test_acceptance.py -v -s``.
 
 Criterion 7 is expected red on the Gauss-Seidel clause: the measured
-Gauss-Seidel error floor in the 32x16 preset is ~0.085, below the gated
+Gauss-Seidel error floor in the 32x16 preset is ~0.090, below the gated
 1e-1. The floor is iteration-limited (three sweeps), stable across
 seeds, and unaffected by Gramian regularization or initialization
 choice, so the gate is not reachable by a correct Gray-labeled

@@ -265,6 +265,7 @@ class TestBerCommand:
         ({**SWEEP, "snr": [True]}, "snr"),  # a bool is not an SNR of 1 dB
         ({**SWEEP, "snr": [False, 6]}, "snr"),
         ({"sweeps": [SWEEP], "complexity": {"u": [4, None]}}, "u"),
+        ({**SWEEP, "snr": {"5": None, "7": 1}}, "snr"),  # an object is not a list of its keys
     ])
     def test_experiment_file_types_name_the_field(self, tmp_path, monkeypatch, capsys,
                                                   exp, field):

@@ -1,33 +1,35 @@
 """Counted-kernel arithmetic and accounting contracts."""
 
+import ast
 from dataclasses import astuple
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mimodet
 from mimodet.kernels import (
     OpCount,
-    cmul,
     counted_recip,
     counted_sqrt,
     dot_h,
     dot_u,
     hermitian,
     matvec,
-    rcmul,
+    mul,
 )
 
 
 def test_cmul_identity_still_counted():
     acc = OpCount()
-    out = cmul(1 + 0j, 3.5 - 2.5j, acc)
+    out = mul(1 + 0j, 3.5 - 2.5j, acc)
     assert out == 3.5 - 2.5j
     assert acc == OpCount(real_mul=4)
 
 
 def test_cmul_hand_value():
     acc = OpCount()
-    assert cmul(1 + 2j, 3 + 4j, acc) == -5 + 10j
+    assert mul(1 + 2j, 3 + 4j, acc) == -5 + 10j
 
 
 def test_cmul_gaussian_integer_exactness():
@@ -36,7 +38,7 @@ def test_cmul_gaussian_integer_exactness():
     rng = np.random.Generator(np.random.Philox(key=[7, 0]))
     for _ in range(500):
         a_re, a_im, b_re, b_im = (int(v) for v in rng.integers(-100, 101, size=4))
-        got = cmul(complex(a_re, a_im), complex(b_re, b_im), OpCount())
+        got = mul(complex(a_re, a_im), complex(b_re, b_im), OpCount())
         exact = complex(a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re)
         assert got == exact
 
@@ -45,21 +47,21 @@ def test_cmul_count_scales_with_invocations():
     for u in (2, 5, 16):
         acc = OpCount()
         for _ in range(u * u):
-            cmul(1j, 1j, acc)
+            mul(1j, 1j, acc)
         assert acc.real_mul == 4 * u * u
 
 
 def test_rcmul():
     acc = OpCount()
-    assert rcmul(0.5, 2 + 4j, acc) == 1 + 2j
+    assert mul(0.5, 2 + 4j, acc) == 1 + 2j
     assert acc.real_mul == 2
     acc = OpCount()
-    assert rcmul(1.0, -3 + 7j, acc) == -3 + 7j
+    assert mul(1.0, -3 + 7j, acc) == -3 + 7j
     assert acc.real_mul == 2  # identity multiplicand still counted
     acc = OpCount()
     pairs = 6 * 5 // 2
     for _ in range(pairs):
-        rcmul(2.0, 1j, acc)
+        mul(2.0, 1j, acc)
     assert acc.real_mul == 2 * pairs
 
 
@@ -186,8 +188,8 @@ def test_arrays_charge_per_output_element():
     b = rng.standard_normal((3, 1, 5)) + 1j * rng.standard_normal((3, 1, 5))
     r = rng.standard_normal((3, 4, 1))
     cases = [
-        (lambda acc: cmul(a, b, acc), lambda acc: cmul(1j, 2j, acc), 60),
-        (lambda acc: rcmul(r, a, acc), lambda acc: rcmul(0.5, 1j, acc), 60),
+        (lambda acc: mul(a, b, acc), lambda acc: mul(1j, 2j, acc), 60),
+        (lambda acc: mul(r, a, acc), lambda acc: mul(0.5, 1j, acc), 60),
         (lambda acc: counted_sqrt(np.abs(a), acc), lambda acc: counted_sqrt(2.0, acc), 60),
         (lambda acc: counted_recip(a, acc), lambda acc: counted_recip(2.0, acc), 60),
         (lambda acc: dot_h(b, a, acc), lambda acc: dot_h(a[0, 0], a[0, 1], acc), 12),
@@ -200,6 +202,36 @@ def test_arrays_charge_per_output_element():
         single(one)
         assert many == OpCount(*(k * v for v in astuple(one)))
 
+    # the operands set the rate: 1 real multiplication per scalar product,
+    # doubled for each complex operand; values are NumPy's own, bit for bit
+    re, cx = a.real.copy(), a
+    for x, y, rate in [(re, re, 1), (re, cx, 2), (cx, re, 2), (cx, cx, 4)]:
+        acc = OpCount()
+        assert mul(x, y, acc).tobytes() == np.multiply(x, y).tobytes()
+        assert acc == OpCount(real_mul=rate * 60)
+    # a Python float scalar is a real operand
+    for y, rate in [(re, 1), (cx, 2)]:
+        acc = OpCount()
+        assert mul(0.5, y, acc).tobytes() == np.multiply(0.5, y).tobytes()
+        assert acc == OpCount(real_mul=rate * 60)
+    # a real (P, 1, 1) array against a complex stack, as one beta per SNR point
+    beta = rng.standard_normal((2, 1, 1))
+    acc = OpCount()
+    assert mul(beta, cx[0], acc).tobytes() == np.multiply(beta, cx[0]).tobytes()
+    assert acc == OpCount(real_mul=2 * 2 * 4 * 5)
+    # inner products and matrix-vector products with one real operand
+    for x, y in [(re, cx), (cx, re)]:
+        acc = OpCount()
+        assert dot_h(x, y, acc).tobytes() == np.einsum("...k,...k->...", x.conj(), y).tobytes()
+        assert acc == OpCount(real_mul=2 * 5 * 12)
+        acc = OpCount()
+        assert dot_u(x, y, acc).tobytes() == np.einsum("...k,...k->...", x, y).tobytes()
+        assert acc == OpCount(real_mul=2 * 5 * 12)
+        acc = OpCount()
+        v = y[:, 0, :]
+        assert matvec(x, v, acc).tobytes() == (x @ v[..., None])[..., 0].tobytes()
+        assert acc == OpCount(real_mul=2 * 5 * 12)
+
 
 def test_stacked_values_match_elementwise():
     rng = np.random.Generator(np.random.Philox(key=[13, 1]))
@@ -208,3 +240,25 @@ def test_stacked_values_match_elementwise():
     assert np.allclose(dot_h(a, a, OpCount()), (np.abs(a) ** 2).sum(axis=-1), atol=1e-12)
     assert np.allclose(matvec(a, v, OpCount()), np.einsum("bij,bj->bi", a, v), atol=1e-12)
     assert np.allclose(dot_u(a, a, OpCount()), (a * a).sum(axis=-1), atol=1e-12)
+
+
+def test_the_counting_rule_lives_in_kernels():
+    # outside kernels, only the Gramian charges by hand: it forms H^H H in
+    # one product and charges the U(U+1)/2 inner products of its upper half
+    calls = []
+    for path in sorted(Path(mimodet.__file__).parent.glob("*.py")):
+        if path.stem == "kernels":
+            continue
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{where}.{node.name}"
+            if isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", None) == "charge" or getattr(func, "attr", None) == "charge":
+                    calls.append(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert calls == ["detect.gramian"]

@@ -434,18 +434,16 @@ class TestValuesOnly:
         cfg = small_config(n=8, u=8, snr_db=(0.0, 12.0), trials=24, chunk_size=8,
                            detectors=specs)
         accs = []
+        charge = kernels.charge
+
+        def spy(acc, *args, **kwargs):
+            accs.append(acc)
+            return charge(acc, *args, **kwargs)
+
         with monkeypatch.context() as m:
-            for name in ("charge_dots", "charge"):
-                fn = getattr(kernels, name)
-
-                def spy(acc, *args, fn=fn, **kwargs):
-                    accs.append(acc)
-                    return fn(acc, *args, **kwargs)
-
-                # every module that calls it, under the name it imported
-                for module in (kernels, decomp, detect):
-                    if hasattr(module, name):
-                        m.setattr(module, name, spy)
+            # every module that calls it, under the name it imported
+            for module in (kernels, detect):
+                m.setattr(module, "charge", spy)
             values = mc.run_sweep(cfg)
         assert accs and all(acc is None for acc in accs)
 
@@ -682,6 +680,24 @@ class TestWorkerDied:
         assert err.value.chunks == [((6.0, 12.0), 20, 30), ((6.0, 12.0), 30, 40)]
         assert str(err.value) == ("a pool worker died evaluating trials [20, 30) at SNR "
                                   "6, 12 dB; trials [30, 40) at SNR 6, 12 dB")
+
+    def test_worker_dies_before_its_wave_is_sent(self, monkeypatch):
+        # the worker evaluating [20, 30) is dead before [30, 40) is
+        # submitted: the submit that finds the pool broken raises too
+        import concurrent.futures as cf
+
+        submit = cf.ProcessPoolExecutor.submit
+
+        def submit_then_wait(pool, fn, *args):
+            fut = submit(pool, fn, *args)
+            if args[2] == 20:
+                fut.exception(timeout=30)
+            return fut
+
+        monkeypatch.setattr(cf.ProcessPoolExecutor, "submit", submit_then_wait)
+        with pytest.raises(mc.WorkerDied) as err:
+            mc.run_sweep(small_config(trials=60, chunk_size=10, workers=2))
+        assert ((0.0, 6.0, 12.0), 20, 30) in err.value.chunks
 
     def test_cli_exits_3(self, monkeypatch, tmp_path, capsys):
         build = cli.build_sweep
