@@ -1,8 +1,9 @@
 """Command-line front end: BER sweeps, complexity tables, self test.
 
 Exit codes: 0 success, 1 failed self test, 2 configuration error
-(diagnostic names the offending field), 3 runtime failure (numerical,
-or a sweep worker process that died; the diagnostic names its chunk).
+(diagnostic names the offending field; nothing has run), 3 runtime
+failure (numerical, a sweep worker process that died, whose diagnostic
+names its chunk, or an output that could not be written).
 """
 
 from __future__ import annotations
@@ -240,8 +241,23 @@ def complexity_request(u, t) -> tuple[tuple[int, ...], int]:
 
 
 def _write_complexity(path: Path, u_list: tuple[int, ...], t: int) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(complexity.table_csv(complexity.comparison_table(u_list, t)))
     print(path)
+
+
+def _ber_path(out_dir: Path, cfg: SweepConfig) -> Path:
+    """The BER CSV a sweep writes: ``ber_<N>x<U>_<mod>.csv`` in ``out_dir``."""
+    return out_dir / f"ber_{cfg.n}x{cfg.u}_{phy.MOD_NAMES[cfg.order]}.csv"
+
+
+def _check_directory(path: Path, field_name: str) -> None:
+    """A ConfigError naming ``field_name`` if ``path`` lies in or under an existing file."""
+    for parent in (path, *path.parents):
+        if parent.exists():
+            if not parent.is_dir():
+                raise ConfigError(field_name, f"{parent} exists and is not a directory")
+            return
 
 
 def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...], int] | None]:
@@ -295,6 +311,16 @@ def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...]
                    *complexity_request(spec.get("u"), spec.get("t")))
     if not configs and request is None:
         raise ConfigError("sweeps", "needs at least one sweep or a complexity request")
+    # every file the run writes has a path of its own, in a directory it can make
+    written: set[str] = set()
+    outputs = [(_ber_path(out_dir, cfg), "sweeps") for cfg in configs]
+    for path, field_name in outputs + ([(request[0], "complexity")] if request else []):
+        if os.path.abspath(path) in written:
+            raise ConfigError(field_name, f"two outputs would be written to {path}")
+        written.add(os.path.abspath(path))
+    _check_directory(out_dir, "out_dir")
+    if request is not None:
+        _check_directory(request[0].parent, "out")
     return out_dir, configs, request
 
 
@@ -312,7 +338,7 @@ def cmd_ber(args) -> int:
         records = montecarlo.run_sweep(
             cfg, progress=lambda msg: print("# " + msg, file=sys.stderr)
         )
-        out_path = out_dir / f"ber_{cfg.n}x{cfg.u}_{const.name}.csv"
+        out_path = _ber_path(out_dir, cfg)
         out_path.write_text(ber_csv(records))
         print(out_path)
     if request is not None:
@@ -321,7 +347,9 @@ def cmd_ber(args) -> int:
 
 
 def cmd_complexity(args) -> int:
-    _write_complexity(Path(args.out), *complexity_request(args.u, args.t))
+    u_list, t = complexity_request(args.u, args.t)
+    _check_directory(Path(args.out).parent, "out")
+    _write_complexity(Path(args.out), u_list, t)
     return 0
 
 
@@ -455,6 +483,9 @@ def main(argv=None) -> int:
         return 3
     except montecarlo.WorkerDied as exc:
         print(f"worker failure: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # an unreadable experiment file is a ConfigError already
+        print(f"output error: {exc}", file=sys.stderr)
         return 3
 
 

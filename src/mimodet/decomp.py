@@ -29,8 +29,9 @@ exactly B times the single-system tally.
 
 A routine raises on the first bad system of a stack, with the type a
 call on that system alone raises: the pivot tolerance, the Hermitian
-check and a final non-finite check each test every system at once. The
-sweep isolates a failed trial itself, by solving a stack that raised
+check and the non-finite check each test every system at once. The last
+is :func:`finite_result`, which every solver here and in ``detect`` wears.
+The sweep isolates a failed trial itself, by solving a stack that raised
 again one (point, trial) at a time (see ``montecarlo``).
 
 Measured totals (exact for every U):
@@ -42,6 +43,8 @@ Measured totals (exact for every U):
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -82,10 +85,21 @@ def vector_stack(b: np.ndarray, n: int) -> np.ndarray:
     return b
 
 
-def flag_non_finite(*outputs: np.ndarray) -> None:
-    """Raise ``FloatingPointError`` if an output holds a non-finite entry."""
-    if not all(np.isfinite(out).all() for out in outputs):
-        raise FloatingPointError("non-finite result in counted solver")
+def finite_result(solver):
+    """The one failure rule of the solvers: run ``solver`` with floating-point
+    warnings off, so a NaN or an overflow travels to its result, and raise
+    ``FloatingPointError`` if an array it returns (alone or in a tuple) is
+    not finite."""
+
+    @functools.wraps(solver)
+    def checked(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            out = solver(*args, **kwargs)
+        if not all(np.isfinite(a).all() for a in (out if isinstance(out, tuple) else (out,))):
+            raise FloatingPointError("non-finite result in counted solver")
+        return out
+
+    return checked
 
 
 def pivot_tol(a: np.ndarray) -> np.ndarray:
@@ -100,6 +114,7 @@ def _check_hermitian(a: np.ndarray, tol: np.ndarray) -> None:
         raise ValueError("matrix is not Hermitian within 1e-12 relative")
 
 
+@finite_result
 def gram_schmidt_qr(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.ndarray]:
     """Classical Gram-Schmidt QR of a square complex matrix (or a stack): (q, r).
 
@@ -117,21 +132,18 @@ def gram_schmidt_qr(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.
     n = a.shape[-1]
     qt = np.swapaxes(a, -1, -2).copy()  # qt[..., i, :] is column i of Q
     r = np.zeros_like(a)
-    with np.errstate(all="ignore"):
-        for i in range(n):
-            col = qt[..., i, :]
-            nrm = counted_sqrt(dot_h(col, col, acc).real, acc)
-            if (nrm <= tol).any():
-                raise NearSingularError(f"column {i} collapsed during orthogonalization")
-            r[..., i, i] = nrm
-            qi = mul(counted_recip(nrm, acc)[..., None], qt[..., i, :], acc)
-            qt[..., i, :] = qi
-            rij = dot_h(qi[..., None, :], qt[..., i + 1 :, :], acc)
-            r[..., i, i + 1 :] = rij
-            qt[..., i + 1 :, :] -= mul(rij[..., None], qi[..., None, :], acc)
-    q = np.swapaxes(qt, -1, -2)
-    flag_non_finite(q, r)
-    return q, r
+    for i in range(n):
+        col = qt[..., i, :]
+        nrm = counted_sqrt(dot_h(col, col, acc).real, acc)
+        if (nrm <= tol).any():
+            raise NearSingularError(f"column {i} collapsed during orthogonalization")
+        r[..., i, i] = nrm
+        qi = mul(counted_recip(nrm, acc)[..., None], qt[..., i, :], acc)
+        qt[..., i, :] = qi
+        rij = dot_h(qi[..., None, :], qt[..., i + 1 :, :], acc)
+        r[..., i, i + 1 :] = rij
+        qt[..., i + 1 :, :] -= mul(rij[..., None], qi[..., None, :], acc)
+    return np.swapaxes(qt, -1, -2), r
 
 
 def _lapack_qr(a: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,16 +153,14 @@ def _lapack_qr(a: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     check does. Each column of Q takes the phase of R's diagonal entry and
     the matching row of R its conjugate, so diag(R) is real and positive.
     """
-    with np.errstate(all="ignore"):
-        q, r = np.linalg.qr(a)
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        mag = np.abs(diag)
-        if (mag <= tol[..., None]).any():
-            raise NearSingularError(f"a column collapsed during orthogonalization ({mag.min():.3e})")
-        phase = diag / mag
-        q *= phase[..., None, :]
-        r *= phase.conj()[..., :, None]
-    flag_non_finite(q, r)
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    mag = np.abs(diag)
+    if (mag <= tol[..., None]).any():
+        raise NearSingularError(f"a column collapsed during orthogonalization ({mag.min():.3e})")
+    phase = diag / mag
+    q *= phase[..., None, :]
+    r *= phase.conj()[..., :, None]
     return q, r
 
 
@@ -163,16 +173,17 @@ def _lapack_cholesky(a: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.nda
     try:
         l = np.linalg.cholesky(a)
     except np.linalg.LinAlgError:
-        flag_non_finite(a)  # a NaN input fails as the counted loop fails it
+        if not np.isfinite(a).all():  # a NaN input fails as the counted loop fails it
+            raise FloatingPointError("non-finite Gramian") from None
         raise NotPositiveDefiniteError("matrix is not positive definite") from None
     diag = np.diagonal(l, axis1=-2, axis2=-1).real
     piv = diag * diag
     if (piv <= tol[..., None]).any():
         raise NotPositiveDefiniteError(f"a pivot is not positive ({piv.min():.3e})")
-    flag_non_finite(l)
     return l, diag
 
 
+@finite_result
 def cholesky(a: np.ndarray, acc: OpCount | None) -> np.ndarray:
     """Cholesky factor L with A = L L^H for Hermitian positive-definite A.
 
@@ -186,21 +197,20 @@ def cholesky(a: np.ndarray, acc: OpCount | None) -> np.ndarray:
         return _lapack_cholesky(a, tol)[0]
     n = a.shape[-1]
     l = np.zeros_like(a)
-    with np.errstate(all="ignore"):
-        for i in range(n):
-            row = l[..., i, :i]
-            piv = a[..., i, i].real - dot_h(row, row, acc).real
-            if (piv <= tol).any():
-                raise NotPositiveDefiniteError(f"pivot {i} is not positive ({piv.min():.3e})")
-            lii = counted_sqrt(piv, acc)
-            l[..., i, i] = lii
-            inv = counted_recip(lii, acc)
-            s = dot_h(l[..., i, None, :i], l[..., i + 1 :, :i], acc)
-            l[..., i + 1 :, i] = mul(inv[..., None], a[..., i + 1 :, i] - s, acc)
-    flag_non_finite(l)
+    for i in range(n):
+        row = l[..., i, :i]
+        piv = a[..., i, i].real - dot_h(row, row, acc).real
+        if (piv <= tol).any():
+            raise NotPositiveDefiniteError(f"pivot {i} is not positive ({piv.min():.3e})")
+        lii = counted_sqrt(piv, acc)
+        l[..., i, i] = lii
+        inv = counted_recip(lii, acc)
+        s = dot_h(l[..., i, None, :i], l[..., i + 1 :, :i], acc)
+        l[..., i + 1 :, i] = mul(inv[..., None], a[..., i + 1 :, i] - s, acc)
     return l
 
 
+@finite_result
 def ldl(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.ndarray]:
     """LDL^H factorization with unit lower-triangular L and real D > 0: (l, d).
 
@@ -222,21 +232,20 @@ def ldl(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.ndarray]:
     l = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape).copy()
     w = np.zeros_like(a)
     d = np.zeros(a.shape[:-1], dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        for j in range(n):
-            # pivot j and column j below it share the inner products with w[j]
-            rest = a[..., j:, j] - dot_h(w[..., j, None, :j], l[..., j:, :j], acc)
-            dj = rest[..., 0]
-            if (dj.real <= tol).any():
-                raise NotPositiveDefiniteError(f"pivot {j} is not positive ({dj.real.min():.3e})")
-            d[..., j] = dj
-            lkj = mul(rest[..., 1:], counted_recip(dj, acc)[..., None], acc)
-            l[..., j + 1 :, j] = lkj
-            w[..., j + 1 :, j] = mul(lkj, dj[..., None], acc)
-    flag_non_finite(l, d)
+    for j in range(n):
+        # pivot j and column j below it share the inner products with w[j]
+        rest = a[..., j:, j] - dot_h(w[..., j, None, :j], l[..., j:, :j], acc)
+        dj = rest[..., 0]
+        if (dj.real <= tol).any():
+            raise NotPositiveDefiniteError(f"pivot {j} is not positive ({dj.real.min():.3e})")
+        d[..., j] = dj
+        lkj = mul(rest[..., 1:], counted_recip(dj, acc)[..., None], acc)
+        l[..., j + 1 :, j] = lkj
+        w[..., j + 1 :, j] = mul(lkj, dj[..., None], acc)
     return l, d.real
 
 
+@finite_result
 def _triangular_sub(
     t: np.ndarray, b: np.ndarray, acc: OpCount | None, lower: bool
 ) -> np.ndarray:
@@ -249,13 +258,11 @@ def _triangular_sub(
     if small.any():
         raise SingularTriangularError(f"zero diagonal at row {next(i for i in rows if small[..., i].any())}")
     x = np.zeros_like(b)
-    with np.errstate(all="ignore"):
-        inv = counted_recip(diag, acc)
-        for i in rows:
-            known = slice(0, i) if lower else slice(i + 1, n)
-            s = b[..., i] - dot_u(t[..., i, known], x[..., known], acc)
-            x[..., i] = mul(s, inv[..., i], acc)
-    flag_non_finite(x)
+    inv = counted_recip(diag, acc)
+    for i in rows:
+        known = slice(0, i) if lower else slice(i + 1, n)
+        s = b[..., i] - dot_u(t[..., i, known], x[..., known], acc)
+        x[..., i] = mul(s, inv[..., i], acc)
     return x
 
 

@@ -16,7 +16,8 @@ Like the routines in ``decomp``, every function here takes one system
 or a stack with any leading shape, returns plain arrays, charges B
 times the single-system tally for B systems, computed from shapes, and
 raises on the first system it cannot solve; the sweep retries a raising
-stack one (point, trial) at a time. NSA and GS also take a diagonal
+stack one (point, trial) at a time; ``decomp.finite_result`` is the one
+place a non-finite result raises. NSA and GS also take a diagonal
 shift ``reg``: they solve against G + reg*I reading G's off-diagonal
 part in place, so one Gramian stack serves every SNR point at once.
 ``soft_estimate`` takes a per-point sigma2 for every kind (see there).
@@ -43,7 +44,7 @@ from .decomp import (
     as_stack,
     backward_sub,
     cholesky,
-    flag_non_finite,
+    finite_result,
     forward_sub,
     gram_schmidt_qr,
     ldl,
@@ -195,6 +196,7 @@ def gramian(
     return g
 
 
+@finite_result
 def exact_solve(
     g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None
 ) -> np.ndarray:
@@ -202,8 +204,7 @@ def exact_solve(
     if backend is Backend.QR:
         q, r = gram_schmidt_qr(g, acc)
         q = hermitian(q)  # Q^H replaces Q: one of them is alive at a time
-        with np.errstate(all="ignore"):  # a non-finite b raises in backward_sub
-            return backward_sub(r, matvec(q, b, acc), acc)
+        return backward_sub(r, matvec(q, b, acc), acc)
     if backend is Backend.CHOLESKY:
         l = cholesky(g, acc)
         return backward_sub(hermitian(l), forward_sub(l, b, acc), acc)
@@ -218,6 +219,7 @@ def _ldl_solve(l: np.ndarray, d: np.ndarray, b: np.ndarray, acc: OpCount | None)
     return backward_sub(hermitian(l), z, acc)
 
 
+@finite_result
 def nsa_solve(
     g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None,
     reg: float | np.ndarray = 0.0,
@@ -238,24 +240,23 @@ def nsa_solve(
     g = as_stack(g)
     x_mf = vector_stack(x_mf, g.shape[-1])
     diag = np.diagonal(g, axis1=-2, axis2=-1) + reg
-    with np.errstate(all="ignore"):
-        d_inv = counted_recip(diag.real, acc)
-        e = g.copy()
-        idx = np.arange(g.shape[-1])
-        e[..., idx, idx] = 0.0
-        term = mul(d_inv, x_mf, acc)
-        total = term
-        diverged = np.zeros(term.shape[:-1], dtype=bool)
-        for k in range(1, t):
-            prev = np.linalg.norm(term, axis=-1)
-            term = -mul(d_inv, matvec(e, term, acc), acc)
-            total = total + term
-            if k == t - 1:
-                diverged = np.linalg.norm(term, axis=-1) > prev
-    flag_non_finite(total)
+    d_inv = counted_recip(diag.real, acc)
+    e = g.copy()
+    idx = np.arange(g.shape[-1])
+    e[..., idx, idx] = 0.0
+    term = mul(d_inv, x_mf, acc)
+    total = term
+    diverged = np.zeros(term.shape[:-1], dtype=bool)
+    for k in range(1, t):
+        prev = np.linalg.norm(term, axis=-1)
+        term = -mul(d_inv, matvec(e, term, acc), acc)
+        total = total + term
+        if k == t - 1:
+            diverged = np.linalg.norm(term, axis=-1) > prev
     return total, diverged
 
 
+@finite_result
 def gs_solve(
     g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None,
     reg: float | np.ndarray = 0.0,
@@ -283,17 +284,16 @@ def gs_solve(
     if small.any():
         raise SingularTriangularError(f"zero Gramian diagonal at {np.nonzero(small)[-1].min()}")
     x = np.zeros(np.broadcast_shapes(diag.shape, x_mf.shape), dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        d_inv = counted_recip(diag.real, acc)
-        for _ in range(t):
-            for i in range(u):
-                s = x_mf[..., i] - dot_u(g[..., i, :i], x[..., :i], acc)
-                s = s - dot_u(g[..., i, i + 1 :], x[..., i + 1 :], acc)
-                x[..., i] = mul(d_inv[..., i], s, acc)
-    flag_non_finite(x)
+    d_inv = counted_recip(diag.real, acc)
+    for _ in range(t):
+        for i in range(u):
+            s = x_mf[..., i] - dot_u(g[..., i, :i], x[..., :i], acc)
+            s = s - dot_u(g[..., i, i + 1 :], x[..., i + 1 :], acc)
+            x[..., i] = mul(d_inv[..., i], s, acc)
     return x
 
 
+@finite_result
 def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None) -> np.ndarray:
     """t conjugate-gradient steps on G x = x_mf from x = 0, r = p = x_mf.
 
@@ -309,22 +309,20 @@ def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None) -> np
     x = np.zeros_like(x_mf)
     r = x_mf.copy()
     p = x_mf.copy()
-    with np.errstate(all="ignore"):
-        rs = dot_h(r, r, acc).real
-        for _ in range(t):
-            live = rs != 0.0
-            gp = matvec(g, p, acc)
-            curvature = dot_h(p, gp, acc).real
-            if (live & (curvature <= 0.0)).any():
-                raise CgBreakdownError("p^H G p <= 0; Gramian is not positive definite")
-            alpha = mul(rs, counted_recip(np.where(live, curvature, 1.0), acc), acc)
-            x = x + mul(alpha[..., None], p, acc)
-            r = r - mul(alpha[..., None], gp, acc)
-            rs_new = dot_h(r, r, acc).real
-            beta = mul(rs_new, counted_recip(np.where(live, rs, 1.0), acc), acc)
-            p = r + mul(beta[..., None], p, acc)
-            rs = rs_new
-    flag_non_finite(x)
+    rs = dot_h(r, r, acc).real
+    for _ in range(t):
+        live = rs != 0.0
+        gp = matvec(g, p, acc)
+        curvature = dot_h(p, gp, acc).real
+        if (live & (curvature <= 0.0)).any():
+            raise CgBreakdownError("p^H G p <= 0; Gramian is not positive definite")
+        alpha = mul(rs, counted_recip(np.where(live, curvature, 1.0), acc), acc)
+        x = x + mul(alpha[..., None], p, acc)
+        r = r - mul(alpha[..., None], gp, acc)
+        rs_new = dot_h(r, r, acc).real
+        beta = mul(rs_new, counted_recip(np.where(live, rs, 1.0), acc), acc)
+        p = r + mul(beta[..., None], p, acc)
+        rs = rs_new
     return x
 
 
@@ -332,6 +330,7 @@ def _clip_box(v: np.ndarray, box: float) -> np.ndarray:
     return np.clip(v.real, -box, box) + 1j * np.clip(v.imag, -box, box)
 
 
+@finite_result
 def admin_solve(
     g_admin: np.ndarray,
     x_mf: np.ndarray,
@@ -368,15 +367,13 @@ def admin_solve(
     else:
         def solve(rhs):
             return _ldl_solve(l, d, rhs, acc)
-    with np.errstate(all="ignore"):
-        x = solve(x_mf)
-        z = _clip_box(x, box)
-        lam = x - z
-        for _ in range(1, t):
-            x = solve(x_mf + mul(beta, z - lam, acc))
-            z = _clip_box(x + lam, box)
-            lam = lam + (x - z)
-    flag_non_finite(x)
+    x = solve(x_mf)
+    z = _clip_box(x, box)
+    lam = x - z
+    for _ in range(1, t):
+        x = solve(x_mf + mul(beta, z - lam, acc))
+        z = _clip_box(x + lam, box)
+        lam = lam + (x - z)
     return x
 
 

@@ -13,10 +13,11 @@ plain NumPy arithmetic. The operands' types, not the kernel's name, set
 the price of a product: 1 real multiplication, doubled for each complex
 operand, so complex * complex costs 4, real * complex 2 and real * real
 1 real multiplication. :func:`mul` charges this per output element; an
-inner product of length n (:func:`dot_h`, :func:`dot_u`, each output of
-:func:`matvec`) charges it n times. A squared norm ``dot_h(a, a, acc).real`` is thus
-charged 4 per element, not the 2 that would suffice. This accounting
-lands the counts in ``decomp`` exactly on their closed forms; the LDL
+inner product of length n (:func:`dot_u`, which :func:`dot_h` calls on
+conj(a), and each output of :func:`matvec`) charges it n times. A squared
+norm ``dot_h(a, a, acc).real`` is thus charged 4 per element, not the 2
+that would suffice. This accounting lands the counts in ``decomp``
+exactly on their closed forms; the LDL
 form counts each of its products as a complex multiplication (which puts
 it above Cholesky's), so ``decomp.ldl`` keeps its pivots complex.
 
@@ -28,7 +29,7 @@ The Monte-Carlo sweep passes None, because a count depends only on
 shapes and types and is taken once by whoever asks for it
 (``complexity``, the tests). Kernels do not check their results: a
 non-finite value travels to the end of its system, where the solver that
-produced it raises (see ``decomp``).
+produced it raises (``decomp.finite_result``, which every solver wears).
 """
 
 from __future__ import annotations
@@ -84,30 +85,24 @@ def counted_recip(x, acc: OpCount | None):
     return out
 
 
-def _contract(a: np.ndarray, b: np.ndarray, name: str) -> int:
+def dot_u(a: np.ndarray, b: np.ndarray, acc: OpCount | None):
+    """Unconjugated inner products sum_k a[..., k] * b[..., k].
+
+    Leading axes broadcast; each output element is charged as one inner
+    product of the last-axis length, at the operands' rate. The lengths
+    must match: einsum would broadcast a length-1 axis against any other.
+    """
     if a.shape[-1] != b.shape[-1]:
-        raise ValueError(f"{name}: length mismatch {a.shape} x {b.shape}")
-    return a.shape[-1]
+        raise ValueError(f"inner product: length mismatch {a.shape} x {b.shape}")
+    out = np.einsum("...k,...k->...", a, b)
+    charge(acc, products=a.shape[-1] * out.size, operands=(a, b))
+    return out
 
 
 def dot_h(a: np.ndarray, b: np.ndarray, acc: OpCount | None):
-    """Hermitian inner products sum_k conj(a[..., k]) * b[..., k].
-
-    Leading axes broadcast; each output element is charged as one inner
-    product of the last-axis length, at the operands' rate.
-    """
-    n = _contract(a, b, "dot_h")
-    out = np.einsum("...k,...k->...", a.conj(), b)
-    charge(acc, products=n * out.size, operands=(a, b))
-    return out
-
-
-def dot_u(a: np.ndarray, b: np.ndarray, acc: OpCount | None):
-    """Unconjugated inner products sum_k a[..., k] * b[..., k], as dot_h."""
-    n = _contract(a, b, "dot_u")
-    out = np.einsum("...k,...k->...", a, b)
-    charge(acc, products=n * out.size, operands=(a, b))
-    return out
+    """Hermitian inner products sum_k conj(a[..., k]) * b[..., k]: :func:`dot_u`
+    of conj(a) and b, charged as it (conjugation is free)."""
+    return dot_u(a.conj(), b, acc)
 
 
 def matvec(a: np.ndarray, b: np.ndarray, acc: OpCount | None) -> np.ndarray:

@@ -35,8 +35,9 @@ class Constellation:
     half of its bits, gray(q) in the low half, with the reflected Gray
     code gray(k) = k ^ (k >> 1).
     ``points[label]`` is the symbol whose bit pattern is the binary
-    expansion of ``label``. ``scale`` maps odd integer levels to
-    normalized coordinates.
+    expansion of ``label``, and ``bits[label]`` is that expansion, most
+    significant bit first, one uint8 per bit. ``scale`` maps odd integer
+    levels to normalized coordinates.
     """
 
     order: int
@@ -45,6 +46,7 @@ class Constellation:
     scale: float
     points: np.ndarray
     labels: np.ndarray
+    bits: np.ndarray
 
     @property
     def name(self) -> str:
@@ -70,7 +72,9 @@ def make_constellation(order: int) -> Constellation:
     levels = 2 * k - (m - 1)
     points = np.empty(order, dtype=np.complex128)
     points[labels] = (levels[:, None] + 1j * levels) * scale
-    return Constellation(order, b, m, scale, points, labels)
+    shifts = np.arange(b - 1, -1, -1, dtype=np.uint8)
+    bits = (np.arange(order, dtype=np.uint8)[:, None] >> shifts) & 1
+    return Constellation(order, b, m, scale, points, labels, bits)
 
 
 def modulate(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -115,10 +119,7 @@ def hard_slice(
     # flat takes: fancy indexing (labels[ki, kq], points[labels]) is slower
     labels = constellation.labels.ravel().take(ki * m + kq)
     symbols = constellation.points.take(labels)
-    # uint8 labels (order <= 64), so the bits cost one byte each throughout
-    shifts = np.arange(constellation.bits_per_symbol - 1, -1, -1, dtype=np.uint8)
-    bits = ((labels[..., None] >> shifts) & 1).reshape(-1)
-    return symbols, bits
+    return symbols, constellation.bits.take(labels, axis=0).reshape(-1)
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:

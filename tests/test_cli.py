@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mimodet
 from mimodet import cli, complexity, montecarlo
 from mimodet.detect import Backend, Kind
 from mimodet.montecarlo import ConfigError
@@ -477,6 +478,75 @@ class TestComplexityCommand:
     def test_bad_u_list(self, capsys):
         assert run(["complexity", "--u", "4,x"]) == 2
         assert "u" in capsys.readouterr().err
+
+
+class TestOutputs:
+    """Where the results go: every output has a path of its own, its
+    directory is made as needed, and one that cannot be written exits 3
+    with one line instead of a traceback."""
+
+    SWEEP = {"n": 4, "u": 2, "mod": "qpsk", "snr": "0", "det": "mmse", "trials": 4, "seed": 1}
+
+    def refused(self, tmp_path, capsys, exp, flags, field):
+        # refused before any sweep runs, naming the field; nothing is created
+        Path("exp.json").write_text(json.dumps(exp))
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert run(["ber", "--config", "exp.json", *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+    def test_two_sweeps_of_one_shape_are_refused(self, tmp_path, monkeypatch, capsys):
+        # both would write ber_4x2_qpsk.csv, and the second would replace the first
+        monkeypatch.chdir(tmp_path)
+        exp = {"sweeps": [self.SWEEP, {**self.SWEEP, "snr": "10", "det": "zf"}]}
+        self.refused(tmp_path, capsys, exp, [], "sweeps")
+
+    def test_complexity_out_on_a_ber_csv_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        exp = {"sweeps": [self.SWEEP], "complexity": {"u": [4], "out": "./ber_4x2_qpsk.csv"}}
+        self.refused(tmp_path, capsys, exp, [], "complexity")
+
+    def test_out_dir_naming_a_file_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("")
+        self.refused(tmp_path, capsys, self.SWEEP, ["--out-dir", "taken"], "out_dir")
+        self.refused(tmp_path, capsys, self.SWEEP, ["--out-dir", "taken/sub"], "out_dir")
+
+    def test_complexity_out_under_a_file_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("")
+        exp = {"sweeps": [self.SWEEP], "complexity": {"u": [4], "out": "taken/c.csv"}}
+        self.refused(tmp_path, capsys, exp, [], "out")
+
+    def test_complexity_out_in_a_new_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        exp = {"sweeps": [self.SWEEP], "complexity": {"u": [4], "out": "sub/c.csv"},
+               "out_dir": "res"}
+        Path("exp.json").write_text(json.dumps(exp))
+        assert run(["ber", "--config", "exp.json"]) == 0
+        assert Path("res/ber_4x2_qpsk.csv").is_file()
+        assert Path("res/sub/c.csv").read_text().startswith("U,algorithm,t,formula_rm")
+
+    def test_complexity_command_makes_its_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.csv"
+        assert run(["complexity", "--u", "4", "--out", str(out)]) == 0
+        assert out.read_text().startswith("U,algorithm,t,formula_rm")
+        (tmp_path / "file").write_text("")
+        assert run(["complexity", "--u", "4", "--out", str(tmp_path / "file" / "x.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: out:")
+
+    def test_unwritable_output_is_an_output_error(self, tmp_path, capsys):
+        # a directory where the CSV should go: the write fails, exit 3
+        assert run(["complexity", "--u", "4", "--out", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and err.count("\n") == 1
+
+
+def test_tests_import_this_checkout():
+    # pytest puts this checkout's src/ first on sys.path (pythonpath in
+    # pyproject.toml), so an installed copy of the package is never tested instead
+    src = Path(__file__).resolve().parents[1] / "src"
+    assert Path(mimodet.__file__).resolve().parent == src / "mimodet"
 
 
 def test_runs_as_module():

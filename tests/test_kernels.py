@@ -88,6 +88,13 @@ def test_dot_h_length_mismatch():
         dot_h(np.ones(3, dtype=complex), np.ones(2, dtype=complex), OpCount())
 
 
+@pytest.mark.parametrize("dot", [dot_h, dot_u])
+def test_inner_product_refuses_a_length_one_axis(dot):
+    # einsum alone would broadcast the length-1 axis against the other
+    with pytest.raises(ValueError, match="length mismatch"):
+        dot(np.ones(3, dtype=complex), np.ones(1, dtype=complex), OpCount())
+
+
 @pytest.mark.parametrize("a,b,message", [
     (np.ones(3), np.ones(3), "left operand must be a matrix"),
     (np.ones((2, 3)), np.ones(2), "dimension mismatch"),
@@ -242,23 +249,52 @@ def test_stacked_values_match_elementwise():
     assert np.allclose(dot_u(a, a, OpCount()), (a * a).sum(axis=-1), atol=1e-12)
 
 
-def test_the_counting_rule_lives_in_kernels():
-    # outside kernels, only the Gramian charges by hand: it forms H^H H in
-    # one product and charges the U(U+1)/2 inner products of its upper half
+def calls_in_src(name: str) -> list[str]:
+    """Where ``src/mimodet`` calls a function or method named ``name``, as
+    ``module.function[.inner]`` (``module`` at the top level), in source order."""
     calls = []
     for path in sorted(Path(mimodet.__file__).parent.glob("*.py")):
-        if path.stem == "kernels":
-            continue
 
         def visit(node, where):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 where = f"{where}.{node.name}"
             if isinstance(node, ast.Call):
                 func = node.func
-                if getattr(func, "id", None) == "charge" or getattr(func, "attr", None) == "charge":
+                if getattr(func, "id", None) == name or getattr(func, "attr", None) == name:
                     calls.append(where)
             for child in ast.iter_child_nodes(node):
                 visit(child, where)
 
         visit(ast.parse(path.read_text(), str(path)), path.stem)
-    assert calls == ["detect.gramian"]
+    return calls
+
+
+def test_the_counting_rule_lives_in_kernels():
+    # outside kernels, only the Gramian charges by hand: it forms H^H H in
+    # one product and charges the U(U+1)/2 inner products of its upper half
+    outside = [where for where in calls_in_src("charge") if not where.startswith("kernels.")]
+    assert outside == ["detect.gramian"]
+
+
+def test_the_failure_rule_and_the_inner_product_live_once():
+    # floating-point warnings are switched off in one place, the decorator
+    # that is also the one non-finite check, and every solver wears it;
+    # dot_h is dot_u on conj(a), so one kernel takes every inner product
+    assert calls_in_src("errstate") == ["decomp.finite_result.checked"]
+    src = Path(mimodet.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in src.glob("*.py")}
+    defined = {node.name for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)}
+    assert not {"flag_non_finite", "_contract"} & defined
+    assert not calls_in_src("flag_non_finite") and not calls_in_src("_contract")
+    wearers = {f"{module}.{node.name}" for module, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and any(getattr(d, "id", None) == "finite_result" for d in node.decorator_list)}
+    assert wearers == {"decomp.gram_schmidt_qr", "decomp.cholesky", "decomp.ldl",
+                       "decomp._triangular_sub", "detect.exact_solve", "detect.nsa_solve",
+                       "detect.gs_solve", "detect.cg_solve", "detect.admin_solve"}
+    dot_h_def = next(node for node in ast.walk(trees["kernels"])
+                     if isinstance(node, ast.FunctionDef) and node.name == "dot_h")
+    body = [stmt for stmt in dot_h_def.body if not isinstance(stmt, ast.Expr)]  # no docstring
+    assert len(body) == 1 and isinstance(body[0], ast.Return)
+    assert isinstance(body[0].value, ast.Call) and body[0].value.func.id == "dot_u"

@@ -175,14 +175,26 @@ def _nan(g):
 
 # (call(g, b, acc), corruption of system 1's Gramian or the non-finite
 # value put into its right-hand side, exception type a single-system call
-# raises)
+# raises); every routine that wears decomp.finite_result has a non-finite case
 FAILURES = [
     pytest.param(lambda g, b, acc: detect.gram_schmidt_qr(g, acc), _rank_one,
                  decomp.NearSingularError, id="qr-rank-one"),
     pytest.param(lambda g, b, acc: detect.gram_schmidt_qr(g, acc), _nan,
                  FloatingPointError, id="qr-non-finite"),
-    pytest.param(lambda g, b, acc: detect.exact_solve(g, b, Backend.QR, acc), _nan,
-                 FloatingPointError, id="exact-qr-non-finite-gramian"),
+    pytest.param(lambda g, b, acc: detect.cholesky(g, acc), _nan,
+                 FloatingPointError, id="chol-non-finite"),
+    pytest.param(lambda g, b, acc: detect.ldl(g, acc), _nan,
+                 FloatingPointError, id="ldl-non-finite"),
+    pytest.param(lambda g, b, acc: detect.forward_sub(np.tril(g), b, acc), _nan,
+                 FloatingPointError, id="forward-non-finite-matrix"),
+    *[
+        pytest.param(call, value, FloatingPointError, id=f"{name}-{tag}")
+        for name, call in (
+            ("forward", lambda g, b, acc: detect.forward_sub(np.tril(g), b, acc)),
+            ("backward", lambda g, b, acc: detect.backward_sub(np.triu(g), b, acc)),
+        )
+        for value, tag in ((np.nan, "non-finite"), (np.inf, "inf"))
+    ],
     pytest.param(lambda g, b, acc: detect.cholesky(g, acc), _indefinite,
                  decomp.NotPositiveDefiniteError, id="chol-indefinite"),
     pytest.param(lambda g, b, acc: detect.cholesky(g, acc), _skew, ValueError,
@@ -209,7 +221,7 @@ FAILURES = [
             ("cg", lambda g, b, acc: detect.cg_solve(g, b, 3, acc)),
             ("admin", lambda g, b, acc: detect.admin_solve(g, b, 3, 0.5, 1.0, acc)),
         )
-        for value, tag in ((np.nan, "non-finite"), (np.inf, "inf"))
+        for value, tag in ((np.nan, "non-finite"), (np.inf, "inf"), (_nan, "non-finite-gramian"))
     ],
     pytest.param(lambda g, b, acc: detect.admin_solve(g, b, 3, 0.5, 1.0, acc), _indefinite,
                  decomp.NotPositiveDefiniteError, id="admin-indefinite"),
