@@ -260,6 +260,13 @@ def _check_directory(path: Path, field_name: str) -> None:
             return
 
 
+def _check_output(path: Path, field_name: str) -> None:
+    """A ConfigError naming ``field_name`` if ``path`` is a directory or lies under a file."""
+    if os.path.isdir(path):
+        raise ConfigError(field_name, f"{path} is a directory")
+    _check_directory(path.parent, field_name)
+
+
 def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...], int] | None]:
     """Validate a ``ber`` invocation without running any of it.
 
@@ -311,16 +318,17 @@ def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...]
                    *complexity_request(spec.get("u"), spec.get("t")))
     if not configs and request is None:
         raise ConfigError("sweeps", "needs at least one sweep or a complexity request")
-    # every file the run writes has a path of its own, in a directory it can make
-    written: set[str] = set()
-    outputs = [(_ber_path(out_dir, cfg), "sweeps") for cfg in configs]
-    for path, field_name in outputs + ([(request[0], "complexity")] if request else []):
-        if os.path.abspath(path) in written:
-            raise ConfigError(field_name, f"two outputs would be written to {path}")
-        written.add(os.path.abspath(path))
+    # every file the run writes has a path of its own, where a file can be made
     _check_directory(out_dir, "out_dir")
+    written: set[str] = set()
+    outputs = [(_ber_path(out_dir, cfg), "sweeps", "out_dir") for cfg in configs]
     if request is not None:
-        _check_directory(request[0].parent, "out")
+        outputs.append((request[0], "complexity", "out"))
+    for path, clash_field, path_field in outputs:
+        if os.path.abspath(path) in written:
+            raise ConfigError(clash_field, f"two outputs would be written to {path}")
+        written.add(os.path.abspath(path))
+        _check_output(path, path_field)
     return out_dir, configs, request
 
 
@@ -348,7 +356,7 @@ def cmd_ber(args) -> int:
 
 def cmd_complexity(args) -> int:
     u_list, t = complexity_request(args.u, args.t)
-    _check_directory(Path(args.out).parent, "out")
+    _check_output(Path(args.out), "out")
     _write_complexity(Path(args.out), u_list, t)
     return 0
 
@@ -359,15 +367,15 @@ def run_selftest() -> list[tuple[str, bool, str]]:
 
     # each decomposition's measured count against its closed form; the
     # literal spot values below check the closed forms themselves
-    for algo, name, u_list in ((complexity.Algo.CHOLESKY, "cholesky", (8, 16, 32)),
-                               (complexity.Algo.QR, "gram-schmidt", (2, 4, 8, 16, 32, 64)),
-                               (complexity.Algo.LDL, "ldl", (8, 16, 32))):
+    for backend, name, u_list in ((Backend.CHOLESKY, "cholesky", (8, 16, 32)),
+                                  (Backend.QR, "gram-schmidt", (2, 4, 8, 16, 32, 64)),
+                                  (Backend.LDL, "ldl", (8, 16, 32))):
         for u in u_list:
-            expected = complexity.formula_rm(algo, u)
-            acc = complexity.measure_rm(algo, u)
+            expected = complexity.formula_rm(backend, u)
+            acc = complexity.measure_rm(backend, u)
             ok = acc.real_mul == expected
             detail = f"expected {expected}, measured {acc.real_mul}"
-            if algo is complexity.Algo.LDL:  # LDL takes no square root and U reciprocals
+            if backend is Backend.LDL:  # LDL takes no square root and U reciprocals
                 ok = ok and acc.sqrt == 0 and acc.reciprocal == u
                 detail += f", sqrt={acc.sqrt}, reciprocal={acc.reciprocal}"
             rows.append((f"{name} real_mul U={u}", ok, detail))
@@ -406,16 +414,16 @@ def run_selftest() -> list[tuple[str, bool, str]]:
                      f"max relative diff to LAPACK {spread:.2e}"))
 
     spot = [
-        (complexity.Algo.CHOLESKY, 8, 1, 392),
-        (complexity.Algo.LDL, 16, 1, 3680),
-        (complexity.Algo.QR, 32, 1, 133120),
-        (complexity.Algo.NSA, 16, 3, 2 * (2 * 16**3 + 2 * 16**2 - 2 * 16)),
-        (complexity.Algo.GS, 16, 3, 6 * 3 * 256),
-        (complexity.Algo.CG, 16, 3, 4 * (4 * 256 + 20 * 16)),
+        (Backend.CHOLESKY, 8, 1, 392),
+        (Backend.LDL, 16, 1, 3680),
+        (Backend.QR, 32, 1, 133120),
+        (Kind.NSA, 16, 3, 2 * (2 * 16**3 + 2 * 16**2 - 2 * 16)),
+        (Kind.GS, 16, 3, 6 * 3 * 256),
+        (Kind.CG, 16, 3, 4 * (4 * 256 + 20 * 16)),
     ]
-    for algo, u, t, expected in spot:
-        got = complexity.formula_rm(algo, u, t)
-        rows.append((f"formula {algo.value} U={u} t={t}", got == expected,
+    for method, u, t, expected in spot:
+        got = complexity.formula_rm(method, u, t)
+        rows.append((f"formula {method.value} U={u} t={t}", got == expected,
                      f"expected {expected}, got {got}"))
 
     width = max(len(name) for name, _, _ in rows)

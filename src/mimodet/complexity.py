@@ -1,12 +1,13 @@
 """Closed-form real-multiplication model and its measured counterpart.
 
-``formula_rm`` evaluates the published complexity expressions exactly in
-integer arithmetic. ``measure_rm`` runs the instrumented decomposition
-on a seeded Gramian and reports what it actually executed; for the three
-decompositions measured and modeled counts coincide for every U. The
-iterative detectors are modeled only (their closed forms assume the
-explicit matrix-power evaluation that a per-vector implementation
-avoids), so comparison rows leave their measured column empty.
+The model's rows are ``detect``'s three backends plus its three AID
+kinds (NSA, GS, CG). ``formula_rm`` evaluates the published expressions
+exactly in integer arithmetic. ``measure_rm`` runs a backend's
+instrumented decomposition on a seeded Gramian and reports what it
+executed; measured and modeled counts coincide for every U. The AID
+detectors are modeled only (their closed forms assume the explicit
+matrix-power evaluation that a per-vector implementation avoids), so
+comparison rows leave their measured column empty.
 
 Known model discrepancies, preserved rather than reconciled:
 
@@ -21,50 +22,44 @@ Known model discrepancies, preserved rather than reconciled:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import decomp, phy
+from .detect import Backend, Kind
 from .kernels import OpCount
 
-
-class Algo(enum.Enum):
-    QR = "qr"
-    CHOLESKY = "chol"
-    LDL = "ldl"
-    NSA = "nsa"
-    GS = "gs"
-    CG = "cg"
+# the model's rows, in table order
+METHODS = (Backend.QR, Backend.CHOLESKY, Backend.LDL, Kind.NSA, Kind.GS, Kind.CG)
+# the one caller of this name is perfbench/child.py's counts mode, as
+# complexity.Algo("qr"); a change to the benchmark drops it
+Algo = Backend
 
 
-_DECOMPOSITIONS = (Algo.QR, Algo.CHOLESKY, Algo.LDL)
-
-
-def formula_rm(algo: Algo, u: int, t: int = 1) -> int:
+def formula_rm(method: Backend | Kind, u: int, t: int = 1) -> int:
     """Exact real-multiplication count from the closed-form model."""
     if u < 1:
         raise ValueError("u must be >= 1")
     if t < 1:
         raise ValueError("t must be >= 1")
-    if algo is Algo.QR:
+    if method is Backend.QR:
         return u * u * (4 * u + 2)
-    if algo is Algo.CHOLESKY:
+    if method is Backend.CHOLESKY:
         num = 2 * u**3 + 3 * u**2 - 5 * u
         assert num % 3 == 0
         return num // 3
-    if algo is Algo.LDL:
+    if method is Backend.LDL:
         num = 2 * u**3 + 12 * u**2 - 14 * u
         assert num % 3 == 0
         return num // 3
-    if algo is Algo.NSA:
+    if method is Kind.NSA:
         return (t - 1) * (2 * u**3 + 2 * u**2 - 2 * u)
-    if algo is Algo.GS:
+    if method is Kind.GS:
         return 6 * t * u * u
-    if algo is Algo.CG:
+    if method is Kind.CG:
         return (t + 1) * (4 * u**2 + 20 * u)
-    raise ValueError(f"unknown algorithm {algo}")
+    raise ValueError(f"no complexity model for {method}")
 
 
 def seeded_gramian(u: int, seed: int, n_ratio: int = 4, reg: float = 0.5) -> np.ndarray:
@@ -74,31 +69,27 @@ def seeded_gramian(u: int, seed: int, n_ratio: int = 4, reg: float = 0.5) -> np.
     return (a + a.conj().T) / 2.0
 
 
-def measure_rm(algo: Algo, u: int) -> OpCount:
-    """Operation tally of the instrumented decomposition on a seeded input.
+def measure_rm(backend: Backend, u: int) -> OpCount:
+    """Operation tally of a backend's instrumented decomposition on a seeded input.
 
     Counts are structure-only, so the input's values do not matter. Only
-    the decomposition algorithms have a measurable factorization cost
-    here; the iterative detectors count their full detection path in
+    the decomposition backends have a measurable factorization cost
+    here; the AID detectors count their full detection path in
     ``detect`` instead.
     """
-    if algo not in _DECOMPOSITIONS:
-        raise ValueError(f"{algo.value} is modeled only; no factorization to measure")
-    a = seeded_gramian(u, 0)
+    if not isinstance(backend, Backend):
+        raise ValueError(f"{backend.value} is modeled only; no factorization to measure")
+    factor = {Backend.QR: decomp.gram_schmidt_qr, Backend.CHOLESKY: decomp.cholesky,
+              Backend.LDL: decomp.ldl}[backend]
     acc = OpCount()
-    if algo is Algo.QR:
-        decomp.gram_schmidt_qr(a, acc)
-    elif algo is Algo.CHOLESKY:
-        decomp.cholesky(a, acc)
-    else:
-        decomp.ldl(a, acc)
+    factor(seeded_gramian(u, 0), acc)
     return acc
 
 
 @dataclass(frozen=True)
 class ComparisonRow:
     u: int
-    algo: Algo
+    algo: Backend | Kind
     t: int
     formula_rm: int
     measured_rm: int | None
@@ -109,12 +100,12 @@ DEFAULT_T = 3
 
 
 def comparison_table(u_list=DEFAULT_U_LIST, t: int = DEFAULT_T) -> list[ComparisonRow]:
-    """Model and measured counts for all six algorithms over ``u_list``."""
+    """Model and measured counts for the six ``METHODS`` over ``u_list``."""
     rows = []
     for u in u_list:
-        for algo in Algo:
-            measured = measure_rm(algo, u).real_mul if algo in _DECOMPOSITIONS else None
-            rows.append(ComparisonRow(u, algo, t, formula_rm(algo, u, t), measured))
+        for method in METHODS:
+            measured = measure_rm(method, u).real_mul if isinstance(method, Backend) else None
+            rows.append(ComparisonRow(u, method, t, formula_rm(method, u, t), measured))
     return rows
 
 

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from mimodet import cli, detect, montecarlo as mc, phy
-from mimodet.complexity import Algo, formula_rm, measure_rm, seeded_gramian
+from mimodet.complexity import METHODS, formula_rm, measure_rm, seeded_gramian
 from mimodet.decomp import cholesky, gram_schmidt_qr, ldl
 from mimodet.detect import Backend, DetectorSpec, Kind
 from mimodet.kernels import OpCount, hermitian
@@ -69,7 +69,7 @@ def crossing(records, detector, target):
 
 def test_criterion_01_cholesky_exact_counts():
     expected = {8: 392, 16: 2960, 32: 22816}
-    got = {u: measure_rm(Algo.CHOLESKY, u).real_mul for u in expected}
+    got = {u: measure_rm(Backend.CHOLESKY, u).real_mul for u in expected}
     report("criterion 1 (Cholesky op counts)", got == expected,
            f"measured {got}, expected {expected}")
 
@@ -77,7 +77,7 @@ def test_criterion_01_cholesky_exact_counts():
 def test_criterion_02_gram_schmidt_formula_all_sizes():
     bad = []
     for u in range(2, 65):
-        got = measure_rm(Algo.QR, u).real_mul
+        got = measure_rm(Backend.QR, u).real_mul
         if got != u * u * (4 * u + 2):
             bad.append((u, got, u * u * (4 * u + 2)))
     report("criterion 2 (Gram-Schmidt counts U=2..64)", not bad,
@@ -261,19 +261,19 @@ def test_criterion_09_fig5_fig6_admin_gains(fig5_records, fig6_records):
 
 def test_criterion_10_complexity_model():
     spot_ok = (
-        formula_rm(Algo.QR, 8) == 2176
-        and formula_rm(Algo.CHOLESKY, 8) == 392
-        and formula_rm(Algo.LDL, 8) == 560
-        and formula_rm(Algo.NSA, 8, 3) == 2 * (2 * 512 + 2 * 64 - 16)
-        and formula_rm(Algo.GS, 8, 3) == 6 * 3 * 64
-        and formula_rm(Algo.CG, 8, 3) == 4 * (4 * 64 + 160)
+        formula_rm(Backend.QR, 8) == 2176
+        and formula_rm(Backend.CHOLESKY, 8) == 392
+        and formula_rm(Backend.LDL, 8) == 560
+        and formula_rm(Kind.NSA, 8, 3) == 2 * (2 * 512 + 2 * 64 - 16)
+        and formula_rm(Kind.GS, 8, 3) == 6 * 3 * 64
+        and formula_rm(Kind.CG, 8, 3) == 4 * (4 * 64 + 160)
     )
     order_ok = True
     for u in (16, 32, 64):
-        counts = {algo: formula_rm(algo, u, 3) for algo in Algo}
+        counts = {algo: formula_rm(algo, u, 3) for algo in METHODS}
         top_two = set(sorted(counts, key=counts.get, reverse=True)[:2])
-        order_ok &= top_two == {Algo.QR, Algo.NSA}
-    half_ok = formula_rm(Algo.GS, 64, 3) < formula_rm(Algo.CHOLESKY, 64) / 2
+        order_ok &= top_two == {Backend.QR, Kind.NSA}
+    half_ok = formula_rm(Kind.GS, 64, 3) < formula_rm(Backend.CHOLESKY, 64) / 2
     ok = spot_ok and order_ok and half_ok
     report(
         "criterion 10 (complexity model)",

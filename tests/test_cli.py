@@ -467,6 +467,9 @@ class TestComplexityCommand:
         assert lines[0] == "U,algorithm,t,formula_rm,measured_rm"
         assert len(lines) == 1 + 6 * 6  # six algorithms x six U values
         assert "32,chol,3,22816,22816" in lines
+        # every row, in order, byte for byte
+        assert out.read_bytes() == (Path(__file__).parent / "data"
+                                    / "complexity_default.csv").read_bytes()
 
     def test_t1_warns_about_nsa(self, tmp_path, capsys):
         out = tmp_path / "cx.csv"
@@ -535,9 +538,26 @@ class TestOutputs:
         assert run(["complexity", "--u", "4", "--out", str(tmp_path / "file" / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith("config error: out:")
 
+    def test_ber_csv_on_a_directory_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("d/ber_4x2_qpsk.csv").mkdir(parents=True)
+        self.refused(tmp_path, capsys, self.SWEEP, ["--out-dir", "d"], "out_dir")
+        assert [p.name for p in Path("d").iterdir()] == ["ber_4x2_qpsk.csv"]
+
+    def test_complexity_out_on_a_directory_is_refused(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("cx").mkdir()
+        exp = {"sweeps": [self.SWEEP], "complexity": {"u": [4], "out": "cx"}}
+        self.refused(tmp_path, capsys, exp, [], "out")
+        assert run(["complexity", "--u", "4", "--out", "cx"]) == 2
+        assert capsys.readouterr().err.startswith("config error: out:")
+        assert list(Path("cx").iterdir()) == []
+
     def test_unwritable_output_is_an_output_error(self, tmp_path, capsys):
-        # a directory where the CSV should go: the write fails, exit 3
-        assert run(["complexity", "--u", "4", "--out", str(tmp_path)]) == 3
+        # a file name longer than the file system allows: only the write
+        # finds it, exit 3
+        out = tmp_path / ("x" * 300 + ".csv")
+        assert run(["complexity", "--u", "4", "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("output error:") and err.count("\n") == 1
 
@@ -581,12 +601,25 @@ class TestSelftest:
         assert "cholesky real_mul U=8" in out and "392" in out
         assert "FAIL" not in out
 
+    def test_check_names_in_order(self):
+        # the details are not pinned: the residual digits depend on BLAS
+        names = [name for name, _, _ in cli.run_selftest()]
+        assert names == (
+            [f"cholesky real_mul U={u}" for u in (8, 16, 32)]
+            + [f"gram-schmidt real_mul U={u}" for u in (2, 4, 8, 16, 32, 64)]
+            + [f"ldl real_mul U={u}" for u in (8, 16, 32)]
+            + [f"decomposition residuals U={u}" for u in (8, 16)]
+            + [f"mmse backend equivalence seed={s}" for s in (1, 2, 3)]
+            + ["formula chol U=8 t=1", "formula ldl U=16 t=1", "formula qr U=32 t=1",
+               "formula nsa U=16 t=3", "formula gs U=16 t=3", "formula cg U=16 t=3"]
+        )
+
     def test_negative_control_fails(self, monkeypatch, capsys):
         # a measured tally one multiplication high fails its check
         measure = complexity.measure_rm
 
-        def one_high(algo, u):
-            acc = measure(algo, u)
+        def one_high(backend, u):
+            acc = measure(backend, u)
             acc.real_mul += 1
             return acc
 
