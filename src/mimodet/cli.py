@@ -65,6 +65,7 @@ _SWEEP_OPTIONAL = {"seed": "master_seed", "trials": "trials", "stop_at": "stop_a
 # the keys a sweep entry, a complexity request and an experiment file may hold
 _SWEEP_KEYS = _PRESET_FIXED + tuple(_SWEEP_OPTIONAL)
 _COMPLEXITY_KEYS = ("u", "t", "out")
+_COMPLEXITY_OUT = "complexity.csv"  # the table's path when no out is given
 _FILE_KEYS = ("complexity", "out_dir")
 
 
@@ -240,9 +241,10 @@ def complexity_request(u, t) -> tuple[tuple[int, ...], int]:
     return u_list, t
 
 
-def _write_complexity(path: Path, u_list: tuple[int, ...], t: int) -> None:
+def _write(path: Path, text: str) -> None:
+    """The one writer: makes ``path``'s directory as needed, writes ``text``, prints ``path``."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(complexity.table_csv(complexity.comparison_table(u_list, t)))
+    path.write_text(text)
     print(path)
 
 
@@ -251,20 +253,15 @@ def _ber_path(out_dir: Path, cfg: SweepConfig) -> Path:
     return out_dir / f"ber_{cfg.n}x{cfg.u}_{phy.MOD_NAMES[cfg.order]}.csv"
 
 
-def _check_directory(path: Path, field_name: str) -> None:
-    """A ConfigError naming ``field_name`` if ``path`` lies in or under an existing file."""
-    for parent in (path, *path.parents):
-        if parent.exists():
-            if not parent.is_dir():
-                raise ConfigError(field_name, f"{parent} exists and is not a directory")
-            return
-
-
 def _check_output(path: Path, field_name: str) -> None:
     """A ConfigError naming ``field_name`` if ``path`` is a directory or lies under a file."""
     if os.path.isdir(path):
         raise ConfigError(field_name, f"{path} is a directory")
-    _check_directory(path.parent, field_name)
+    for parent in path.parents:
+        if parent.exists():
+            if not parent.is_dir():
+                raise ConfigError(field_name, f"{parent} exists and is not a directory")
+            return
 
 
 def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...], int] | None]:
@@ -314,12 +311,11 @@ def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...]
         if not isinstance(spec, dict):
             raise ConfigError("complexity", f"must be an object with u, t and out, got {spec!r}")
         _reject_unknown(spec, _COMPLEXITY_KEYS, "complexity")
-        request = (out_dir / str(spec.get("out", "complexity.csv")),
+        request = (out_dir / str(spec.get("out", _COMPLEXITY_OUT)),
                    *complexity_request(spec.get("u"), spec.get("t")))
     if not configs and request is None:
         raise ConfigError("sweeps", "needs at least one sweep or a complexity request")
     # every file the run writes has a path of its own, where a file can be made
-    _check_directory(out_dir, "out_dir")
     written: set[str] = set()
     outputs = [(_ber_path(out_dir, cfg), "sweeps", "out_dir") for cfg in configs]
     if request is not None:
@@ -334,7 +330,6 @@ def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...]
 
 def cmd_ber(args) -> int:
     out_dir, configs, request = plan_ber(args)
-    out_dir.mkdir(parents=True, exist_ok=True)
     for cfg in configs:
         const = phy.make_constellation(cfg.order)
         print(
@@ -346,18 +341,17 @@ def cmd_ber(args) -> int:
         records = montecarlo.run_sweep(
             cfg, progress=lambda msg: print("# " + msg, file=sys.stderr)
         )
-        out_path = _ber_path(out_dir, cfg)
-        out_path.write_text(ber_csv(records))
-        print(out_path)
+        _write(_ber_path(out_dir, cfg), ber_csv(records))
     if request is not None:
-        _write_complexity(*request)
+        path, *table = request
+        _write(path, complexity.table_csv(complexity.comparison_table(*table)))
     return 0
 
 
 def cmd_complexity(args) -> int:
-    u_list, t = complexity_request(args.u, args.t)
+    table = complexity_request(args.u, args.t)
     _check_output(Path(args.out), "out")
-    _write_complexity(Path(args.out), u_list, t)
+    _write(Path(args.out), complexity.table_csv(complexity.comparison_table(*table)))
     return 0
 
 
@@ -470,7 +464,7 @@ def build_parser():
     comp = sub.add_parser("complexity", help="write the fig7 complexity table CSV")
     comp.add_argument("--u", help="comma list of user counts")
     comp.add_argument("--t", type=int, help="iterations for the iterative detector models")
-    comp.add_argument("--out", default="complexity.csv", help="output CSV path")
+    comp.add_argument("--out", default=_COMPLEXITY_OUT, help="output CSV path")
     comp.set_defaults(func=cmd_complexity)
 
     selftest = sub.add_parser("selftest", help="run the fast invariant suite")

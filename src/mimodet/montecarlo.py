@@ -280,8 +280,8 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
     Chunks run in trial order, each drawn once for every point still
     running; ``progress`` gets one line per point when it ends. With
     ``workers`` = K > 1 a process pool runs K chunks at a time, each wave
-    sent after the previous one merged; a worker that dies raises
-    ``WorkerDied`` naming the chunks of its wave. Library
+    sent after the previous one merged, on at most one process per chunk;
+    a worker that dies raises ``WorkerDied`` naming the chunks of its wave. Library
     callers must pin ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
     ``MKL_NUM_THREADS`` to 1 before they import numpy: the stacked solves
     call BLAS on small matrices, where its threads only contend.
@@ -293,8 +293,8 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
     trials_run = np.full(shape, config.trials)
     running = np.ones(shape, dtype=bool)
     stop_at = np.inf if config.stop_at_errors is None else config.stop_at_errors
-    chunks = ((lo, min(lo + config.chunk_size, config.trials))
-              for lo in range(0, config.trials, config.chunk_size))
+    starts = range(0, config.trials, config.chunk_size)
+    chunks = ((lo, min(lo + config.chunk_size, config.trials)) for lo in starts)
 
     def records(p: int) -> list[BerRecord]:
         return [BerRecord(config.n, config.u, config.order, spec.name, spec.params,
@@ -319,7 +319,8 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
     if config.workers > 1:
         import concurrent.futures as cf
 
-        pool = cf.ProcessPoolExecutor(max_workers=config.workers)
+        # a forked pool starts every process at the first submit: one per chunk at most
+        pool = cf.ProcessPoolExecutor(max_workers=min(config.workers, len(starts)))
     try:
         while running.any():
             wave = list(itertools.islice(chunks, config.workers))

@@ -1,5 +1,6 @@
 """Command-line contract: flags, presets, CSV schemas, exit codes."""
 
+import ast
 import dataclasses
 import json
 import os
@@ -521,6 +522,29 @@ class TestOutputs:
         exp = {"sweeps": [self.SWEEP], "complexity": {"u": [4], "out": "taken/c.csv"}}
         self.refused(tmp_path, capsys, exp, [], "out")
 
+    def test_complexity_out_under_an_out_dir_file_is_refused(self, tmp_path, monkeypatch, capsys):
+        # out_dir is checked as the directory of the files written into it:
+        # here only the table, so the refusal names the table's out
+        monkeypatch.chdir(tmp_path)
+        Path("taken").write_text("")
+        exp = {"complexity": {"u": [4]}, "out_dir": "taken"}
+        self.refused(tmp_path, capsys, exp, [], "out")
+
+    def test_out_dir_is_made_only_where_a_file_is_written(self, tmp_path, monkeypatch):
+        # a table at an absolute path writes nothing into out_dir, which is
+        # then neither created nor checked, even where it names a file
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "abs" / "c.csv"
+        exp = {"complexity": {"u": [4], "out": str(out)}, "out_dir": "res"}
+        Path("exp.json").write_text(json.dumps(exp))
+        assert run(["ber", "--config", "exp.json"]) == 0
+        assert out.read_text().startswith("U,algorithm,t,formula_rm")
+        assert not Path("res").exists()
+        out.unlink()
+        Path("res").write_text("")
+        assert run(["ber", "--config", "exp.json"]) == 0
+        assert out.is_file() and Path("res").read_text() == ""
+
     def test_complexity_out_in_a_new_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         exp = {"sweeps": [self.SWEEP], "complexity": {"u": [4], "out": "sub/c.csv"},
@@ -560,6 +584,44 @@ class TestOutputs:
         assert run(["complexity", "--u", "4", "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("output error:") and err.count("\n") == 1
+
+
+def writes_or_makes(call: ast.Call) -> bool:
+    """Whether a call makes a directory or opens a file to write, append or create."""
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name in ("mkdir", "makedirs", "write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    mode = next((kw.value for kw in call.keywords if kw.arg == "mode"), None)
+    position = 1 if isinstance(call.func, ast.Name) else 0  # open(path, mode), path.open(mode)
+    if mode is None and len(call.args) > position:
+        mode = call.args[position]
+    if mode is None:  # the default mode reads
+        return False
+    return not isinstance(mode, ast.Constant) or bool(set(str(mode.value)) & set("wax"))
+
+
+def test_one_writer_makes_every_file_and_directory():
+    # cli._write is the only code in src/ that makes a directory or writes
+    # a file, so a run makes a directory only where it writes a file
+    sample = ast.parse("open(p, 'w'); p.open(mode='a'); os.makedirs(d); open(p, m); "
+                       "open(p); p.open(); open(p, 'rb'); json.dump(x, f)")
+    found = [writes_or_makes(node) for node in ast.walk(sample) if isinstance(node, ast.Call)]
+    assert found == [True, True, True, True, False, False, False, False]
+    writers = []
+    for path in sorted(Path(mimodet.__file__).parent.glob("*.py")):
+
+        def visit(node, where):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                where = f"{where}.{node.name}"
+            if isinstance(node, ast.Call) and writes_or_makes(node):
+                writers.append(where)
+            for child in ast.iter_child_nodes(node):
+                visit(child, where)
+
+        visit(ast.parse(path.read_text(), str(path)), path.stem)
+    assert writers == ["cli._write", "cli._write"]  # its mkdir and its write_text
 
 
 def test_tests_import_this_checkout():

@@ -634,6 +634,32 @@ class TestMergeProperty:
             point_major_reference(cfg))
 
 
+def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
+    # a forked pool starts all its processes at the first submit, so 8
+    # workers on 3 chunks ask for 3; the fake pool runs each call inline
+    # and starts no process
+    import concurrent.futures as cf
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            fut = cf.Future()
+            fut.set_result(fn(*args))
+            return fut
+
+        def shutdown(self, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(cf, "ProcessPoolExecutor", InlinePool)
+    cfg = small_config(trials=30, chunk_size=10)
+    assert mc.run_sweep(dataclasses.replace(cfg, workers=8)) == mc.run_sweep(cfg)
+    assert sizes == [3]
+
+
 @pytest.fixture
 def worker_dies_at_20(monkeypatch):
     """Make the pool worker that evaluates trials [20, 30) exit at once.
