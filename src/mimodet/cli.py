@@ -359,20 +359,16 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     """Fast invariant suite: prints one PASS or FAIL line per check."""
     rows: list[tuple[str, bool, str]] = []
 
-    # each decomposition's measured count against its closed form; the
+    # each decomposition's whole measured tally against its closed forms
+    # (square roots and reciprocals as in ``decomp``'s docstring); the
     # literal spot values below check the closed forms themselves
-    for backend, name, u_list in ((Backend.CHOLESKY, "cholesky", (8, 16, 32)),
-                                  (Backend.QR, "gram-schmidt", (2, 4, 8, 16, 32, 64)),
-                                  (Backend.LDL, "ldl", (8, 16, 32))):
-        for u in u_list:
-            expected = complexity.formula_rm(backend, u)
-            acc = complexity.measure_rm(backend, u)
-            ok = acc.real_mul == expected
-            detail = f"expected {expected}, measured {acc.real_mul}"
-            if backend is Backend.LDL:  # LDL takes no square root and U reciprocals
-                ok = ok and acc.sqrt == 0 and acc.reciprocal == u
-                detail += f", sqrt={acc.sqrt}, reciprocal={acc.reciprocal}"
-            rows.append((f"{name} real_mul U={u}", ok, detail))
+    for backend in Backend:
+        for u in (2, 4, 8, 16, 32, 64):
+            expected = OpCount(sqrt=0 if backend is Backend.LDL else u, reciprocal=u,
+                               real_mul=complexity.formula_rm(backend, u))
+            measured = complexity.measure_rm(backend, u)
+            rows.append((f"{backend.value} tally U={u}", measured == expected,
+                         f"expected {expected}, measured {measured}"))
 
     from .decomp import cholesky, gram_schmidt_qr, ldl
 

@@ -25,10 +25,10 @@ part in place, so one Gramian stack serves every SNR point at once.
 ``acc=None`` computes values only, as in ``kernels`` and ``decomp``; the
 sweep passes it everywhere. NSA, GS and CG then run their counted loops
 with nothing tallied, bit for bit. QR, Cholesky and LDL factor through
-LAPACK with the counted failure rules (see ``decomp``), and ADMIN
-inverts its unit factor L once per stack, so each of its x-updates is
-two stacked products and a scale, L^-H (D^-1 (L^-1 r)), instead of two
-looped triangular solves.
+LAPACK with the counted failure rules (see ``decomp``); exact QR takes
+Q^H b through a transposed view of Q, and ADMIN inverts its regularized
+Gramian once per stack, so each of its x-updates is one stacked
+product, G^-1 r, instead of two looped triangular solves.
 """
 
 from __future__ import annotations
@@ -203,8 +203,8 @@ def exact_solve(
     """Solve G x = b through the chosen decomposition backend."""
     if backend is Backend.QR:
         q, r = gram_schmidt_qr(g, acc)
-        q = hermitian(q)  # Q^H replaces Q: one of them is alive at a time
-        return backward_sub(r, matvec(q, b, acc), acc)
+        # Q^H b = conj(Q^T conj(b)), through a view of Q: no copy of Q^H
+        return backward_sub(r, matvec(np.swapaxes(q, -1, -2), b.conj(), acc).conj(), acc)
     if backend is Backend.CHOLESKY:
         l = cholesky(g, acc)
         return backward_sub(hermitian(l), forward_sub(l, b, acc), acc)
@@ -346,8 +346,9 @@ def admin_solve(
     the per-axis box, lambda accumulates x - z. With z and lambda
     starting at zero the first solve consumes x_mf unchanged, which is
     exactly the MMSE estimate with sigma2 replaced by beta. Values only
-    (``acc=None``), L^-1 is formed once and every x-solve is
-    L^-H (D^-1 (L^-1 r)). ``beta`` is a float, or an array that
+    (``acc=None``), the LDL factorization still runs, for its failure
+    rule, but G^-1 is formed once and every x-solve is one stacked
+    product G^-1 r. ``beta`` is a float, or an array that
     broadcasts against the stack's leading axes, such as (P, 1, 1) for
     one beta per SNR point of a (P, T, U, U) stack; a beta that is not
     positive and finite raises ``ValueError``, as ``DetectorSpec.admin_beta``.
@@ -356,14 +357,13 @@ def admin_solve(
         raise ValueError("t must be >= 1")
     if not np.all((0 < beta) & (beta < np.inf)):
         raise ValueError("beta must be positive and finite")
-    l, d = ldl(g_admin, acc)
+    l, d = ldl(g_admin, acc)  # the counted failure rule runs on both paths
     x_mf = vector_stack(x_mf, l.shape[-1])
     if acc is None:
-        l_inv = np.linalg.inv(l)
-        l_inv_h = hermitian(l_inv)
+        g_inv = np.linalg.inv(g_admin)
 
         def solve(rhs):
-            return (l_inv_h @ ((l_inv @ rhs[..., None]) / d[..., None]))[..., 0]
+            return matvec(g_inv, rhs, None)
     else:
         def solve(rhs):
             return _ldl_solve(l, d, rhs, acc)

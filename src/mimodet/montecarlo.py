@@ -61,10 +61,10 @@ from .detect import SOLVE_ERRORS, DetectorSpec, Kind
 from .kernels import hermitian, matvec
 
 # Working-set budget of one stacked call, in bytes: a block of trials'
-# H and H^H (``_products``), or a group of points' regularized
-# Gramians with the three copies a QR of them makes (``_eval_trials``).
-# Measured on 32x32 and 256x16 sweeps: larger budgets were no faster and
-# raised the peak RSS.
+# H and H^H (``_products``), or a group of points' regularized Gramians
+# four times over, the peak of a values-only QR solve and the most of
+# any kind (``_eval_trials``). Measured on 32x32 and 256x16 sweeps:
+# larger budgets were no faster and raised the peak RSS.
 _WORKING_SET = 1 << 20
 
 

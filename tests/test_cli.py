@@ -660,16 +660,14 @@ class TestSelftest:
     def test_passes_on_fresh_build(self, capsys):
         assert run(["selftest"]) == 0
         out = capsys.readouterr().out
-        assert "cholesky real_mul U=8" in out and "392" in out
+        assert "chol tally U=8" in out and "392" in out
         assert "FAIL" not in out
 
     def test_check_names_in_order(self):
         # the details are not pinned: the residual digits depend on BLAS
         names = [name for name, _, _ in cli.run_selftest()]
         assert names == (
-            [f"cholesky real_mul U={u}" for u in (8, 16, 32)]
-            + [f"gram-schmidt real_mul U={u}" for u in (2, 4, 8, 16, 32, 64)]
-            + [f"ldl real_mul U={u}" for u in (8, 16, 32)]
+            [f"{b} tally U={u}" for b in ("qr", "chol", "ldl") for u in (2, 4, 8, 16, 32, 64)]
             + [f"decomposition residuals U={u}" for u in (8, 16)]
             + [f"mmse backend equivalence seed={s}" for s in (1, 2, 3)]
             + ["formula chol U=8 t=1", "formula ldl U=16 t=1", "formula qr U=32 t=1",

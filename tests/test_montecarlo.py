@@ -575,6 +575,24 @@ class TestWorkingSet:
         for spec, sizes in grouped.items():
             assert (sizes == {1}) if spec.per_point_gramian else (max(sizes) == 5), spec
 
+    @pytest.mark.parametrize("t,n,u", [(4, 32, 32), (60, 256, 16)])
+    def test_admin_values_only_fits_the_group_budget(self, t, n, u):
+        # _eval_trials sizes a group of points by four copies of its
+        # (P, T, U, U) Gramian stack; ADMIN's values path must fit them
+        rng = phy.substream(1, 0)
+        g0 = detect.gramian(np.stack([phy.draw_channel(n, u, rng) for _ in range(t)]), 0.0, None)
+        x_mf = np.stack([g0 @ phy.draw_noise_unit(u, rng) for _ in range(4)])
+        sigma2 = np.array([0.5, 0.2, 0.1, 0.05]).reshape(4, 1, 1)
+        spec, box = DetectorSpec(Kind.ADMIN, beta_scale=8.0), phy.make_constellation(64).box_radius
+        detect.soft_estimate(spec, g0, x_mf, sigma2, box, None)  # one-time allocations
+        tracemalloc.start()
+        try:
+            detect.soft_estimate(spec, g0, x_mf, sigma2, box, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * (4 * g0.nbytes)
+
 
 SPECS = (DetectorSpec(Kind.ZF, Backend.QR), DetectorSpec(Kind.MMSE, Backend.CHOLESKY),
          DetectorSpec(Kind.MMSE, Backend.LDL), DetectorSpec(Kind.NSA, iterations=2),
