@@ -248,6 +248,14 @@ def _write(path: Path, text: str) -> None:
     print(path)
 
 
+def _path_setting(data: dict, key: str, default: str) -> str:
+    """The path ``data[key]`` of an experiment file; missing or null takes ``default``."""
+    value = default if data.get(key) is None else data[key]
+    if not isinstance(value, str):
+        raise ConfigError(key, f"must be a path, got {value!r}")
+    return value
+
+
 def _ber_path(out_dir: Path, cfg: SweepConfig) -> Path:
     """The BER CSV a sweep writes: ``ber_<N>x<U>_<mod>.csv`` in ``out_dir``."""
     return out_dir / f"ber_{cfg.n}x{cfg.u}_{phy.MOD_NAMES[cfg.order]}.csv"
@@ -273,10 +281,8 @@ def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...]
     file_data = _load_experiment_file(args.config) if args.config else {}
     _reject_unknown(file_data, ("sweeps",) + _FILE_KEYS if "sweeps" in file_data
                     else _SWEEP_KEYS + _FILE_KEYS, "the experiment file")
-    out_dir = args.out_dir or file_data.get("out_dir") or "."
-    if not isinstance(out_dir, str):
-        raise ConfigError("out_dir", f"must be a directory path, got {out_dir!r}")
-    out_dir = Path(out_dir)
+    file_out_dir = _path_setting(file_data, "out_dir", ".")  # checked under the flag too
+    out_dir = Path(args.out_dir or file_out_dir)
 
     flag_settings = {key: getattr(args, key) for key in _SWEEP_KEYS}
     overrides = {k: v for k, v in flag_settings.items() if v is not None}
@@ -311,7 +317,7 @@ def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...]
         if not isinstance(spec, dict):
             raise ConfigError("complexity", f"must be an object with u, t and out, got {spec!r}")
         _reject_unknown(spec, _COMPLEXITY_KEYS, "complexity")
-        request = (out_dir / str(spec.get("out", _COMPLEXITY_OUT)),
+        request = (out_dir / _path_setting(spec, "out", _COMPLEXITY_OUT),
                    *complexity_request(spec.get("u"), spec.get("t")))
     if not configs and request is None:
         raise ConfigError("sweeps", "needs at least one sweep or a complexity request")

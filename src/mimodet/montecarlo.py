@@ -15,17 +15,9 @@ over the chunk's trials, whatever the number of points. Each point's
 matched filters and SIMO estimates follow by stacked arithmetic on the
 chunk. Every detector then solves all the points it runs on in one
 ``detect.soft_estimate`` call per chunk, on a (points, trials, U)
-stack: NSA and GS shift only G0's diagonal, ZF (and ADMIN with a fixed
-beta) factor G0 once for every point, and MMSE, CG and ADMIN with
-``beta_scale`` regularize one (points, trials, U, U) copy of G0. Every
-stack is sized by one working-set budget, ``_WORKING_SET``: where a
-chunk's stack would pass it, its trials (products) or points (solves)
-are split into blocks that fit, one call each. A block holds at least
-one trial or one point, so it passes the budget when one of them does:
-at the presets' 100-trial chunks one point's four copies take
-4 x 1.6 MB at 32x32 and 4 x 0.4 MB at 16 users, and each such point is
-solved in a call of its own. Each (chunk, detector) is sliced and
-scored once.
+stack, which sizes its own copies of G0 (see there); the products are
+formed in blocks of trials whose H and H^H fit ``detect.WORKING_SET``.
+Each (chunk, detector) is sliced and scored once.
 The sweep needs values only, so it calls every product and solver with
 ``acc=None`` and tallies nothing: an operation count depends on shapes
 alone and is taken outside the sweep (``complexity``). The solvers
@@ -59,13 +51,6 @@ import numpy as np
 from . import detect, phy
 from .detect import SOLVE_ERRORS, DetectorSpec, Kind
 from .kernels import hermitian, matvec
-
-# Working-set budget of one stacked call, in bytes: a block of trials'
-# H and H^H (``_products``), or a group of points' regularized Gramians
-# four times over, the peak of a values-only QR solve and the most of
-# any kind (``_eval_trials``). Measured on 32x32 and 256x16 sweeps:
-# larger budgets were no faster and raised the peak RSS.
-_WORKING_SET = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -180,42 +165,41 @@ def _products(
     unless ``need_g0``) of trials [lo, hi), each stacked over the trials.
 
     Each trial is drawn once with unit noise n; the three products share
-    one H^H.
+    one H^H and are formed in blocks of trials whose H and H^H fit
+    ``detect.WORKING_SET``.
     """
-    draws = (trial_realization(config, 1.0, trial) for trial in range(lo, hi))
-    bits, x, h, n = (np.stack(v) for v in zip(*draws))
-    h_h = hermitian(h)
-    return (bits, x, detect.matched_filter(h, n, None, h_h=h_h),
-            np.einsum("...kn,...nk->...k", h_h, h).real,
-            detect.gramian(h, 0.0, None, h_h=h_h) if need_g0 else None)
+    block = max(1, detect.WORKING_SET // (2 * config.n * config.u * 16))
+    parts = []
+    for a in range(lo, hi, block):
+        draws = (trial_realization(config, 1.0, trial) for trial in range(a, min(a + block, hi)))
+        bits, x, h, n = (np.stack(v) for v in zip(*draws))
+        h_h = hermitian(h)
+        parts.append((bits, x, detect.matched_filter(h, n, None, h_h=h_h),
+                      np.einsum("...kn,...nk->...k", h_h, h).real,
+                      detect.gramian(h, 0.0, None, h_h=h_h) if need_g0 else None))
+    return tuple(None if v[0] is None else np.concatenate(v) for v in zip(*parts))
 
 
 def _eval_trials(config: SweepConfig, active: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Chunk worker: the counts of trials [lo, hi) for the pairs ``active``
     runs (the protocol is in the module docstring).
 
-    The chunk's products come from ``_products``, in blocks of trials
-    whose H and H^H fit ``_WORKING_SET``; G0 only while a detector other
-    than SIMO runs. With s = sqrt(sigma2), y = H x + s n, so every
-    point's matched filter is the stacked sum x_mf = G0 x + s H^H n. The
-    SIMO bound detects each user k as if alone, y_k = h_k x_k + s n, by
-    maximum-ratio combining:
+    The chunk's products come from ``_products``; G0 only while a
+    detector other than SIMO runs. With s = sqrt(sigma2), y = H x + s n,
+    so every point's matched filter is the stacked sum
+    x_mf = G0 x + s H^H n. The SIMO bound detects each user k as if
+    alone, y_k = h_k x_k + s n, by maximum-ratio combining:
     h_k^H y_k / ||h_k||^2 = x_k + s h_k^H n / ||h_k||^2. Sliced, this is
     the interference-free lower bound on any multiuser detector.
 
     Each detector runs on the points its column of ``active`` holds, in
-    one ``_solve_chunk`` call for all of them, unless it regularizes a
-    copy of G0 per point (``DetectorSpec.per_point_gramian``): then in
-    groups of points whose copies, four times over, fit ``_WORKING_SET``,
-    and at least one point per group, whose copies may alone pass it.
-    A trial whose estimate is not finite counts every bit as an error and
-    one failure; the rest of the chunk is scored as usual.
+    one ``_solve_chunk`` call for all of them. A trial whose estimate is
+    not finite counts every bit as an error and one failure; the rest of
+    the chunk is scored as usual.
     """
     const = phy.make_constellation(config.order)
     need_g0 = active[:, [spec.kind is not Kind.SIMO for spec in config.detectors]].any()
-    block = max(1, _WORKING_SET // (2 * config.n * config.u * 16))
-    blocks = [_products(config, a, min(a + block, hi), need_g0) for a in range(lo, hi, block)]
-    bits, x, n_mf, norms, g0 = (None if v[0] is None else np.concatenate(v) for v in zip(*blocks))
+    bits, x, n_mf, norms, g0 = _products(config, lo, hi, need_g0)
     sigma2 = np.array([phy.sigma2_from_snr(snr, config.u) for snr in config.snr_db])[:, None, None]
     s = np.sqrt(sigma2)
     gx = None if g0 is None else matvec(g0, x, None)
@@ -228,11 +212,7 @@ def _eval_trials(config: SweepConfig, active: np.ndarray, lo: int, hi: int) -> n
         if spec.kind is Kind.SIMO:
             soft = x + s[points] * n_mf / norms
         else:
-            x_mf, s2 = gx + s[points] * n_mf, sigma2[points]
-            group = max(1, _WORKING_SET // (4 * g0.nbytes)) if spec.per_point_gramian else len(points)
-            soft = np.concatenate([
-                _solve_chunk(spec, g0, x_mf[i:i + group], s2[i:i + group], const.box_radius)
-                for i in range(0, len(points), group)])
+            soft = _solve_chunk(spec, g0, gx + s[points] * n_mf, sigma2[points], const.box_radius)
         out[points, d] = _score(soft, bits, const)
     return out
 

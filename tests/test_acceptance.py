@@ -13,6 +13,8 @@ choice, so the gate is not reachable by a correct Gray-labeled
 bit-error simulation; see the repository notes for the analysis.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -291,6 +293,27 @@ def test_criterion_11_preset_determinism(tmp_path):
     b = (tmp_path / "t2" / "ber_32x16_64qam.csv").read_bytes()
     report("criterion 11 (preset determinism across thread counts)",
            a == b, f"{len(a)}-byte CSVs byte-identical: {a == b}")
+
+
+# sha256 of each preset's BER CSV, as ``mimodet ber --preset figK --seed 1``
+# writes it; a change that moves any byte of a preset's records fails here
+PRESET_CSV_SHA256 = {
+    "fig2": "fb9798939ce9beb885cbc8a8626032b705bb5b695ba7b7b9549a173a04ecdcfe",
+    "fig3": "5a918ea32da7cb18090a7e4d3cfaf40790f360358961108af356dc0af3f485d3",
+    "fig4": "a863dfa6667a170b6aafc5f50079e78e81407dc646f7475a2206276b3ac68299",
+    "fig5": "6033086d175fc037c9e9da0218f69847c0fd0604410380b8417168f864b4e84f",
+    "fig6": "7cc7b97be125c8843b8909571dcdf1f94479309b85835cb916a2ed94d52e1ef1",
+}
+
+
+def test_preset_csvs_are_byte_identical(fig2_records, fig3_records, fig4_records, fig5_records,
+                                        fig6_records):
+    records = dict(zip(PRESET_CSV_SHA256, (fig2_records, fig3_records, fig4_records,
+                                           fig5_records, fig6_records)))
+    got = {name: hashlib.sha256(cli.ber_csv(recs).encode()).hexdigest()
+           for name, recs in records.items()}
+    changed = sorted(name for name in got if got[name] != PRESET_CSV_SHA256[name])
+    report("preset CSV digests", not changed, f"changed: {changed or 'none'}")
 
 
 def test_criterion_12_mmse_never_beats_ml():

@@ -268,6 +268,13 @@ class TestBerCommand:
         ({**SWEEP, "snr": [False, 6]}, "snr"),
         ({"sweeps": [SWEEP], "complexity": {"u": [4, None]}}, "u"),
         ({**SWEEP, "snr": {"5": None, "7": 1}}, "snr"),  # an object is not a list of its keys
+        # a falsy path is not taken for the working directory or the default
+        ({**SWEEP, "out_dir": 0}, "out_dir"),
+        ({**SWEEP, "out_dir": False}, "out_dir"),
+        ({**SWEEP, "out_dir": []}, "out_dir"),
+        ({**SWEEP, "out_dir": {}}, "out_dir"),
+        ({"sweeps": [SWEEP], "complexity": {"u": [4], "out": ["a", 1]}}, "out"),
+        ({"sweeps": [SWEEP], "complexity": {"u": [4], "out": 5}}, "out"),
     ])
     def test_experiment_file_types_name_the_field(self, tmp_path, monkeypatch, capsys,
                                                   exp, field):
@@ -515,6 +522,19 @@ class TestOutputs:
         Path("taken").write_text("")
         self.refused(tmp_path, capsys, self.SWEEP, ["--out-dir", "taken"], "out_dir")
         self.refused(tmp_path, capsys, self.SWEEP, ["--out-dir", "taken/sub"], "out_dir")
+
+    def test_file_out_dir_that_is_not_a_path_is_refused_under_the_flag(self, tmp_path,
+                                                                        monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        exp = {**self.SWEEP, "out_dir": 0}
+        self.refused(tmp_path, capsys, exp, ["--out-dir", "d"], "out_dir")
+
+    def test_complexity_out_null_takes_the_default(self, tmp_path, monkeypatch):
+        # as u and t take theirs; the table is not written to a file named None
+        monkeypatch.chdir(tmp_path)
+        Path("exp.json").write_text(json.dumps({"complexity": {"u": [4], "out": None}}))
+        assert run(["ber", "--config", "exp.json"]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["complexity.csv", "exp.json"]
 
     def test_complexity_out_under_a_file_is_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

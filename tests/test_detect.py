@@ -1,5 +1,7 @@
 """Detector correctness against independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -289,6 +291,55 @@ class TestAdmin:
         with pytest.raises(ValueError):
             detect.admin_solve(np.eye(2, dtype=complex), np.ones(2, dtype=complex),
                                2, 0.0, 1.0, OpCount())
+
+
+def point_stack(t, n, u, points):
+    """A (T, U, U) G0 stack, ``points`` (P, T, U) right-hand sides and a
+    (P, 1, 1) sigma2, all drawn from one seed."""
+    rng = phy.substream(1, 0)
+    g0 = detect.gramian(np.stack([phy.draw_channel(n, u, rng) for _ in range(t)]), 0.0, None)
+    x_mf = np.stack([g0 @ phy.draw_noise_unit(u, rng) for _ in range(points)])
+    sigma2 = np.geomspace(0.5, 0.05, points).reshape(points, 1, 1)
+    return g0, x_mf, sigma2
+
+
+def traced_peak(spec, g0, x_mf, sigma2, box):
+    """tracemalloc's peak over one values-only ``soft_estimate`` call."""
+    detect.soft_estimate(spec, g0, x_mf, sigma2, box, None)  # one-time allocations
+    tracemalloc.start()
+    try:
+        detect.soft_estimate(spec, g0, x_mf, sigma2, box, None)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """``soft_estimate`` solves the points that take a copy of G0 each in
+    groups whose copies, four times over, fit ``detect.WORKING_SET``."""
+
+    BOX = phy.make_constellation(64).box_radius
+
+    @pytest.mark.parametrize("t,n,u", [(4, 32, 32), (60, 256, 16)])
+    def test_admin_values_only_fits_the_group_budget(self, monkeypatch, t, n, u):
+        # a budget of four points' copies, four times over, makes the four
+        # points one group; ADMIN's values path must fit it
+        g0, x_mf, sigma2 = point_stack(t, n, u, 4)
+        monkeypatch.setattr(detect, "WORKING_SET", 4 * (4 * g0.nbytes))
+        peak = traced_peak(DetectorSpec(Kind.ADMIN, beta_scale=8.0), g0, x_mf, sigma2, self.BOX)
+        assert peak < 4 * (4 * g0.nbytes)
+
+    def test_peak_does_not_grow_with_the_points(self):
+        # at (T, N, U) = (4, 32, 32) one group holds four points, so twelve
+        # points are three groups, solved one after another
+        g0, x_mf, sigma2 = point_stack(4, 32, 32, 12)
+        assert 4 * (4 * g0.nbytes) == detect.WORKING_SET
+        grown = {}
+        for spec in (DetectorSpec(Kind.MMSE, Backend.QR), DetectorSpec(Kind.CG),
+                     DetectorSpec(Kind.ADMIN, beta_scale=8.0)):
+            four = traced_peak(spec, g0, x_mf[:4], sigma2[:4], self.BOX)
+            grown[spec.name] = traced_peak(spec, g0, x_mf, sigma2, self.BOX) - four
+        assert all(g < 4 * (4 * g0.nbytes) for g in grown.values()), grown
 
 
 @pytest.mark.parametrize("solve", [

@@ -527,71 +527,78 @@ class TestChunkMajor:
 
 
 class TestWorkingSet:
-    """Where a chunk's stacks pass ``_WORKING_SET`` they are split, with
+    """Where a chunk's stacks pass ``detect.WORKING_SET`` they are split, with
     the same records."""
 
     SPECS = (DetectorSpec(Kind.ZF, Backend.QR), DetectorSpec(Kind.MMSE, Backend.QR),
              DetectorSpec(Kind.MMSE, Backend.LDL), DetectorSpec(Kind.NSA),
              DetectorSpec(Kind.GS), DetectorSpec(Kind.CG), DetectorSpec(Kind.ADMIN, beta=0.5),
              DetectorSpec(Kind.ADMIN, beta_scale=2.0), DetectorSpec(Kind.SIMO))
+    # the specs whose solves regularize a copy of G0 per point
+    COPYING = (DetectorSpec(Kind.MMSE, Backend.QR), DetectorSpec(Kind.MMSE, Backend.LDL),
+               DetectorSpec(Kind.CG), DetectorSpec(Kind.ADMIN, beta_scale=2.0))
+    SOLVERS = ("exact_solve", "nsa_solve", "gs_solve", "cg_solve", "admin_solve")
 
     def sweep(self, monkeypatch, working_set):
         # the points stop in different chunks, so the groups change as they do
         cfg = small_config(n=8, u=4, order=16, snr_db=(0.0, 4.0, 8.0, 12.0, 16.0), trials=30,
                            chunk_size=6, stop_at_errors=40, detectors=self.SPECS)
-        calls = []
+        calls, current = [], []  # (what, spec, points or trials); the spec being solved
         solve, gramian = detect.soft_estimate, detect.gramian
 
+        def points(x_mf):
+            return x_mf.shape[0] if x_mf.ndim == 3 else None
+
         def spy_solve(spec, g0, x_mf, *args):
-            calls.append((spec, x_mf.shape[0] if x_mf.ndim == 3 else None))
+            calls.append(("soft", spec, points(x_mf)))
+            current[:] = [spec]
             return solve(spec, g0, x_mf, *args)
 
+        def spy_solver(name):
+            solver = getattr(detect, name)
+
+            def spied(g, x_mf, *args, **kwargs):
+                calls.append(("solver", current[0], points(x_mf)))
+                return solver(g, x_mf, *args, **kwargs)
+            return spied
+
         def spy_gramian(h, *args, **kwargs):
-            calls.append(("gramian", h.shape[0]))
+            calls.append(("gramian", None, h.shape[0]))
             return gramian(h, *args, **kwargs)
 
         with monkeypatch.context() as m:
-            m.setattr(mc, "_WORKING_SET", working_set)
+            m.setattr(detect, "WORKING_SET", working_set)
             m.setattr(detect, "soft_estimate", spy_solve)
             m.setattr(detect, "gramian", spy_gramian)
+            for name in self.SOLVERS:
+                m.setattr(detect, name, spy_solver(name))
             return mc.run_sweep(cfg), calls
 
     def test_records_do_not_depend_on_the_budget(self, monkeypatch):
-        records, calls = self.sweep(monkeypatch, mc._WORKING_SET)
+        records, calls = self.sweep(monkeypatch, detect.WORKING_SET)
         split, split_calls = self.sweep(monkeypatch, 1)
         assert split == records
         assert len({r.trials_run for r in records}) > 1
         # the default budget holds these small stacks whole: one Gramian
         # per chunk, and one call per (chunk, detector) for every point
-        assert all(size == 6 for what, size in calls if what == "gramian")
+        assert all(size == 6 for what, _, size in calls if what == "gramian")
         for d, spec in enumerate(self.SPECS[:-1]):
             last = max(r.trials_run for r in records[d::len(self.SPECS)])
-            assert sum(s == spec for s, _ in calls) == -(-last // 6), spec
+            assert sum(s == spec for what, s, _ in calls if what == "soft") == -(-last // 6), spec
+        # ... and each of those calls solves in one solver call
+        assert ([s for what, s, _ in calls if what == "solver"]
+                == [s for what, s, _ in calls if what == "soft"])
+        # the sweep makes the same calls whatever the budget: soft_estimate
+        # sizes its own groups of points
+        assert ([c for c in split_calls if c[0] == "soft"]
+                == [c for c in calls if c[0] == "soft"])
         # a budget of one byte leaves one trial per product and one point
         # per regularized copy; the kinds that solve on G0 keep every point
-        assert all(size == 1 for what, size in split_calls if what == "gramian")
-        grouped = {spec: {size for s, size in split_calls if s == spec}
+        assert all(size == 1 for what, _, size in split_calls if what == "gramian")
+        grouped = {spec: {size for what, s, size in split_calls if what == "solver" and s == spec}
                    for spec in self.SPECS if spec.kind is not Kind.SIMO}
         for spec, sizes in grouped.items():
-            assert (sizes == {1}) if spec.per_point_gramian else (max(sizes) == 5), spec
-
-    @pytest.mark.parametrize("t,n,u", [(4, 32, 32), (60, 256, 16)])
-    def test_admin_values_only_fits_the_group_budget(self, t, n, u):
-        # _eval_trials sizes a group of points by four copies of its
-        # (P, T, U, U) Gramian stack; ADMIN's values path must fit them
-        rng = phy.substream(1, 0)
-        g0 = detect.gramian(np.stack([phy.draw_channel(n, u, rng) for _ in range(t)]), 0.0, None)
-        x_mf = np.stack([g0 @ phy.draw_noise_unit(u, rng) for _ in range(4)])
-        sigma2 = np.array([0.5, 0.2, 0.1, 0.05]).reshape(4, 1, 1)
-        spec, box = DetectorSpec(Kind.ADMIN, beta_scale=8.0), phy.make_constellation(64).box_radius
-        detect.soft_estimate(spec, g0, x_mf, sigma2, box, None)  # one-time allocations
-        tracemalloc.start()
-        try:
-            detect.soft_estimate(spec, g0, x_mf, sigma2, box, None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * (4 * g0.nbytes)
+            assert (sizes == {1}) if spec in self.COPYING else (max(sizes) == 5), spec
 
 
 SPECS = (DetectorSpec(Kind.ZF, Backend.QR), DetectorSpec(Kind.MMSE, Backend.CHOLESKY),
