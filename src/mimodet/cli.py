@@ -350,14 +350,14 @@ def cmd_ber(args) -> int:
         _write(_ber_path(out_dir, cfg), ber_csv(records))
     if request is not None:
         path, *table = request
-        _write(path, complexity.table_csv(complexity.comparison_table(*table)))
+        _write(path, complexity.table_csv(*table))
     return 0
 
 
 def cmd_complexity(args) -> int:
     table = complexity_request(args.u, args.t)
     _check_output(Path(args.out), "out")
-    _write(Path(args.out), complexity.table_csv(complexity.comparison_table(*table)))
+    _write(Path(args.out), complexity.table_csv(*table))
     return 0
 
 

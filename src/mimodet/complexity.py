@@ -7,7 +7,7 @@ instrumented decomposition on a seeded Gramian and reports what it
 executed; measured and modeled counts coincide for every U. The AID
 detectors are modeled only (their closed forms assume the explicit
 matrix-power evaluation that a per-vector implementation avoids), so
-comparison rows leave their measured column empty.
+the table leaves their measured column empty.
 
 Known model discrepancies, preserved rather than reconciled:
 
@@ -22,12 +22,10 @@ Known model discrepancies, preserved rather than reconciled:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import decomp, phy
-from .detect import Backend, Kind
+from .detect import Backend, Kind, gramian
 from .kernels import OpCount
 
 # the model's rows, in table order
@@ -64,9 +62,7 @@ def formula_rm(method: Backend | Kind, u: int, t: int = 1) -> int:
 
 def seeded_gramian(u: int, seed: int, n_ratio: int = 4, reg: float = 0.5) -> np.ndarray:
     """Well-conditioned Hermitian PD test matrix H^H H + reg*I."""
-    h = phy.draw_channel(n_ratio * u, u, phy.substream(seed, u))
-    a = h.conj().T @ h + reg * np.eye(u)
-    return (a + a.conj().T) / 2.0
+    return gramian(phy.draw_channel(n_ratio * u, u, phy.substream(seed, u)), reg, None)
 
 
 def measure_rm(backend: Backend, u: int) -> OpCount:
@@ -86,32 +82,15 @@ def measure_rm(backend: Backend, u: int) -> OpCount:
     return acc
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
-    u: int
-    algo: Backend | Kind
-    t: int
-    formula_rm: int
-    measured_rm: int | None
-
-
 DEFAULT_U_LIST = (4, 8, 16, 32, 64, 128)
 DEFAULT_T = 3
 
 
-def comparison_table(u_list=DEFAULT_U_LIST, t: int = DEFAULT_T) -> list[ComparisonRow]:
-    """Model and measured counts for the six ``METHODS`` over ``u_list``."""
-    rows = []
+def table_csv(u_list: tuple[int, ...], t: int) -> str:
+    """The fig7 CSV: model and measured counts for the six ``METHODS`` over ``u_list``."""
+    lines = ["U,algorithm,t,formula_rm,measured_rm"]
     for u in u_list:
         for method in METHODS:
-            measured = measure_rm(method, u).real_mul if isinstance(method, Backend) else None
-            rows.append(ComparisonRow(u, method, t, formula_rm(method, u, t), measured))
-    return rows
-
-
-def table_csv(rows: list[ComparisonRow]) -> str:
-    lines = ["U,algorithm,t,formula_rm,measured_rm"]
-    for r in rows:
-        measured = "" if r.measured_rm is None else str(r.measured_rm)
-        lines.append(f"{r.u},{r.algo.value},{r.t},{r.formula_rm},{measured}")
+            measured = measure_rm(method, u).real_mul if isinstance(method, Backend) else ""
+            lines.append(f"{u},{method.value},{t},{formula_rm(method, u, t)},{measured}")
     return "\n".join(lines) + "\n"

@@ -13,6 +13,7 @@ choice, so the gate is not reachable by a correct Gray-labeled
 bit-error simulation; see the repository notes for the analysis.
 """
 
+import functools
 import hashlib
 
 import numpy as np
@@ -132,6 +133,44 @@ def test_criterion_04_backend_equivalence():
             worst = max(worst, np.linalg.norm(out - ref) / np.linalg.norm(ref))
     report("criterion 4 (backend equivalence, 1000 instances)",
            worst <= 1e-8, f"worst relative difference to LAPACK {worst:.2e}")
+
+
+@functools.cache
+def last_point_systems(name: str):
+    """G0, H^H y, sigma2 and the LAPACK MMSE solutions of a preset's
+    first 500 trials at its last (highest) SNR point, seed 1."""
+    config = cli.build_sweep({**cli.PRESETS[name], "seed": ACCEPT_SEED})
+    sigma2 = phy.sigma2_from_snr(config.snr_db[-1], config.u)
+    draws = [mc.trial_realization(config, sigma2, k) for k in range(500)]
+    _, x, h, noise = (np.stack(v) for v in zip(*draws))
+    g0 = detect.gramian(h, 0.0, None)
+    x_mf = detect.matched_filter(h, np.einsum("...nu,...u->...n", h, x) + noise, None)
+    ref = np.linalg.solve(g0 + sigma2 * np.eye(config.u), x_mf[..., None])[..., 0]
+    return g0, x_mf, sigma2, ref
+
+
+# the one case known to miss the bound: counted Gram-Schmidt loses
+# orthogonality as cond(G) grows, and fig5's 40 dB point is the least
+# regularized system any preset solves
+QR_AT_FIG5 = pytest.mark.xfail(strict=True, reason=(
+    "counted Gram-Schmidt QR at fig5 40 dB (cond(G) up to 3.9e4) reaches 1.6e-8"))
+
+
+@pytest.mark.parametrize("name,backend,counted", [
+    pytest.param(name, backend, counted,
+                 id=f"{name}-{backend.value}-{'counted' if counted else 'values'}",
+                 marks=QR_AT_FIG5 if (name, backend, counted) == ("fig5", Backend.QR, True) else ())
+    for name in ("fig2", "fig3", "fig4", "fig5", "fig6") for backend in Backend
+    for counted in (True, False)
+])
+def test_backend_equivalence_on_preset_hardest_draws(name, backend, counted):
+    # criterion 4's bound where the presets run: each MMSE system of a
+    # preset's last SNR point against LAPACK
+    g0, x_mf, sigma2, ref = last_point_systems(name)
+    out = detect.soft_estimate(DetectorSpec(Kind.MMSE, backend), g0, x_mf, sigma2, 1.0,
+                               OpCount() if counted else None)
+    worst = (np.linalg.norm(out - ref, axis=-1) / np.linalg.norm(ref, axis=-1)).max()
+    assert worst <= 1e-8, f"worst relative difference to LAPACK {worst:.2e}"
 
 
 def test_criterion_05_iterative_solver_oracles():

@@ -479,6 +479,17 @@ class TestComplexityCommand:
         assert out.read_bytes() == (Path(__file__).parent / "data"
                                     / "complexity_default.csv").read_bytes()
 
+    @pytest.mark.parametrize("flags,golden", [
+        # U = 1, odd U and t = 1, where the Neumann-series rows are zero
+        (["--u", "1,2,5,33", "--t", "1"], "complexity_u1_2_5_33_t1.csv"),
+        # the default U list at a t other than the default
+        (["--t", "7"], "complexity_t7.csv"),
+    ])
+    def test_pinned_tables(self, tmp_path, flags, golden):
+        out = tmp_path / "complexity.csv"
+        assert run(["complexity", *flags, "--out", str(out)]) == 0
+        assert out.read_bytes() == (Path(__file__).parent / "data" / golden).read_bytes()
+
     def test_t1_warns_about_nsa(self, tmp_path, capsys):
         out = tmp_path / "cx.csv"
         assert run(["complexity", "--u", "8", "--t", "1", "--out", str(out)]) == 0
