@@ -60,9 +60,9 @@ def formula_rm(method: Backend | Kind, u: int, t: int = 1) -> int:
     raise ValueError(f"no complexity model for {method}")
 
 
-def seeded_gramian(u: int, seed: int, n_ratio: int = 4, reg: float = 0.5) -> np.ndarray:
-    """Well-conditioned Hermitian PD test matrix H^H H + reg*I."""
-    return gramian(phy.draw_channel(n_ratio * u, u, phy.substream(seed, u)), reg, None)
+def seeded_gramian(u: int, seed: int) -> np.ndarray:
+    """Well-conditioned Hermitian PD test matrix H^H H + 0.5 I of a 4U x U channel."""
+    return gramian(phy.draw_channel(4 * u, u, phy.substream(seed, u)), 0.5, None)
 
 
 def measure_rm(backend: Backend, u: int) -> OpCount:

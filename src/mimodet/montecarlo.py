@@ -321,38 +321,3 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
     return [r for p in range(shape[0]) for r in records(p)]
-
-
-def snr_at_ber(
-    points: list[tuple[float, float, int]], target: float
-) -> float | None:
-    """SNR where the curve crosses ``target``, by log-linear interpolation.
-
-    ``points`` are (snr_db, ber, bits_total) tuples in increasing SNR
-    order. Zero BER values are floored at half an error for the
-    interpolation. Returns None when the curve never crosses the target.
-    """
-    if target <= 0:
-        raise ValueError("target BER must be positive")
-
-    def floored(ber: float, bits: int) -> float:
-        return ber if ber > 0 else 0.5 / max(bits, 1)
-
-    for (s0, b0, n0), (s1, b1, n1) in zip(points, points[1:]):
-        f0, f1 = floored(b0, n0), floored(b1, n1)
-        if f0 >= target >= f1:
-            if f0 == f1:
-                return s0
-            frac = (np.log10(target) - np.log10(f0)) / (np.log10(f1) - np.log10(f0))
-            return float(s0 + frac * (s1 - s0))
-    return None
-
-
-def curve(records: list[BerRecord], detector: str, params: str | None = None):
-    """(snr, ber, bits) points of one detector, sorted by SNR."""
-    pts = [
-        (r.snr_db, r.ber, r.bits_total)
-        for r in records
-        if r.detector == detector and (params is None or r.params == params)
-    ]
-    return sorted(pts)

@@ -156,13 +156,3 @@ def sigma2_from_snr(snr_db: float, u: int) -> float:
     if u < 1:
         raise ValueError("u must be positive")
     return u / 10.0 ** (snr_db / 10.0)
-
-
-def constellation_csv(constellation: Constellation) -> str:
-    """Bit-exact label table as CSV text with columns label,re,im."""
-    b = constellation.bits_per_symbol
-    lines = ["label,re,im"]
-    for label in range(constellation.order):
-        p = constellation.points[label]
-        lines.append(f"{label:0{b}b},{float(p.real)!r},{float(p.imag)!r}")
-    return "\n".join(lines) + "\n"

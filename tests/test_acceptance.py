@@ -19,8 +19,9 @@ import hashlib
 import numpy as np
 import pytest
 
+from curves import curve, snr_at_ber
 from mimodet import cli, detect, montecarlo as mc, phy
-from mimodet.complexity import METHODS, formula_rm, measure_rm, seeded_gramian
+from mimodet.complexity import METHODS, formula_rm, measure_rm
 from mimodet.decomp import cholesky, gram_schmidt_qr, ldl
 from mimodet.detect import Backend, DetectorSpec, Kind
 from mimodet.kernels import OpCount, hermitian
@@ -67,7 +68,7 @@ def fig6_records():
 
 
 def crossing(records, detector, target):
-    return mc.snr_at_ber(mc.curve(records, detector), target)
+    return snr_at_ber(curve(records, detector), target)
 
 
 def test_criterion_01_cholesky_exact_counts():
@@ -179,7 +180,7 @@ def test_criterion_05_iterative_solver_oracles():
     # conjugate gradient: finite termination at t = U
     for seed in (0, 1, 2):
         u = 16
-        a = seeded_gramian(u, seed, n_ratio=2, reg=0.3)
+        a = detect.gramian(phy.draw_channel(2 * u, u, phy.substream(seed, u)), 0.3, None)
         rng = np.random.Generator(np.random.Philox(key=[505, seed]))
         b = rng.standard_normal(u) + 1j * rng.standard_normal(u)
         exact = np.linalg.solve(a, b)
@@ -189,7 +190,7 @@ def test_criterion_05_iterative_solver_oracles():
     details.append(f"CG t=U err {err:.2e}")
 
     # Gauss-Seidel: strictly decreasing error, below 1e-6 by t=100
-    a = seeded_gramian(16, 5, n_ratio=4, reg=0.2)
+    a = detect.gramian(phy.draw_channel(4 * 16, 16, phy.substream(5, 16)), 0.2, None)
     rng = np.random.Generator(np.random.Philox(key=[505, 99]))
     b = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     exact = np.linalg.solve(a, b)
@@ -243,9 +244,9 @@ def test_criterion_06_fig2_aids_track_mmse(fig2_records):
 def test_criterion_07_fig3_aid_error_floors(fig3_records):
     floors = {}
     for det in ("nsa", "gs", "cg"):
-        pts = mc.curve(fig3_records, det)
+        pts = curve(fig3_records, det)
         floors[det] = dict((s, b) for s, b, _ in pts)[30.0]
-    mmse = [b for _, b, _ in mc.curve(fig3_records, "mmse")]
+    mmse = [b for _, b, _ in curve(fig3_records, "mmse")]
     decreasing = all(
         cur < prev or (prev == 0.0 and cur == 0.0)
         for prev, cur in zip(mmse, mmse[1:])
@@ -274,7 +275,7 @@ def test_criterion_08_fig4_gs_two_db_gap(fig4_records):
 
 
 def test_criterion_09_fig5_fig6_admin_gains(fig5_records, fig6_records):
-    mmse35 = dict((s, b) for s, b, _ in mc.curve(fig5_records, "mmse"))[35.0]
+    mmse35 = dict((s, b) for s, b, _ in curve(fig5_records, "mmse"))[35.0]
     m64 = crossing(fig5_records, "mmse", 3e-2)
     a64 = crossing(fig5_records, "admin", 3e-2)
     gain64 = None if m64 is None or a64 is None else m64 - a64
@@ -340,8 +341,8 @@ PRESET_CSV_SHA256 = {
     "fig2": "fb9798939ce9beb885cbc8a8626032b705bb5b695ba7b7b9549a173a04ecdcfe",
     "fig3": "5a918ea32da7cb18090a7e4d3cfaf40790f360358961108af356dc0af3f485d3",
     "fig4": "a863dfa6667a170b6aafc5f50079e78e81407dc646f7475a2206276b3ac68299",
-    "fig5": "6033086d175fc037c9e9da0218f69847c0fd0604410380b8417168f864b4e84f",
-    "fig6": "7cc7b97be125c8843b8909571dcdf1f94479309b85835cb916a2ed94d52e1ef1",
+    "fig5": "ee516c3ac7687a16012a550720542297ce0425d0d4f5627620500eced66d1794",
+    "fig6": "6264f3a239b1cddcc430048313325dd6e3b2ee91e183f82c4a7b12458d7af91a",
 }
 
 

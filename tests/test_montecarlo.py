@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curves import curve, snr_at_ber
 from mimodet import cli, decomp, detect, kernels, montecarlo as mc, phy
 from mimodet.detect import Backend, DetectorSpec, Kind
 from mimodet.kernels import OpCount
@@ -787,7 +788,7 @@ class TestSummarize:
         ]
 
     def crossings(self, recs, target):
-        return [mc.snr_at_ber(mc.curve(recs, name), target) for name in ("mmse", "gs", "nsa")]
+        return [snr_at_ber(curve(recs, name), target) for name in ("mmse", "gs", "nsa")]
 
     def test_identical_curves_zero_gap(self):
         pts = [(0.0, 0.1), (5.0, 0.01), (10.0, 0.001)]
@@ -811,21 +812,21 @@ class TestSummarize:
 
     def test_snr_at_ber_exact_hit(self):
         pts = [(0.0, 0.1, 1000), (10.0, 0.001, 1000)]
-        assert mc.snr_at_ber(pts, 0.1) == pytest.approx(0.0)
+        assert snr_at_ber(pts, 0.1) == pytest.approx(0.0)
 
     @pytest.mark.parametrize("target", [0.0, -0.1])
     def test_snr_at_ber_needs_a_positive_target(self, target):
         with pytest.raises(ValueError, match="target BER must be positive"):
-            mc.snr_at_ber([(0.0, 0.1, 1000), (10.0, 0.001, 1000)], target)
+            snr_at_ber([(0.0, 0.1, 1000), (10.0, 0.001, 1000)], target)
 
     def test_snr_at_ber_flat_segment_gives_its_start(self):
         pts = [(2.0, 0.1, 1000), (5.0, 0.1, 1000), (8.0, 0.01, 1000)]
-        assert mc.snr_at_ber(pts, 0.1) == 2.0
+        assert snr_at_ber(pts, 0.1) == 2.0
 
     def test_snr_at_ber_zero_floor(self):
         # a zero-BER point interpolates with the half-error floor
         pts = [(0.0, 0.1, 10_000), (10.0, 0.0, 10_000)]
-        got = mc.snr_at_ber(pts, 1e-2)
+        got = snr_at_ber(pts, 1e-2)
         assert got is not None and 0.0 < got < 10.0
 
 
