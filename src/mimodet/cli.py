@@ -186,10 +186,8 @@ def build_sweep(settings: dict) -> SweepConfig:
         if value is not None:  # a stop_at of 0 or "none" disables the early stop
             value = 0 if key == "stop_at" and value == "none" else _integer(key, value)
             optional[field_name] = (value or None) if key == "stop_at" else value
-    cfg = SweepConfig(n=n, u=u, order=_mod_order(str(settings["mod"])), snr_db=snr_points,
-                      detectors=tuple(specs), **optional)
-    cfg.validate()
-    return cfg
+    return SweepConfig(n=n, u=u, order=_mod_order(str(settings["mod"])), snr_db=snr_points,
+                       detectors=tuple(specs), **optional)
 
 
 def ber_csv(records: list[montecarlo.BerRecord]) -> str:
@@ -481,6 +479,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:  # an unreadable experiment file is a ConfigError already
         print(f"output error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"memory error: {exc}", file=sys.stderr)
         return 3
 
 

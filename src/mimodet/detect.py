@@ -229,8 +229,8 @@ def nsa_solve(
     scalar or an array that broadcasts against diag(G), shape (..., U):
     a (P, 1, 1) shift on a (T, U, U) stack gives P x T systems, each
     G[t] shifted by reg[p], without a copy of G per shift.
-    The divergence flag (one per system of a stack) is set when the
-    final term outgrew the previous one; the estimate is still returned.
+    The divergence flag (one per system of a stack, False at t = 1) is set
+    when the last term outgrew the one before it; the estimate is still returned.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -242,15 +242,11 @@ def nsa_solve(
     idx = np.arange(g.shape[-1])
     e[..., idx, idx] = 0.0
     term = mul(d_inv, x_mf, acc)
-    total = term
-    diverged = np.zeros(term.shape[:-1], dtype=bool)
-    for k in range(1, t):
-        prev = np.linalg.norm(term, axis=-1)
-        term = -mul(d_inv, matvec(e, term, acc), acc)
+    prev = total = term
+    for _ in range(1, t):
+        prev, term = term, -mul(d_inv, matvec(e, term, acc), acc)
         total = total + term
-        if k == t - 1:
-            diverged = np.linalg.norm(term, axis=-1) > prev
-    return total, diverged
+    return total, np.linalg.norm(term, axis=-1) > np.linalg.norm(prev, axis=-1)
 
 
 @finite_result

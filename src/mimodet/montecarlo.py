@@ -84,7 +84,7 @@ class SweepConfig:
     workers: int = 1
     chunk_size: int = 100
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.n < 1:
             raise ConfigError("n", "must be a positive antenna count")
         if self.u < 1 or self.u > self.n:
@@ -225,8 +225,8 @@ def _score(soft: np.ndarray, bits: np.ndarray, const: phy.Constellation) -> np.n
     one failure.
     """
     failed = ~np.isfinite(soft).all(axis=-1)
-    _, bits_hat = phy.hard_slice(np.where(failed[..., None], 0.0, soft), const)
-    errors = np.count_nonzero(bits_hat.reshape(failed.shape + bits.shape[-1:]) != bits, axis=-1)
+    bits_hat = phy.hard_slice(np.where(failed[..., None], 0.0, soft), const)
+    errors = np.count_nonzero(bits_hat != bits, axis=-1)
     errors[failed] = bits.shape[-1]
     return np.stack([errors.sum(axis=-1), failed.sum(axis=-1)], axis=-1)
 
@@ -266,7 +266,6 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
     ``MKL_NUM_THREADS`` to 1 before they import numpy: the stacked solves
     call BLAS on small matrices, where its threads only contend.
     """
-    config.validate()
     bits_per_trial = config.u * phy.make_constellation(config.order).bits_per_symbol
     shape = (len(config.snr_db), len(config.detectors))
     tally = np.zeros(shape + (2,), dtype=np.int64)  # [bit errors, failures]

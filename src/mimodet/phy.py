@@ -97,13 +97,12 @@ def _axis_index(coord: np.ndarray, constellation: Constellation) -> np.ndarray:
     return np.clip(idx, 0, m - 1).astype(np.uint8)
 
 
-def hard_slice(
-    x_soft: np.ndarray, constellation: Constellation
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest-point decision; returns (hard symbols, flat bit array).
+def hard_slice(x_soft: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """Nearest-point decision; returns the bits of the decided symbols.
 
-    ``x_soft`` may be a stack of estimates (e.g. trials x users); the
-    symbols keep its shape and the bits come out flat in C order.
+    ``x_soft`` may be a stack of estimates (e.g. trials x users); the bits
+    come out shaped ``x_soft.shape[:-1] + (U * bits_per_symbol,)``, each
+    symbol's bits in turn, as ``modulate`` takes them.
     The QAM grid factorizes per axis, so the Euclidean-nearest point is
     the per-axis nearest level; exact midpoints are rounded toward the
     smaller coordinate (equivalently: toward the point with smaller real,
@@ -116,10 +115,9 @@ def hard_slice(
     m = constellation.levels_per_axis
     ki = _axis_index(x_soft.real, constellation)
     kq = _axis_index(x_soft.imag, constellation)
-    # flat takes: fancy indexing (labels[ki, kq], points[labels]) is slower
+    # flat takes: fancy indexing (labels[ki, kq], bits[labels]) is slower
     labels = constellation.labels.ravel().take(ki * m + kq)
-    symbols = constellation.points.take(labels)
-    return symbols, constellation.bits.take(labels, axis=0).reshape(-1)
+    return constellation.bits.take(labels, axis=0).reshape(x_soft.shape[:-1] + (-1,))
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:

@@ -379,8 +379,8 @@ def test_criterion_12_mmse_never_beats_ml():
     g = detect.gramian(h, sigma2, None)
     x_mf = detect.matched_filter(h, y, None)
     soft = detect.exact_solve(g, x_mf, Backend.CHOLESKY, None)
-    _, bhat = phy.hard_slice(soft, const)
-    mmse_errs = int(np.count_nonzero(bhat.reshape(bits.shape) != bits))
+    bhat = phy.hard_slice(soft, const)
+    mmse_errs = int(np.count_nonzero(bhat != bits))
     dists = np.linalg.norm(y[:, :, None] - h @ cands.T, axis=1)
     ml_errs = int(np.count_nonzero(cand_bits[np.argmin(dists, axis=1)] != bits))
     bits_total = cfg.trials * u * const.bits_per_symbol

@@ -394,6 +394,21 @@ class TestBuildSweep:
             cli.build_sweep({**self.BASE, **overrides})
         assert err.value.field == field
 
+    def test_comma_joined_det_flag_is_two_entries(self, tmp_path):
+        shape = ["ber", "--n", "8", "--u", "2", "--mod", "qpsk", "--snr", "6",
+                 "--out-dir", str(tmp_path)]
+        plan = [cli.plan_ber(cli.build_parser().parse_args(shape + det))[1]
+                for det in (["--det", "mmse:chol,nsa:t=3"],
+                            ["--det", "mmse:chol", "--det", "nsa:t=3"])]
+        assert plan[0] == plan[1]
+        assert [(d.kind, d.params) for d in plan[0][0].detectors] == [
+            (Kind.MMSE, "backend=chol"), (Kind.NSA, "t=3")]
+
+    def test_comma_joined_det_in_a_file_is_two_entries(self):
+        joined = cli.build_sweep({**self.BASE, "det": "mmse,gs"})
+        assert joined == cli.build_sweep({**self.BASE, "det": ["mmse", "gs"]})
+        assert [d.kind for d in joined.detectors] == [Kind.MMSE, Kind.GS]
+
     def test_integral_values_still_run(self):
         cfg = cli.build_sweep({**self.BASE, "seed": 1.0, "trials": 40.0, "threads": 1.0})
         assert (cfg.master_seed, cfg.trials, cfg.workers) == (1, 40, 1)
@@ -412,7 +427,6 @@ class TestBuildSweep:
         except ConfigError as err:
             assert err.field in entry or err.field in REQUIRED
             return
-        cfg.validate()
         for key, field in OPTIONAL_FIELDS.items():
             if entry.get(key) is None:
                 assert getattr(cfg, field) == CONFIG_DEFAULTS[field]
@@ -476,8 +490,6 @@ class TestPlanBer:
             finally:
                 assert [p.name for p in Path(tmp).iterdir()] == ["exp.json"]
         assert isinstance(out_dir, Path) and (configs or request)
-        for cfg in configs:
-            cfg.validate()
         if request is not None:
             _, u_list, t = request
             assert all(isinstance(u, int) and u >= 1 for u in u_list) and t >= 1
@@ -623,6 +635,18 @@ class TestOutputs:
         assert run(["complexity", "--u", "4", "--out", "cx"]) == 2
         assert capsys.readouterr().err.startswith("config error: out:")
         assert list(Path("cx").iterdir()) == []
+
+    def test_out_of_memory_is_a_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        # exit 3 with one line, not a traceback and exit 1 (a failed self
+        # test); a real trigger, such as --u 100000, would allocate ~596 GiB
+        def exhausted(*_):
+            raise MemoryError("Unable to allocate 596. GiB")
+
+        monkeypatch.setattr(complexity, "table_csv", exhausted)
+        assert run(["complexity", "--u", "4", "--out", str(tmp_path / "x.csv")]) == 3
+        err = capsys.readouterr().err
+        assert err == "memory error: Unable to allocate 596. GiB\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_output_is_an_output_error(self, tmp_path, capsys):
         # a file name longer than the file system allows: only the write

@@ -172,6 +172,25 @@ class TestNsa:
         assert np.all(np.isfinite(x))  # estimate still returned
 
 
+    @pytest.mark.parametrize("counted", [True, False], ids=["counted", "values"])
+    @pytest.mark.parametrize("t", [1, 2, 3, 5])
+    def test_flag_per_system_compares_the_last_two_terms(self, t, counted):
+        # one stack of a diverging system (rho(X^-1 E) = 1.2) and a
+        # converging one; each flag is norm(term t-1) > norm(term t-2) of a
+        # reference loop, and every flag is False at t = 1
+        g = np.array([[[1.0, 1.2], [1.2, 1.0]], [[2.0, 0.5j], [-0.5j, 3.0]]])
+        b = np.array([[1.0, 1.0], [1.0, -2.0j]])
+        _, diverged = detect.nsa_solve(g, b, t, OpCount() if counted else None)
+        want = []
+        for gk, bk in zip(g, b):
+            d = np.diag(gk).real
+            terms = [bk / d]
+            for _ in range(1, t):
+                terms.append(-((gk - np.diag(np.diag(gk))) @ terms[-1]) / d)
+            want.append(t > 1 and bool(np.linalg.norm(terms[-1]) > np.linalg.norm(terms[-2])))
+        assert diverged.tolist() == want == ([True, False] if t > 1 else [False, False])
+
+
 class TestGs:
     def test_diagonal_converges_in_one_sweep(self):
         g = np.diag([2.0, 5.0]).astype(complex)
@@ -369,7 +388,7 @@ def per_user_simo_errors(h, x, noise, bits, const):
     for k in range(x.shape[0]):
         hk = h[:, k]
         z = np.vdot(hk, hk * x[k] + noise) / np.vdot(hk, hk).real
-        _, bhat = phy.hard_slice(np.array([z]), const)
+        bhat = phy.hard_slice(np.array([z]), const)
         errors += int(np.count_nonzero(bhat != bits[k * b : (k + 1) * b]))
     return errors
 

@@ -42,28 +42,27 @@ def trial_errors(config, snr_db, detector, trial_index):
     """Bit errors of one detector on one trial: ``_eval_trials`` on a
     one-point, one-detector copy of ``config`` (common-random-number draw)."""
     one = dataclasses.replace(config, snr_db=(snr_db,), detectors=(detector,))
-    one.validate()
     return int(mc._eval_trials(one, np.ones((1, 1), bool), trial_index, trial_index + 1)[0, 0, 0])
 
 
 class TestConfigValidation:
     def test_u_exceeds_n(self):
         with pytest.raises(ConfigError) as err:
-            small_config(n=2, u=4).validate()
+            small_config(n=2, u=4)
         assert err.value.field == "u"
 
     def test_snr_must_increase(self):
         with pytest.raises(ConfigError) as err:
-            small_config(snr_db=(3.0, 3.0)).validate()
+            small_config(snr_db=(3.0, 3.0))
         assert err.value.field == "snr"
 
     def test_bad_order(self):
         with pytest.raises(ConfigError):
-            small_config(order=8).validate()
+            small_config(order=8)
 
     def test_needs_detectors(self):
         with pytest.raises(ConfigError):
-            small_config(detectors=()).validate()
+            small_config(detectors=())
 
     @pytest.mark.parametrize("overrides,field", [
         (dict(snr_db=()), "snr"),
@@ -71,13 +70,13 @@ class TestConfigValidation:
     ])
     def test_empty_grid_or_zero_stop_names_the_field(self, overrides, field):
         with pytest.raises(ConfigError) as err:
-            small_config(**overrides).validate()
+            small_config(**overrides)
         assert err.value.field == field
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_philox_key_range(self, seed):
         with pytest.raises(ConfigError) as err:
-            small_config(master_seed=seed).validate()
+            small_config(master_seed=seed)
         assert err.value.field == "seed"
 
     @pytest.mark.parametrize("chunk_size", [0, -5])
@@ -85,8 +84,18 @@ class TestConfigValidation:
         # a sweep checks its config before it builds a chunk: -5 would
         # build none and spin, 0 would reach range() with step 0
         with pytest.raises(ConfigError) as err:
-            small_config(chunk_size=chunk_size).validate()
+            small_config(chunk_size=chunk_size)
         assert err.value.field == "chunk_size"
+
+    @pytest.mark.parametrize("change,field", [
+        (dict(trials=0), "trials"), (dict(chunk_size=0), "chunk_size"), (dict(workers=0), "threads"),
+    ])
+    def test_replace_cannot_make_an_invalid_config(self, change, field):
+        # a config checks itself when it is built, so every config that
+        # exists is valid and run_sweep need not check it again
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(small_config(), **change)
+        assert err.value.field == field
 
     def test_seed_range_ends_are_valid(self):
         for seed in (0, 2**64 - 1):
