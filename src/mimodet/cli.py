@@ -25,7 +25,7 @@ import numpy as np
 from . import complexity, detect, montecarlo, phy
 from .detect import SOLVE_ERRORS, Backend, DetectorSpec, Kind
 from .kernels import OpCount
-from .montecarlo import ConfigError, SweepConfig
+from .montecarlo import ConfigError, SweepConfig, as_count
 
 # modulation name -> constellation order: phy's names, and 4qam for qpsk
 _MOD_ORDERS = {**{name: order for order, name in phy.MOD_NAMES.items()}, "4qam": 4}
@@ -127,23 +127,6 @@ def parse_detector(text: str) -> DetectorSpec:
         raise ConfigError("det", str(exc)) from None
 
 
-def _mod_order(name: str) -> int:
-    try:
-        return _MOD_ORDERS[name.lower()]
-    except KeyError:
-        raise ConfigError("mod", f"unknown modulation {name!r}") from None
-
-
-def _integer(field_name: str, value) -> int:
-    """An integer setting; a bool or a non-integral number is a ConfigError."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigError(field_name, f"must be an integer, got {value!r}")
-    try:
-        return int(value)
-    except (TypeError, ValueError):
-        raise ConfigError(field_name, f"must be an integer, got {value!r}") from None
-
-
 def _reject_unknown(settings: dict, known: tuple[str, ...], where: str) -> None:
     """A key outside ``known`` is a ConfigError naming it, never silently dropped."""
     for key in settings:
@@ -163,10 +146,7 @@ def build_sweep(settings: dict) -> SweepConfig:
         det = [det]
     if not isinstance(det, (list, tuple)):
         raise ConfigError("det", f"must be a detector spec or a list of them, got {det!r}")
-    specs = []
-    for d in det:
-        for piece in str(d).split(","):
-            specs.append(parse_detector(piece))
+    specs = tuple(parse_detector(piece) for d in det for piece in str(d).split(","))
     snr = settings["snr"]
     if isinstance(snr, str):
         snr_points = parse_snr_range(snr)
@@ -179,15 +159,16 @@ def build_sweep(settings: dict) -> SweepConfig:
         except (TypeError, ValueError):
             raise ConfigError("snr", f"must be a range string or a list of numbers, "
                               f"got {snr!r}") from None
-    n, u = _integer("n", settings["n"]), _integer("u", settings["u"])
-    optional = {}
-    for key, field_name in _SWEEP_OPTIONAL.items():
-        value = settings.get(key)
-        if value is not None:  # a stop_at of 0 or "none" disables the early stop
-            value = 0 if key == "stop_at" and value == "none" else _integer(key, value)
-            optional[field_name] = (value or None) if key == "stop_at" else value
-    return SweepConfig(n=n, u=u, order=_mod_order(str(settings["mod"])), snr_db=snr_points,
-                       detectors=tuple(specs), **optional)
+    mod = str(settings["mod"])
+    if mod.lower() not in _MOD_ORDERS:
+        raise ConfigError("mod", f"unknown modulation {mod!r}")
+    optional = {field_name: settings[key] for key, field_name in _SWEEP_OPTIONAL.items()
+                if settings.get(key) is not None}
+    stop_at = optional.get("stop_at_errors")
+    if stop_at is not None and (stop_at == "none" or as_count("stop_at", stop_at, 0) == 0):
+        optional["stop_at_errors"] = None  # a stop_at of 0 or "none" disables the early stop
+    return SweepConfig(n=settings["n"], u=settings["u"], order=_MOD_ORDERS[mod.lower()],
+                       snr_db=snr_points, detectors=specs, **optional)
 
 
 def ber_csv(records: list[montecarlo.BerRecord]) -> str:
@@ -226,18 +207,11 @@ def complexity_request(u, t) -> tuple[tuple[int, ...], int]:
     if u is None:
         u = complexity.DEFAULT_U_LIST
     if isinstance(u, str):
-        try:
-            u = [int(v) for v in u.split(",")]
-        except ValueError:
-            raise ConfigError("u", f"cannot parse U list {u!r}") from None
+        u = u.split(",")
     if not isinstance(u, (list, tuple)) or not u:
         raise ConfigError("u", f"must be a comma list or a list of integers, got {u!r}")
-    u_list = tuple(_integer("u", v) for v in u)
-    if any(v < 1 for v in u_list):
-        raise ConfigError("u", "all U values must be positive")
-    t = complexity.DEFAULT_T if t is None else _integer("t", t)
-    if t < 1:
-        raise ConfigError("t", "t must be >= 1")
+    u_list = tuple(as_count("u", v) for v in u)
+    t = complexity.DEFAULT_T if t is None else as_count("t", t)
     if t == 1:
         print("# warning: t=1 makes the Neumann-series model zero "
               "(its (t-1) factor)", file=sys.stderr)

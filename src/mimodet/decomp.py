@@ -1,6 +1,6 @@
 """Instrumented matrix decompositions and triangular solvers.
 
-Classical Gram-Schmidt QR, Cholesky and LDL factorizations of small
+Modified Gram-Schmidt QR, Cholesky and LDL factorizations of small
 dense complex matrices, each threading an :class:`~mimodet.kernels.OpCount`
 so the executed real-multiplication totals can be compared against the
 closed-form complexity model. Counts are structure-only: two matrices of
@@ -16,8 +16,8 @@ are Cholesky's). A full-rank matrix has one R up to unit phases, so
 |diag(R)| are Gram-Schmidt's column norms; the values path rescales R to
 Gram-Schmidt's real positive diagonal. The factors agree with the
 counted ones to rounding. Near singularity the two QRs keep the same
-|diag(R)| to a few digits but not the same Q: classical Gram-Schmidt's
-loses its orthogonality, Householder's keeps it.
+|diag(R)| to a few digits but not the same Q: modified Gram-Schmidt's
+loses orthogonality in proportion to cond(A), Householder's keeps it.
 
 Every routine follows ``np.linalg``'s conventions: it takes one system
 or a stack with any leading shape (``... x U x U``, ``... x U``) and
@@ -116,10 +116,11 @@ def _check_hermitian(a: np.ndarray, tol: np.ndarray) -> None:
 
 @finite_result
 def gram_schmidt_qr(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.ndarray]:
-    """Classical Gram-Schmidt QR of a square complex matrix (or a stack): (q, r).
+    """Modified Gram-Schmidt QR of a square complex matrix (or a stack): (q, r).
 
     Column i is normalized by its Euclidean norm (one square root and
-    one reciprocal per column), then removed from all later columns.
+    one reciprocal per column), then removed from all later columns,
+    each already orthogonal to Q's columns 0 .. i-1.
     A column norm at or below 1e-12 times the largest input magnitude
     raises :class:`NearSingularError`. Values only (``acc=None``), the
     factors come from one batched Householder QR with the same rule on

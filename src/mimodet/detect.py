@@ -126,8 +126,9 @@ class DetectorSpec:
     def __post_init__(self):
         if self.iterations is None:
             object.__setattr__(self, "iterations", _DEFAULT_ITERATIONS.get(self.kind, 1))
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        it = self.iterations
+        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
+            raise ValueError(f"iterations must be an integer >= 1, got {it!r}")
         if self.beta is not None and not 0 < self.beta < np.inf:
             raise ValueError("beta must be positive and finite")
         if not 0 < self.beta_scale < np.inf:

@@ -71,8 +71,33 @@ class WorkerDied(RuntimeError):
         self.chunks = chunks
 
 
+def as_count(field_name: str, value, least: int = 1) -> int:
+    """The one rule for a count: ``value`` as an int >= ``least``, where ``40.0`` and
+    ``"40"`` read as 40; a bool, a non-integral float, anything ``int()`` refuses
+    or a value below ``least`` is a ConfigError naming ``field_name``."""
+    try:
+        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+            raise TypeError
+        value = int(value)
+    except (TypeError, ValueError):
+        raise ConfigError(field_name, f"must be an integer, got {value!r}") from None
+    if value < least:
+        raise ConfigError(field_name, f"must be >= {least}, got {value}")
+    return value
+
+
+# SweepConfig's counts, in the order checked: field -> (the name its ConfigError gives, least)
+_COUNTS = {"n": ("n", 1), "u": ("u", 1), "order": ("mod", 1), "master_seed": ("seed", 0),
+           "trials": ("trials", 1), "stop_at_errors": ("stop_at", 1), "workers": ("threads", 1),
+           "chunk_size": ("chunk_size", 1)}
+
+
 @dataclass(frozen=True)
 class SweepConfig:
+    """The settings of one BER sweep. It checks itself when it is built, storing
+    each count as the int ``as_count`` gives and refusing a bad setting with a
+    ConfigError naming it, so ``run_sweep`` checks nothing again."""
+
     n: int
     u: int
     order: int
@@ -85,12 +110,16 @@ class SweepConfig:
     chunk_size: int = 100
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ConfigError("n", "must be a positive antenna count")
-        if self.u < 1 or self.u > self.n:
+        for attr, (field_name, least) in _COUNTS.items():
+            value = getattr(self, attr)
+            if attr != "stop_at_errors" or value is not None:  # None runs every trial
+                object.__setattr__(self, attr, as_count(field_name, value, least))
+        if self.u > self.n:
             raise ConfigError("u", f"must satisfy 1 <= u <= n, got u={self.u}, n={self.n}")
         if self.order not in phy.MOD_NAMES:
             raise ConfigError("mod", f"unsupported constellation order {self.order}")
+        if self.master_seed >= 2**64:
+            raise ConfigError("seed", "must be in [0, 2**64)")
         if not self.snr_db:
             raise ConfigError("snr", "needs at least one SNR point")
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
@@ -110,20 +139,13 @@ class SweepConfig:
                         spec.admin_beta(s2)
         except ValueError as exc:
             raise ConfigError("det", str(exc)) from None
-        if self.trials < 1:
-            raise ConfigError("trials", "must be >= 1")
-        if self.stop_at_errors is not None and self.stop_at_errors < 1:
-            raise ConfigError("stop_at", "must be >= 1 when set")
-        if self.workers < 1:
-            raise ConfigError("threads", "must be >= 1")
-        if self.chunk_size < 1:
-            raise ConfigError("chunk_size", "must be >= 1")
-        if not 0 <= self.master_seed < 2**64:
-            raise ConfigError("seed", "must be in [0, 2**64)")
 
 
 @dataclass
 class BerRecord:
+    """The tally of one (SNR point, detector) pair of a sweep, with its
+    BER and the BER's binomial standard error, both 0 when no bit ran."""
+
     n: int
     u: int
     order: int
@@ -159,14 +181,13 @@ def trial_realization(
 
 
 def _products(
-    config: SweepConfig, lo: int, hi: int, need_g0: bool,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-    """Bits, symbols, H^H n, column norms ||h_k||^2 and G0 = H^H H (None
-    unless ``need_g0``) of trials [lo, hi), each stacked over the trials.
-
-    Each trial is drawn once with unit noise n; the three products share
-    one H^H and are formed in blocks of trials whose H and H^H fit
-    ``detect.WORKING_SET``.
+    config: SweepConfig, lo: int, hi: int, need_g0: bool, need_norms: bool,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Bits, symbols, H^H n, column norms ||h_k||^2 (None unless
+    ``need_norms``) and G0 = H^H H (None unless ``need_g0``) of trials
+    [lo, hi), each stacked over the trials; each trial is drawn once
+    with unit noise n, and the products share one H^H and are formed in
+    blocks of trials whose H and H^H fit ``detect.WORKING_SET``.
     """
     block = max(1, detect.WORKING_SET // (2 * config.n * config.u * 16))
     parts = []
@@ -175,7 +196,7 @@ def _products(
         bits, x, h, n = (np.stack(v) for v in zip(*draws))
         h_h = hermitian(h)
         parts.append((bits, x, detect.matched_filter(h, n, None, h_h=h_h),
-                      np.einsum("...kn,...nk->...k", h_h, h).real,
+                      np.einsum("...kn,...nk->...k", h_h, h).real if need_norms else None,
                       detect.gramian(h, 0.0, None, h_h=h_h) if need_g0 else None))
     return tuple(None if v[0] is None else np.concatenate(v) for v in zip(*parts))
 
@@ -184,11 +205,11 @@ def _eval_trials(config: SweepConfig, active: np.ndarray, lo: int, hi: int) -> n
     """Chunk worker: the counts of trials [lo, hi) for the pairs ``active``
     runs (the protocol is in the module docstring).
 
-    The chunk's products come from ``_products``; G0 only while a
-    detector other than SIMO runs. With s = sqrt(sigma2), y = H x + s n,
-    so every point's matched filter is the stacked sum
-    x_mf = G0 x + s H^H n. The SIMO bound detects each user k as if
-    alone, y_k = h_k x_k + s n, by maximum-ratio combining:
+    The chunk's products come from ``_products``: G0 only while a
+    detector other than SIMO runs, the column norms only while SIMO runs.
+    With s = sqrt(sigma2), y = H x + s n, so every point's matched filter
+    is the stacked sum x_mf = G0 x + s H^H n. The SIMO bound detects each
+    user k as if alone, y_k = h_k x_k + s n, by maximum-ratio combining:
     h_k^H y_k / ||h_k||^2 = x_k + s h_k^H n / ||h_k||^2. Sliced, this is
     the interference-free lower bound on any multiuser detector.
 
@@ -198,8 +219,9 @@ def _eval_trials(config: SweepConfig, active: np.ndarray, lo: int, hi: int) -> n
     the chunk is scored as usual.
     """
     const = phy.make_constellation(config.order)
-    need_g0 = active[:, [spec.kind is not Kind.SIMO for spec in config.detectors]].any()
-    bits, x, n_mf, norms, g0 = _products(config, lo, hi, need_g0)
+    simo = np.array([spec.kind is Kind.SIMO for spec in config.detectors])
+    bits, x, n_mf, norms, g0 = _products(config, lo, hi, active[:, ~simo].any(),
+                                         active[:, simo].any())
     sigma2 = np.array([phy.sigma2_from_snr(snr, config.u) for snr in config.snr_db])[:, None, None]
     s = np.sqrt(sigma2)
     gx = None if g0 is None else matvec(g0, x, None)

@@ -54,6 +54,37 @@ class TestGramSchmidtQr:
             assert np.all(np.diag(r).imag == 0) and np.all(np.diag(r).real > 0)
             assert np.all(r[np.tril_indices(16, -1)] == 0)
 
+    def test_orthogonality_loss_is_modified_gram_schmidt(self):
+        # Björck & Paige (SIAM J. Matrix Anal. Appl. 13(1), 1992): modified
+        # Gram-Schmidt keeps |Q^H Q - I| within c u kappa, classical within
+        # only u kappa^2, and both keep A = QR to c u. With c = n^2 at n = 12,
+        # unit roundoff u = 2^-53 and kappa = 1e6 the bound is
+        # 144 * 1.1e-16 * 1e6 = 1.6e-8; classical Gram-Schmidt, held only to
+        # order u kappa^2 = 1.1e-4, loses more than that on this matrix
+        n, kappa, unit = 12, 1e6, np.finfo(float).eps / 2
+        bound = n * n * unit * kappa
+        rng = np.random.default_rng(5)
+        u, v = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+                for _ in range(2))
+        a = u @ np.diag(np.logspace(0, -np.log10(kappa), n)) @ v.conj().T
+
+        def loss(q):
+            return np.abs(q.conj().T @ q - np.eye(n)).max()
+
+        def classical_gram_schmidt(a):
+            # column i minus its projections on Q's columns 0 .. i-1, all
+            # taken from the original column
+            q = np.zeros_like(a)
+            for i in range(n):
+                col = a[:, i] - q[:, :i] @ (q[:, :i].conj().T @ a[:, i])
+                q[:, i] = col / np.linalg.norm(col)
+            return q
+
+        q, r = gram_schmidt_qr(a, OpCount())
+        assert loss(q) <= bound
+        assert rel_resid(q @ r, a) <= n * n * unit
+        assert loss(classical_gram_schmidt(a)) > bound
+
     def test_near_singular(self):
         a = np.ones((3, 3), dtype=complex)  # rank one
         with pytest.raises(NearSingularError):

@@ -443,6 +443,13 @@ class TestDetectorSpec:
         with pytest.raises(ValueError):
             DetectorSpec(Kind.ADMIN, beta=-1.0)
 
+    @pytest.mark.parametrize("iterations", [True, 2.5, 2.0])
+    def test_iterations_must_be_an_integer(self, iterations):
+        # True would run one sweep and write t=True into the CSV; 2.5 would
+        # build and fail inside the solver's range()
+        with pytest.raises(ValueError, match="iterations must be an integer"):
+            DetectorSpec(Kind.GS, iterations=iterations)
+
     def test_per_kind_defaults(self):
         assert DetectorSpec(Kind.MMSE).backend is Backend.QR
         assert DetectorSpec(Kind.ZF).backend is Backend.QR

@@ -97,6 +97,27 @@ class TestConfigValidation:
             dataclasses.replace(small_config(), **change)
         assert err.value.field == field
 
+    @pytest.mark.parametrize("overrides,field", [
+        (dict(n=8.5), "n"), (dict(trials=2.5), "trials"), (dict(trials=True), "trials"),
+        (dict(chunk_size=True), "chunk_size"), (dict(stop_at_errors=True), "stop_at"),
+        (dict(master_seed=True), "seed"), (dict(workers="two"), "threads"),
+    ])
+    def test_counts_must_be_integers(self, overrides, field):
+        # the rule the command line holds its counts to holds for a config
+        # built by any caller: a bool would run as 1, 2.5 would fail mid-sweep
+        with pytest.raises(ConfigError) as err:
+            small_config(**overrides)
+        assert err.value.field == field
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(small_config(), **overrides)
+        assert err.value.field == field
+
+    def test_integral_counts_are_stored_as_ints(self):
+        cfg = small_config(workers=1.0, order=4.0, trials="40", stop_at_errors=np.int64(7))
+        counts = (cfg.workers, cfg.order, cfg.trials, cfg.stop_at_errors)
+        assert counts == (1, 4, 40, 7) and all(type(c) is int for c in counts)
+        assert cfg == small_config(workers=1, order=4, trials=40, stop_at_errors=7)
+
     def test_seed_range_ends_are_valid(self):
         for seed in (0, 2**64 - 1):
             cfg = small_config(master_seed=seed)
