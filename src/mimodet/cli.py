@@ -23,9 +23,9 @@ from pathlib import Path
 import numpy as np
 
 from . import complexity, detect, montecarlo, phy
-from .detect import SOLVE_ERRORS, Backend, DetectorSpec, Kind
+from .detect import SOLVE_ERRORS, Backend, ConfigError, DetectorSpec, Kind
 from .kernels import OpCount
-from .montecarlo import ConfigError, SweepConfig, as_count
+from .montecarlo import SweepConfig, as_count
 
 # modulation name -> constellation order: phy's names, and 4qam for qpsk
 _MOD_ORDERS = {**{name: order for order, name in phy.MOD_NAMES.items()}, "4qam": 4}
@@ -121,10 +121,7 @@ def parse_detector(text: str) -> DetectorSpec:
         except ValueError:
             raise ConfigError("det", f"unknown backend {opt!r}" if cast is Backend
                               else f"bad value in {opt!r}") from None
-    try:
-        return DetectorSpec(kind, **fields)
-    except ValueError as exc:
-        raise ConfigError("det", str(exc)) from None
+    return DetectorSpec(kind, **fields)
 
 
 def _reject_unknown(settings: dict, known: tuple[str, ...], where: str) -> None:
@@ -141,24 +138,11 @@ def build_sweep(settings: dict) -> SweepConfig:
     for key in _PRESET_FIXED:
         if settings.get(key) is None:
             raise ConfigError(key, "missing required setting")
-    det = settings["det"]
-    if isinstance(det, str):
-        det = [det]
+    det = [settings["det"]] if isinstance(settings["det"], str) else settings["det"]
     if not isinstance(det, (list, tuple)):
         raise ConfigError("det", f"must be a detector spec or a list of them, got {det!r}")
     specs = tuple(parse_detector(piece) for d in det for piece in str(d).split(","))
-    snr = settings["snr"]
-    if isinstance(snr, str):
-        snr_points = parse_snr_range(snr)
-    else:
-        try:
-            # an object would be read by its keys; float(True) would be 1 dB
-            if not isinstance(snr, (list, tuple)) or any(isinstance(s, bool) for s in snr):
-                raise TypeError
-            snr_points = tuple(float(s) for s in snr)
-        except (TypeError, ValueError):
-            raise ConfigError("snr", f"must be a range string or a list of numbers, "
-                              f"got {snr!r}") from None
+    snr = settings["snr"]  # a range string is parsed here, a list checked by SweepConfig
     mod = str(settings["mod"])
     if mod.lower() not in _MOD_ORDERS:
         raise ConfigError("mod", f"unknown modulation {mod!r}")
@@ -168,7 +152,8 @@ def build_sweep(settings: dict) -> SweepConfig:
     if stop_at is not None and (stop_at == "none" or as_count("stop_at", stop_at, 0) == 0):
         optional["stop_at_errors"] = None  # a stop_at of 0 or "none" disables the early stop
     return SweepConfig(n=settings["n"], u=settings["u"], order=_MOD_ORDERS[mod.lower()],
-                       snr_db=snr_points, detectors=specs, **optional)
+                       snr_db=parse_snr_range(snr) if isinstance(snr, str) else snr,
+                       detectors=specs, **optional)
 
 
 def ber_csv(records: list[montecarlo.BerRecord]) -> str:
@@ -412,23 +397,23 @@ def build_parser():
     ber = sub.add_parser("ber", help="run a Monte-Carlo BER sweep, write CSV")
     ber.add_argument("--preset", help="named sweep: " + ", ".join(PRESETS))
     ber.add_argument("--config", help="JSON experiment file (flags override)")
-    ber.add_argument("--n", type=int, help="BS antennas")
-    ber.add_argument("--u", type=int, help="single-antenna users")
+    ber.add_argument("--n", help="BS antennas")
+    ber.add_argument("--u", help="single-antenna users")
     ber.add_argument("--mod", help=" | ".join(phy.MOD_NAMES.values()))
     ber.add_argument("--snr", help="SNR grid start:step:stop in dB, or comma list")
     ber.add_argument("--det", action="append",
                      help="detector spec kind[:backend][:t=K][:beta=X][:bscale=X]; repeatable")
-    ber.add_argument("--trials", type=int, help="Monte-Carlo trials per SNR point")
-    ber.add_argument("--seed", type=int, help="master seed (required with --preset)")
-    ber.add_argument("--stop-at", dest="stop_at", type=int,
-                     help="stop a point early after this many bit errors (0 disables)")
-    ber.add_argument("--threads", type=int, help="worker process cap (results unchanged)")
+    ber.add_argument("--trials", help="Monte-Carlo trials per SNR point")
+    ber.add_argument("--seed", help="master seed (required with --preset)")
+    ber.add_argument("--stop-at", dest="stop_at",
+                     help="stop a point early after this many bit errors (0 or none disables)")
+    ber.add_argument("--threads", help="worker process cap (results unchanged)")
     ber.add_argument("--out-dir", dest="out_dir", help="output directory")
     ber.set_defaults(func=cmd_ber)
 
     comp = sub.add_parser("complexity", help="write the fig7 complexity table CSV")
     comp.add_argument("--u", help="comma list of user counts")
-    comp.add_argument("--t", type=int, help="iterations for the iterative detector models")
+    comp.add_argument("--t", help="iterations for the iterative detector models")
     comp.add_argument("--out", default=_COMPLEXITY_OUT, help="output CSV path")
     comp.set_defaults(func=cmd_complexity)
 

@@ -34,6 +34,7 @@ product, G^-1 r, instead of two looped triangular solves.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +62,14 @@ from .kernels import (
     matvec,
     mul,
 )
+
+
+class ConfigError(ValueError):
+    """Invalid configuration; ``field`` names the offending entry."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(f"{field_name}: {message}")
+        self.field = field_name
 
 
 class DetectError(RuntimeError):
@@ -114,7 +123,9 @@ class DetectorSpec:
     A kind ignores the fields ``SPEC_FIELDS`` does not give it. The
     backend defaults to QR and the iterations to the kind's entry in
     ``_DEFAULT_ITERATIONS``, else 1. ADMIN regularizes with ``beta`` when
-    given, else ``beta_scale * sigma2``.
+    given, else ``beta_scale * sigma2``. A spec checks itself when it is
+    built, storing ``beta`` and ``beta_scale`` as floats and refusing a bad
+    field with a ConfigError naming ``det``.
     """
 
     kind: Kind
@@ -124,15 +135,18 @@ class DetectorSpec:
     beta_scale: float = 1.0
 
     def __post_init__(self):
-        if self.iterations is None:
-            object.__setattr__(self, "iterations", _DEFAULT_ITERATIONS.get(self.kind, 1))
-        it = self.iterations
+        if not isinstance(self.kind, Kind) or not isinstance(self.backend, Backend):
+            raise ConfigError("det", "kind and backend must be a detect.Kind and a detect.Backend, "
+                              f"got {self.kind!r} and {self.backend!r}")
+        it = _DEFAULT_ITERATIONS.get(self.kind, 1) if self.iterations is None else self.iterations
         if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
-            raise ValueError(f"iterations must be an integer >= 1, got {it!r}")
-        if self.beta is not None and not 0 < self.beta < np.inf:
-            raise ValueError("beta must be positive and finite")
-        if not 0 < self.beta_scale < np.inf:
-            raise ValueError("beta_scale must be positive and finite")
+            raise ConfigError("det", f"iterations must be an integer >= 1, got {it!r}")
+        object.__setattr__(self, "iterations", int(it))
+        for name in ("beta", "beta_scale")[self.beta is None:]:  # without a beta, only beta_scale
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0 < v < np.inf:
+                raise ConfigError("det", f"{name} must be positive and finite, got {v!r}")
+            object.__setattr__(self, name, float(v))
 
     @property
     def name(self) -> str:
@@ -155,7 +169,8 @@ class DetectorSpec:
         """ADMIN's beta at ``sigma2`` (a float, or an array of them)."""
         beta = self.beta if self.beta is not None else self.beta_scale * sigma2
         if not np.all((0 < beta) & (beta < np.inf)):
-            raise ValueError(f"ADMIN needs a finite beta > 0, got {beta!r} at sigma2 = {sigma2!r}")
+            raise ConfigError("det", f"ADMIN needs a finite beta > 0, got {beta!r} "
+                              f"at sigma2 = {sigma2!r}")
         return beta
 
 

@@ -49,16 +49,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import detect, phy
-from .detect import SOLVE_ERRORS, DetectorSpec, Kind
+from .detect import SOLVE_ERRORS, ConfigError, DetectorSpec, Kind
 from .kernels import hermitian, matvec
-
-
-class ConfigError(ValueError):
-    """Invalid sweep configuration; ``field`` names the offending entry."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
-        self.field = field_name
 
 
 class WorkerDied(RuntimeError):
@@ -76,7 +68,8 @@ def as_count(field_name: str, value, least: int = 1) -> int:
     ``"40"`` read as 40; a bool, a non-integral float, anything ``int()`` refuses
     or a value below ``least`` is a ConfigError naming ``field_name``."""
     try:
-        if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        if isinstance(value, (bool, np.bool_)) or (
+                isinstance(value, (float, np.floating)) and not value.is_integer()):
             raise TypeError
         value = int(value)
     except (TypeError, ValueError):
@@ -95,8 +88,8 @@ _COUNTS = {"n": ("n", 1), "u": ("u", 1), "order": ("mod", 1), "master_seed": ("s
 @dataclass(frozen=True)
 class SweepConfig:
     """The settings of one BER sweep. It checks itself when it is built, storing
-    each count as the int ``as_count`` gives and refusing a bad setting with a
-    ConfigError naming it, so ``run_sweep`` checks nothing again."""
+    counts as ints and lists as tuples, the SNR points as floats, and refusing a
+    bad setting with a ConfigError naming it, so ``run_sweep`` checks nothing again."""
 
     n: int
     u: int
@@ -120,8 +113,14 @@ class SweepConfig:
             raise ConfigError("mod", f"unsupported constellation order {self.order}")
         if self.master_seed >= 2**64:
             raise ConfigError("seed", "must be in [0, 2**64)")
-        if not self.snr_db:
-            raise ConfigError("snr", "needs at least one SNR point")
+        try:
+            # an array would be read by its truth value; float(True) would be 1 dB
+            if not isinstance(self.snr_db, (list, tuple)) or not self.snr_db or any(
+                    isinstance(s, (bool, np.bool_)) for s in self.snr_db):
+                raise TypeError
+            object.__setattr__(self, "snr_db", tuple(float(s) for s in self.snr_db))
+        except (TypeError, ValueError):
+            raise ConfigError("snr", f"must list one or more numbers, got {self.snr_db!r}") from None
         if any(b <= a for a, b in zip(self.snr_db, self.snr_db[1:])):
             raise ConfigError("snr", "points must be strictly increasing")
         try:
@@ -130,15 +129,14 @@ class SweepConfig:
             sigma2 = [np.nan]
         if not all(0 < s2 < np.inf for s2 in sigma2):
             raise ConfigError("snr", "every point must give a finite noise variance sigma2 > 0")
-        if not self.detectors:
-            raise ConfigError("det", "needs at least one detector")
-        try:
-            for spec in self.detectors:
-                if spec.kind is Kind.ADMIN:
-                    for s2 in sigma2:
-                        spec.admin_beta(s2)
-        except ValueError as exc:
-            raise ConfigError("det", str(exc)) from None
+        if not isinstance(self.detectors, (list, tuple)) or not self.detectors or not all(
+                isinstance(spec, DetectorSpec) for spec in self.detectors):
+            raise ConfigError("det", f"must list one or more DetectorSpec, got {self.detectors!r}")
+        object.__setattr__(self, "detectors", tuple(self.detectors))
+        for spec in self.detectors:
+            if spec.kind is Kind.ADMIN:
+                for s2 in sigma2:  # Python floats: a beta that overflows is inf, not a warning
+                    spec.admin_beta(s2)
 
 
 @dataclass

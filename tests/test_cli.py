@@ -166,6 +166,7 @@ class TestBerCommand:
         ("0", "admin:beta=nan", "det"),
         ("0", "admin:bscale=inf", "det"),
         ("300", "admin:bscale=1e-300", "det"),  # beta = 4e-330 underflows to 0
+        ("0", "admin:bscale=1e308", "det"),  # beta = 4e308 overflows, refused without a warning
     ])
     def test_bad_noise_variance_or_beta_names_field(self, tmp_path, capsys, snr, det, field):
         argv = ["ber", "--n", "8", "--u", "4", "--mod", "qpsk", f"--snr={snr}", "--det", det,
@@ -173,6 +174,27 @@ class TestBerCommand:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv,field", [
+        (["--trials", "2.5"], "trials"), (["--n", "x"], "n"), (["--seed", "1.5"], "seed"),
+        (["--threads", "true"], "threads"), (["--stop-at", "never"], "stop_at"),
+    ])
+    def test_non_integer_flag_names_the_field(self, tmp_path, capsys, argv, field):
+        # a flag is read by the rule a file's value is read by, and its error is a config error
+        base = ["ber", "--n", "8", "--u", "4", "--mod", "qpsk", "--snr", "0", "--det", "mmse",
+                "--seed", "1", "--out-dir", str(tmp_path)]
+        assert run(base + argv) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}:")
+        assert not list(tmp_path.iterdir())
+
+    def test_stop_at_none_is_stop_at_zero(self, tmp_path):
+        # as a file's "stop_at": "none" is
+        argv = ["ber", "--n", "8", "--u", "4", "--mod", "qpsk", "--snr", "0:5:10",
+                "--det", "mmse:chol", "--trials", "60", "--seed", "7"]
+        for stop in ("none", "0"):
+            assert run(argv + ["--stop-at", stop, "--out-dir", str(tmp_path / stop)]) == 0
+        none, zero = ((tmp_path / stop / "ber_8x4_qpsk.csv").read_bytes() for stop in ("none", "0"))
+        assert none == zero
 
     def test_direct_backend_is_unknown(self, tmp_path, capsys):
         argv = ["ber", "--n", "8", "--u", "4", "--mod", "qpsk", "--snr", "0",
@@ -529,6 +551,11 @@ class TestComplexityCommand:
         assert run(["complexity", "--u", "4,x"]) == 2
         assert "u" in capsys.readouterr().err
 
+    def test_non_integer_t_names_the_field(self, tmp_path, capsys):
+        assert run(["complexity", "--t", "x", "--out", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: t:")
+        assert not list(tmp_path.iterdir())
+
 
 class TestOutputs:
     """Where the results go: every output has a path of its own, its
@@ -726,6 +753,19 @@ def test_src_holds_only_what_a_command_runs():
                     used.add(ref)
     unused = sorted(where for name, where in defined if name not in used)
     assert unused == sorted(USED_OUTSIDE_SRC)
+
+
+def test_no_flag_sets_a_type():
+    # every flag reaches build_sweep or complexity_request as the text given,
+    # as a file's value does, so as_count and cli's parsers are the one rule
+    # for each setting, and a bad flag is a config error naming it
+    import argparse
+
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    typed = [(name, action.dest) for name, sub in commands.choices.items()
+             for action in sub._actions if action.type is not None]
+    assert len(commands.choices) == 3 and typed == []
 
 
 def test_tests_import_this_checkout():

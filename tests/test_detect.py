@@ -5,8 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mimodet import detect, montecarlo as mc, phy
-from mimodet.detect import Backend, DetectorSpec, Kind
+from mimodet import cli, detect, montecarlo as mc, phy
+from mimodet.detect import Backend, ConfigError, DetectorSpec, Kind
 from mimodet.kernels import OpCount
 from test_montecarlo import trial_errors
 
@@ -463,3 +463,30 @@ class TestDetectorSpec:
         assert spec.admin_beta(0.25) == pytest.approx(2.0)
         with pytest.raises(ValueError):
             spec.admin_beta(0.0)
+
+    @pytest.mark.parametrize("fields", [
+        dict(kind="mmse"), dict(kind=Kind.MMSE, backend="chol"), dict(kind=None),
+        dict(kind=Kind.ADMIN, beta=True), dict(kind=Kind.ADMIN, beta="1"),
+        dict(kind=Kind.ADMIN, beta_scale=np.True_), dict(kind=Kind.ADMIN, beta_scale=np.array(8.0)),
+        dict(kind=Kind.GS, iterations=np.True_),
+    ])
+    def test_a_spec_that_builds_can_run(self, fields):
+        # a kind or backend given as text would build and stop a sweep with
+        # ValueError, beta=True would run as 1 and beta="1" raise TypeError
+        with pytest.raises(ConfigError) as err:
+            DetectorSpec(**fields)
+        assert err.value.field == "det"
+
+    def test_admin_beta_refusal_names_det(self):
+        with pytest.raises(ConfigError) as err:
+            DetectorSpec(Kind.ADMIN, beta_scale=8.0).admin_beta(0.0)
+        assert err.value.field == "det" and mc.ConfigError is ConfigError
+
+    @pytest.mark.parametrize("beta_scale", [8, np.float32(8), np.int64(8)])
+    def test_admin_settings_are_stored_as_floats(self, beta_scale):
+        # the same detector gets the same params, whoever builds it
+        spec = DetectorSpec(Kind.ADMIN, beta_scale=beta_scale)
+        assert type(spec.beta_scale) is float
+        assert spec.params == cli.parse_detector("admin:bscale=8").params == "t=5,beta=8.0*sigma2"
+        fixed = DetectorSpec(Kind.ADMIN, beta=beta_scale / 16)
+        assert type(fixed.beta) is float and fixed.params == "t=5,beta=0.5"

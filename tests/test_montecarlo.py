@@ -118,10 +118,81 @@ class TestConfigValidation:
         assert counts == (1, 4, 40, 7) and all(type(c) is int for c in counts)
         assert cfg == small_config(workers=1, order=4, trials=40, stop_at_errors=7)
 
+    @pytest.mark.parametrize("overrides,field", [
+        (dict(snr_db=(True,)), "snr"), (dict(snr_db=(np.True_, 6.0)), "snr"),
+        (dict(snr_db=np.array([5.0, 6.0])), "snr"), (dict(snr_db="6"), "snr"),
+        (dict(snr_db=(np.array([6.0]),)), "snr"), (dict(trials=np.True_), "trials"),
+        (dict(detectors=("mmse",)), "det"), (dict(detectors=(DetectorSpec(Kind.GS), Kind.CG)), "det"),
+        (dict(detectors=DetectorSpec(Kind.GS)), "det"), (dict(trials=np.float32(2.5)), "trials"),
+    ])
+    def test_settings_of_a_wrong_type_name_the_field(self, overrides, field):
+        # True would run at 1 dB and np.True_ as one trial; a text detector, an
+        # array of points or a bare spec would raise something else
+        with pytest.raises(ConfigError) as err:
+            small_config(**overrides)
+        assert err.value.field == field
+
+    def test_points_and_detectors_are_stored_as_tuples(self):
+        simo = DetectorSpec(Kind.SIMO)
+        cfg = small_config(snr_db=[0, np.float32(6.0), "12"], detectors=[simo])
+        assert cfg.snr_db == (0.0, 6.0, 12.0) and all(type(s) is float for s in cfg.snr_db)
+        assert cfg.detectors == (simo,)
+        assert cfg == small_config(snr_db=(0.0, 6.0, 12.0), detectors=(simo,))
+
     def test_seed_range_ends_are_valid(self):
         for seed in (0, 2**64 - 1):
             cfg = small_config(master_seed=seed)
             assert trial_errors(cfg, 6.0, DetectorSpec(Kind.SIMO), 0) >= 0
+
+
+# a good spec and a good config, each with none or up to two of its fields set
+# to a mix of good and bad values: bools, numpy bools, text, arrays and enum
+# values given as text; trials is always one and workers always 1, so a config
+# that builds runs in milliseconds
+MIXED = st.sampled_from([True, False, np.True_, np.False_, None, "mmse", "chol", "2", "x", 2.5,
+                         np.float32(2.5), np.float32(2), np.int64(2), -1.0, (), (6.0,),
+                         np.array([2.0]), np.array(2.0), Kind.MMSE, Backend.LDL])
+
+
+def messed(good: st.SearchStrategy, keys: list[str]) -> st.SearchStrategy:
+    """``good``'s settings, half the time with one or two of ``keys`` set to a MIXED value."""
+    return st.builds(lambda good, bad: {**good, **bad}, good,
+                     st.just({}) | st.dictionaries(st.sampled_from(keys), MIXED, min_size=1,
+                                                   max_size=2))
+
+
+SPEC_SETTINGS = messed(
+    st.fixed_dictionaries({"kind": st.sampled_from(Kind)}, optional={
+        "backend": st.sampled_from(Backend), "iterations": st.sampled_from([1, 3, np.int64(2)]),
+        "beta": st.sampled_from([0.5, np.float32(0.5), 4]),
+        "beta_scale": st.sampled_from([8, np.float32(8), 2.0])}),
+    ["kind", "backend", "iterations", "beta", "beta_scale"])
+SWEEP_SETTINGS = messed(
+    st.fixed_dictionaries({
+        "n": st.sampled_from([4, "4", 4.0, np.int64(4)]), "u": st.sampled_from([2, "2", np.int64(2)]),
+        "order": st.sampled_from([4, 16, "4"]), "trials": st.sampled_from([1, "1", 1.0, np.int64(1)]),
+        "snr_db": st.sampled_from([(6.0,), [0.0, 6.0], ("6",), (np.float32(6.0), 9), (6,)])},
+        optional={"master_seed": st.sampled_from([0, "7", np.uint64(7)]),
+                  "stop_at_errors": st.sampled_from([None, 1, "1"])}),
+    ["n", "u", "order", "snr_db", "master_seed", "stop_at_errors"])
+
+
+class TestFuzzedFields:
+    @settings(max_examples=250)
+    @given(specs=st.lists(SPEC_SETTINGS, min_size=1, max_size=2), fields=SWEEP_SETTINGS,
+           stray=st.none() | st.none() | MIXED,
+           shape=st.sampled_from([tuple, tuple, list, lambda detectors: detectors[0]]))
+    def test_a_config_that_builds_can_run(self, specs, fields, stray, shape):
+        # a spec or a config either refuses a setting with a ConfigError, and
+        # nothing else, or runs one trial whose records carry float SNR points
+        try:
+            detectors = [DetectorSpec(**s) for s in specs] + ([] if stray is None else [stray])
+            cfg = SweepConfig(detectors=shape(detectors), **fields)
+        except ConfigError:
+            return
+        records = mc.run_sweep(cfg)
+        assert cfg.trials == 1 and len(records) == len(cfg.snr_db) * len(cfg.detectors)
+        assert all(type(r.snr_db) is float for r in records)
 
 
 class TestRunTrial:
