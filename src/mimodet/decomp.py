@@ -6,18 +6,11 @@ so the executed real-multiplication totals can be compared against the
 closed-form complexity model. Counts are structure-only: two matrices of
 the same size always produce identical tallies.
 
-With ``acc=None`` a routine computes values only. The triangular solves
-then run their counted loop with nothing tallied, so their values are
-bit-identical to a counted call. The factorizations instead run the same
-input checks, then factor the whole stack with one batched LAPACK call,
-and apply the counted loop's pivot rule to the same quantity: QR
-(Householder) to |diag(R)|, Cholesky and LDL to diag(L)^2 (LDL's pivots
-are Cholesky's). A full-rank matrix has one R up to unit phases, so
-|diag(R)| are Gram-Schmidt's column norms; the values path rescales R to
-Gram-Schmidt's real positive diagonal. The factors agree with the
-counted ones to rounding. Near singularity the two QRs keep the same
-|diag(R)| to a few digits but not the same Q: modified Gram-Schmidt's
-loses orthogonality in proportion to cond(A), Householder's keeps it.
+With ``acc=None`` a routine computes values only: it runs its counted
+loop with nothing tallied, so its values are bit-identical to a counted
+call. Each factorization has this one implementation. In the sweep a
+factorization gives the failure rule and the count, and the Gramian's
+spectrum gives the estimate (see ``detect``).
 
 Every routine follows ``np.linalg``'s conventions: it takes one system
 or a stack with any leading shape (``... x U x U``, ``... x U``) and
@@ -107,7 +100,8 @@ def pivot_tol(a: np.ndarray) -> np.ndarray:
     return PIVOT_RTOL * np.maximum(np.abs(a).max(axis=(-2, -1)), 1e-300)
 
 
-def _check_hermitian(a: np.ndarray, tol: np.ndarray) -> None:
+def check_hermitian(a: np.ndarray, tol: np.ndarray) -> None:
+    """Raise ``ValueError`` unless every system of ``a`` is Hermitian within ``tol``."""
     diff = hermitian(a)
     skew = np.abs(np.subtract(a, diff, out=diff)).max(axis=(-2, -1))
     if (skew > tol).any():
@@ -122,14 +116,10 @@ def gram_schmidt_qr(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.
     one reciprocal per column), then removed from all later columns,
     each already orthogonal to Q's columns 0 .. i-1.
     A column norm at or below 1e-12 times the largest input magnitude
-    raises :class:`NearSingularError`. Values only (``acc=None``), the
-    factors come from one batched Householder QR with the same rule on
-    |diag(R)|.
+    raises :class:`NearSingularError`.
     """
     a = as_stack(a)
     tol = pivot_tol(a)
-    if acc is None:
-        return _lapack_qr(a, tol)
     n = a.shape[-1]
     qt = np.swapaxes(a, -1, -2).copy()  # qt[..., i, :] is column i of Q
     r = np.zeros_like(a)
@@ -147,43 +137,6 @@ def gram_schmidt_qr(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.
     return np.swapaxes(qt, -1, -2), r
 
 
-def _lapack_qr(a: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Uncounted Householder QR of a stack, in Gram-Schmidt's convention.
-
-    |diag(R)| at or below ``tol`` raises as the counted loop's column-norm
-    check does. Each column of Q takes the phase of R's diagonal entry and
-    the matching row of R its conjugate, so diag(R) is real and positive.
-    """
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    mag = np.abs(diag)
-    if (mag <= tol[..., None]).any():
-        raise NearSingularError(f"a column collapsed during orthogonalization ({mag.min():.3e})")
-    phase = diag / mag
-    q *= phase[..., None, :]
-    r *= phase.conj()[..., :, None]
-    return q, r
-
-
-def _lapack_cholesky(a: np.ndarray, tol: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Uncounted Cholesky factor of a checked stack, and its diagonal.
-
-    A pivot diag(L)^2 at or below ``tol`` raises as the counted loop's
-    pivot check does; so does a stack LAPACK cannot factor.
-    """
-    try:
-        l = np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        if not np.isfinite(a).all():  # a NaN input fails as the counted loop fails it
-            raise FloatingPointError("non-finite Gramian") from None
-        raise NotPositiveDefiniteError("matrix is not positive definite") from None
-    diag = np.diagonal(l, axis1=-2, axis2=-1).real
-    piv = diag * diag
-    if (piv <= tol[..., None]).any():
-        raise NotPositiveDefiniteError(f"a pivot is not positive ({piv.min():.3e})")
-    return l, diag
-
-
 @finite_result
 def cholesky(a: np.ndarray, acc: OpCount | None) -> np.ndarray:
     """Cholesky factor L with A = L L^H for Hermitian positive-definite A.
@@ -193,9 +146,7 @@ def cholesky(a: np.ndarray, acc: OpCount | None) -> np.ndarray:
     """
     a = as_stack(a)
     tol = pivot_tol(a)
-    _check_hermitian(a, tol)
-    if acc is None:
-        return _lapack_cholesky(a, tol)[0]
+    check_hermitian(a, tol)
     n = a.shape[-1]
     l = np.zeros_like(a)
     for i in range(n):
@@ -219,16 +170,11 @@ def ldl(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.ndarray]:
     state and the D-weighted columns W = L D are cached, so each
     inner-product term, column scaling and W fill is one complex
     multiplication. A non-Hermitian input fails with ``ValueError``, a
-    non-positive pivot with :class:`NotPositiveDefiniteError`. Values
-    only (``acc=None``), the factors come from the Cholesky factor C:
-    L = C / diag(C) column by column, and D = diag(C)^2.
+    non-positive pivot with :class:`NotPositiveDefiniteError`.
     """
     a = as_stack(a)
     tol = pivot_tol(a)
-    _check_hermitian(a, tol)
-    if acc is None:
-        c, diag = _lapack_cholesky(a, tol)
-        return c / diag[..., None, :], diag * diag
+    check_hermitian(a, tol)
     n = a.shape[-1]
     l = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape).copy()
     w = np.zeros_like(a)

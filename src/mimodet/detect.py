@@ -17,18 +17,29 @@ or a stack with any leading shape, returns plain arrays, charges B
 times the single-system tally for B systems, computed from shapes, and
 raises on the first system it cannot solve; the sweep retries a raising
 stack one (point, trial) at a time; ``decomp.finite_result`` is the one
-place a non-finite result raises. NSA and GS also take a diagonal
-shift ``reg``: they solve against G + reg*I reading G's off-diagonal
-part in place, so one Gramian stack serves every SNR point at once.
-``soft_estimate`` takes a per-point sigma2 for every kind (see there).
+place a non-finite result raises. Every solver takes a diagonal shift
+``reg`` as a trailing keyword (default 0) and solves against
+G + reg*I. ``reg`` is a float or an array that broadcasts against
+diag(G): a (P, 1, 1) shift on a (T, U, U) stack gives P x T systems, so
+one Gramian stack serves every SNR point at once. NSA, GS and CG read G
+in place and shift only its diagonal; the counted exact and ADMIN
+solves factor one copy of G + reg*I. ``soft_estimate`` passes each
+kind its shift: 0 for ZF, beta for ADMIN, sigma2 for the rest.
 
 ``acc=None`` computes values only, as in ``kernels`` and ``decomp``; the
 sweep passes it everywhere. NSA, GS and CG then run their counted loops
-with nothing tallied, bit for bit. QR, Cholesky and LDL factor through
-LAPACK with the counted failure rules (see ``decomp``); exact QR takes
-Q^H b through a transposed view of Q, and ADMIN inverts its regularized
-Gramian once per stack, so each of its x-updates is one stacked
-product, G^-1 r, instead of two looped triangular solves.
+with nothing tallied, bit for bit. In the sweep, the exact and ADMIN
+solves take the failure rule and the count from the backend and the
+estimate from the spectrum. Values only, the backend's own solve runs
+once, with nothing tallied, on the least regularized system
+G + min(reg)*I, and its result is dropped. The Cholesky pivots and
+|diag(R)| of a Gramian shifted by s never decrease as s grows (Schur
+complements are monotone), while the pivot tolerance grows by 1e-12 per
+unit of s, so where that solve passes every shift passes. The estimates at every shift then come
+from one eigendecomposition G = V diag(lam) V^H per call, as
+x = V (lam + reg)^-1 V^H b, the many-shift Tikhonov solve (Hansen,
+*Rank-Deficient and Discrete Ill-Posed Problems*, 1998); they agree
+with the counted solves to rounding.
 """
 
 from __future__ import annotations
@@ -44,6 +55,7 @@ from .decomp import (
     SingularTriangularError,
     as_stack,
     backward_sub,
+    check_hermitian,
     cholesky,
     finite_result,
     forward_sub,
@@ -82,11 +94,6 @@ class CgBreakdownError(DetectError):
 
 # what a solver raises on a system it cannot solve, of any kind
 SOLVE_ERRORS = (DecompositionError, DetectError, FloatingPointError)
-
-# Working-set budget of one stacked call, in bytes, for the trial blocks of
-# ``montecarlo._products`` and the point groups of ``_on_copies``. Measured
-# on 32x32 and 256x16 sweeps: larger budgets were no faster and raised the peak RSS.
-WORKING_SET = 1 << 20
 
 
 class Kind(enum.Enum):
@@ -211,9 +218,32 @@ def gramian(
 
 @finite_result
 def exact_solve(
-    g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None
+    g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None,
+    reg: float | np.ndarray = 0.0,
 ) -> np.ndarray:
-    """Solve G x = b through the chosen decomposition backend."""
+    """Solve (G + reg*I) x = b through the chosen decomposition backend.
+
+    ``reg`` is as in :func:`nsa_solve`. Counted, the backend factors one
+    copy of G + reg*I; values only, the estimate comes from G's spectrum
+    (see :func:`_spectral_solver`).
+    """
+    if acc is None:
+        return _spectral_solver(g, b, backend, reg)(b)
+    return _factor_solve(_shifted(g, reg), b, backend, acc)
+
+
+def _shifted(g: np.ndarray, reg: float | np.ndarray) -> np.ndarray:
+    """G + reg*I in one copy of G, broadcast against ``reg`` as in :func:`nsa_solve`."""
+    g = as_stack(g)
+    idx = np.arange(g.shape[-1])
+    diag = g[..., idx, idx] + reg
+    out = np.broadcast_to(g, diag.shape + diag.shape[-1:]).copy()
+    out[..., idx, idx] = diag
+    return out
+
+
+def _factor_solve(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None):
+    """Solve G x = b by the backend's factorization and triangular solves."""
     if backend is Backend.QR:
         q, r = gram_schmidt_qr(g, acc)
         # Q^H b = conj(Q^T conj(b)), through a view of Q: no copy of Q^H
@@ -224,6 +254,24 @@ def exact_solve(
     if backend is Backend.LDL:
         return _ldl_solve(*ldl(g, acc), b, acc)
     raise ValueError(f"unknown backend {backend}")
+
+
+def _spectral_solver(g: np.ndarray, b: np.ndarray, backend: Backend, reg: float | np.ndarray):
+    """Values-only solves of (G + reg*I) x = rhs for a Hermitian G, ``reg`` as
+    in :func:`nsa_solve`: a function of ``rhs``.
+
+    The failure rule runs first: ``backend`` solves G + min(reg)*I against
+    ``b`` once, with nothing tallied, and raises what that solve raises (see
+    the module docstring for why one shift suffices); a non-Hermitian G
+    raises ``ValueError``. The solves then come from G = V diag(lam) V^H, as
+    V (lam + reg)^-1 V^H rhs.
+    """
+    _factor_solve(_shifted(g, np.min(reg)), b, backend, None)
+    g = as_stack(g)
+    check_hermitian(g, pivot_tol(g))
+    lam, v = np.linalg.eigh(g)
+    vh, scale = hermitian(v), 1.0 / (lam + reg)
+    return lambda rhs: matvec(v, scale * matvec(vh, rhs, None), None)
 
 
 def _ldl_solve(l: np.ndarray, d: np.ndarray, b: np.ndarray, acc: OpCount | None) -> np.ndarray:
@@ -303,13 +351,17 @@ def gs_solve(
 
 
 @finite_result
-def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None) -> np.ndarray:
-    """t conjugate-gradient steps on G x = x_mf from x = 0, r = p = x_mf.
+def cg_solve(
+    g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None,
+    reg: float | np.ndarray = 0.0,
+) -> np.ndarray:
+    """t conjugate-gradient steps on (G + reg*I) x = x_mf from x = 0, r = p = x_mf.
 
-    A system whose residual is exactly zero keeps its estimate for the
-    remaining steps; every step is charged regardless, so the tally
-    depends on shapes only. Non-positive curvature raises
-    :class:`CgBreakdownError`.
+    ``reg`` is as in :func:`nsa_solve`; (G + reg*I) p is formed as
+    G p + reg p and charged as the one product. A system whose residual
+    is exactly zero keeps its estimate for the remaining steps; every
+    step is charged regardless, so the tally depends on shapes only.
+    Non-positive curvature raises :class:`CgBreakdownError`.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
@@ -321,7 +373,7 @@ def cg_solve(g: np.ndarray, x_mf: np.ndarray, t: int, acc: OpCount | None) -> np
     rs = dot_h(r, r, acc).real
     for _ in range(t):
         live = rs != 0.0
-        gp = matvec(g, p, acc)
+        gp = matvec(g, p, acc) + reg * p
         curvature = dot_h(p, gp, acc).real
         if (live & (curvature <= 0.0)).any():
             raise CgBreakdownError("p^H G p <= 0; Gramian is not positive definite")
@@ -347,38 +399,37 @@ def admin_solve(
     beta: float | np.ndarray,
     box: float,
     acc: OpCount | None,
+    reg: float | np.ndarray = 0.0,
 ) -> np.ndarray:
     """ADMM loop for the box-constrained detector.
 
-    Factors G = H^H H + beta*I once with LDL and reuses the factors for
-    every x-solve. Scaled updates with unit step: z clips x + lambda to
-    the per-axis box, lambda accumulates x - z. With z and lambda
-    starting at zero the first solve consumes x_mf unchanged, which is
-    exactly the MMSE estimate with sigma2 replaced by beta. Values only
-    (``acc=None``), the LDL factorization still runs, for its failure
-    rule, and its factors are dropped; G^-1 is formed once and every
-    x-solve is one stacked product G^-1 r. ``beta`` is a float, or an
-    array that broadcasts against the stack's leading axes, such as
-    (P, 1, 1) for one beta per SNR point of a (P, T, U, U) stack; a beta
-    that is not positive and finite raises ``ValueError``, as
+    Every x-solve is against G = g_admin + reg*I, ``reg`` as in
+    :func:`nsa_solve`: the detector's G is H^H H + beta*I, so a caller
+    passes either that Gramian, or H^H H with ``reg=beta``. Counted, G is
+    factored once with LDL and the factors serve every x-solve; values
+    only, every x-solve comes from the spectrum (see
+    :func:`_spectral_solver`, with LDL as the backend). Scaled updates
+    with unit step: z clips x + lambda to the per-axis box, lambda
+    accumulates x - z. With z and lambda starting at zero the first
+    solve consumes x_mf unchanged, which is exactly the MMSE estimate
+    with sigma2 replaced by beta. ``beta`` is a float, or an array that
+    broadcasts against the stack's leading axes, such as (P, 1, 1) for
+    one beta per SNR point of a (P, T, U) stack of right-hand sides; a
+    beta that is not positive and finite raises ``ValueError``, as
     ``DetectorSpec.admin_beta``.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if not np.all((0 < beta) & (beta < np.inf)):
         raise ValueError("beta must be positive and finite")
+    x_mf = vector_stack(x_mf, g_admin.shape[-1])
     if acc is None:
-        ldl(g_admin, None)  # the counted failure rule; its factors go before the inverse
-        g_inv = np.linalg.inv(g_admin)
-
-        def solve(rhs):
-            return matvec(g_inv, rhs, None)
+        solve = _spectral_solver(g_admin, x_mf, Backend.LDL, reg)
     else:
-        l, d = ldl(g_admin, acc)
+        l, d = ldl(_shifted(g_admin, reg), acc)
 
         def solve(rhs):
             return _ldl_solve(l, d, rhs, acc)
-    x_mf = vector_stack(x_mf, g_admin.shape[-1])
     x = solve(x_mf)
     z = _clip_box(x, box)
     lam = x - z
@@ -399,50 +450,23 @@ def soft_estimate(
     ``x_mf`` = H^H y and ``box`` the per-axis ADMIN clipping bound.
     ``sigma2`` is a float, or an array shaped (P, 1, 1) for every kind:
     with ``g0`` shaped (T, U, U) and ``x_mf`` (P, T, U), one call solves
-    P SNR points x T trials, each system as a call on its own would. NSA
-    and GS read ``g0`` in place and shift only its diagonal. ZF, and
-    ADMIN with a fixed beta, factor ``g0`` (regularized by beta) once for
-    every point. MMSE, CG and ADMIN with ``beta_scale`` regularize a copy
-    of ``g0`` per point, made and solved in groups of points by
-    ``_on_copies``. A system that cannot be solved raises, as in every
-    counted solver. The solvers are looked up as module globals at call
-    time, so a wrapper installed on this module sees every call.
+    P SNR points x T trials, each system as a call on its own would.
+    Every solver gets ``g0`` and the detector's shift, ``reg``: 0 for ZF,
+    beta for ADMIN and sigma2 for the rest. A system that cannot be
+    solved raises, as in every counted solver. The solvers are looked up
+    as module globals at call time, so a wrapper installed on this
+    module sees every call.
     """
-    if spec.kind is Kind.ZF:
-        return exact_solve(g0, x_mf, spec.backend, acc)
-    if spec.kind is Kind.MMSE:
-        return _on_copies(lambda g, b, _: exact_solve(g, b, spec.backend, acc), g0, x_mf, sigma2)
-    if spec.kind is Kind.NSA:
-        x, _ = nsa_solve(g0, x_mf, spec.iterations, acc, reg=sigma2)
-        return x
-    if spec.kind is Kind.GS:
-        return gs_solve(g0, x_mf, spec.iterations, acc, reg=sigma2)
-    if spec.kind is Kind.CG:
-        return _on_copies(lambda g, b, _: cg_solve(g, b, spec.iterations, acc), g0, x_mf, sigma2)
-    if spec.kind is Kind.ADMIN:
-        return _on_copies(lambda g, b, beta: admin_solve(g, b, spec.iterations, beta, box, acc),
-                          g0, x_mf, spec.admin_beta(sigma2))
-    raise ValueError(f"no soft estimate for {spec.kind}")
-
-
-def _on_copies(solve, g0: np.ndarray, x_mf: np.ndarray, reg: float | np.ndarray) -> np.ndarray:
-    """``solve(G0 + reg*I, x_mf, reg)``, on copies of G0 made here.
-
-    A shared ``reg`` (a float) makes one copy for every point, solved in
-    one call. A per-point ``reg``, shaped (P, 1, 1) against ``x_mf``
-    shaped (P, T, U), makes one copy per point, and the points are
-    solved in groups whose copies, four times over, fit ``WORKING_SET``:
-    four copies are the peak of a values-only QR solve, the most of any
-    kind. A group holds at least one point, whose copies may alone pass
-    the budget.
-    """
-    idx = np.arange(g0.shape[-1])
-    group = max(1, WORKING_SET // (4 * g0.nbytes)) if np.ndim(reg) else len(x_mf)
-    estimates = []
-    for i in range(0, len(x_mf), group):
-        r = reg[i:i + group] if np.ndim(reg) else reg
-        diag = g0[..., idx, idx] + r
-        g = np.broadcast_to(g0, diag.shape + diag.shape[-1:]).copy()
-        g[..., idx, idx] = diag
-        estimates.append(solve(g, x_mf[i:i + group], r))
-    return np.concatenate(estimates)
+    kind, t = spec.kind, spec.iterations
+    reg = 0.0 if kind is Kind.ZF else spec.admin_beta(sigma2) if kind is Kind.ADMIN else sigma2
+    if kind in (Kind.ZF, Kind.MMSE):
+        return exact_solve(g0, x_mf, spec.backend, acc, reg=reg)
+    if kind is Kind.NSA:
+        return nsa_solve(g0, x_mf, t, acc, reg=reg)[0]
+    if kind is Kind.GS:
+        return gs_solve(g0, x_mf, t, acc, reg=reg)
+    if kind is Kind.CG:
+        return cg_solve(g0, x_mf, t, acc, reg=reg)
+    if kind is Kind.ADMIN:
+        return admin_solve(g0, x_mf, t, reg, box, acc, reg=reg)
+    raise ValueError(f"no soft estimate for {kind}")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mimodet import decomp, detect
@@ -268,11 +268,11 @@ def test_values_only_fails_as_counted(call, corrupt, error):
     assert type(values.value) is type(counted.value)
 
 
-# QR, Cholesky and LDL factor through LAPACK when uncounted, so they (and
-# the solvers built on them) agree with the counted loop to rounding; every
-# other routine runs its counted loop with nothing tallied, bit for bit
-LAPACK = {"gram_schmidt_qr", "cholesky", "ldl", "exact_solve.qr", "exact_solve.chol",
-          "exact_solve.ldl", "admin_solve"}
+# the exact and ADMIN solves take their values-only estimates from the
+# Gramian's spectrum, so they agree with the counted solves to rounding;
+# every other routine, the three factorizations included, runs its counted
+# loop with nothing tallied, bit for bit
+SPECTRAL = {"exact_solve.qr", "exact_solve.chol", "exact_solve.ldl", "admin_solve"}
 
 
 @pytest.mark.parametrize("name", sorted(CALLS))
@@ -281,11 +281,38 @@ def test_values_only_equals_counted(name):
     got = outputs(CALLS[name](operands, 3, None))
     want = outputs(CALLS[name](operands, 3, OpCount()))
     for g, w in zip(got, want):
-        if name in LAPACK:
+        if name in SPECTRAL:
             assert g.shape == w.shape
             assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
         else:
             assert np.array_equal(g, w)
+
+
+@settings(max_examples=200)
+@given(u=st.integers(1, 12), extra=st.integers(0, 4), trials=st.integers(1, 3),
+       eps=st.sampled_from([None, 0.0, 1e-9, 1e-7, 1e-6, 1e-4]),
+       s1=st.just(0.0) | st.floats(-16.0, 1.0).map(lambda e: 10.0 ** e),
+       step=st.floats(-17.0, 1.0).map(lambda e: 10.0 ** e), seed=st.integers(0, 2**32 - 1))
+def test_a_shift_that_solves_makes_every_larger_one_solve(u, extra, trials, eps, s1, step, seed):
+    # the values-only failure rule solves only the least regularized system:
+    # where a backend solves G0 + s1*I, it solves G0 + s2*I for s2 > s1, on
+    # random Gramian stacks and on stacks whose first system has column 1 =
+    # column 0 + eps * w (eps = 0: rank deficient)
+    rng = np.random.Generator(np.random.Philox(key=[seed, u]))
+    shape = (trials, u + extra, u)
+    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    if eps is not None and u > 1:
+        h[0, :, 1] = h[0, :, 0] + eps * h[-1, :, -1]
+    g0 = detect.gramian(h, 0.0, None)
+    b = rng.standard_normal((trials, u)) + 1j * rng.standard_normal((trials, u))
+    s2 = s1 + step
+    assume(s2 > s1)
+    for be in Backend:
+        try:
+            detect.exact_solve(g0, b, be, OpCount(), reg=s1)
+        except detect.SOLVE_ERRORS:
+            continue
+        detect.exact_solve(g0, b, be, OpCount(), reg=s2)
 
 
 # every detector soft_estimate takes: each exact kind on each backend, the
@@ -307,7 +334,7 @@ ANY_SPEC = st.one_of(
 def test_values_only_estimate_equals_counted(spec, u, extra, lead, points, sigma2, seed):
     # any U, N = U + extra antennas, any leading shape with a float sigma2,
     # or P points x T trials with sigma2 shaped (P, 1, 1): the uncounted
-    # estimate is the counted one, bit for bit where no LAPACK factor is
+    # estimate is the counted one, bit for bit where no spectrum is
     # taken, and raises what the counted call raises
     rng = np.random.Generator(np.random.Philox(key=[seed, u]))
     n, trials = u + extra, (lead[:1] or [1]) if points else lead
@@ -354,12 +381,14 @@ def test_sweep_shaped_values_only_estimate(b, n, u, spec):
 
 @pytest.mark.parametrize("b,u", [(4, 32), (100, 32), (60, 16)])
 def test_values_only_qr_convention(b, u):
-    # the Householder factors in Gram-Schmidt's convention: R upper
-    # triangular with a real positive diagonal, Q unitary, QR = A
+    # the values-only factors are the counted modified Gram-Schmidt's, bit
+    # for bit: R upper triangular with a real positive diagonal, Q unitary
+    # to 1e-12 on these well-conditioned Gramians, QR = A
     rng = np.random.Generator(np.random.Philox(key=[b, u]))
     h = (rng.standard_normal((b, 2 * u, u)) + 1j * rng.standard_normal((b, 2 * u, u))) / np.sqrt(2)
     a = detect.gramian(h, 0.0, None)
     q, r = detect.gram_schmidt_qr(a, None)
+    assert all(np.array_equal(v, c) for v, c in zip((q, r), detect.gram_schmidt_qr(a, OpCount())))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     assert np.array_equal(r, np.triu(r))
     assert np.all(diag.imag == 0) and np.all(diag.real > 0)
