@@ -28,18 +28,22 @@ kind its shift: 0 for ZF, beta for ADMIN, sigma2 for the rest.
 
 ``acc=None`` computes values only, as in ``kernels`` and ``decomp``; the
 sweep passes it everywhere. NSA, GS and CG then run their counted loops
-with nothing tallied, bit for bit. In the sweep, the exact and ADMIN
-solves take the failure rule and the count from the backend and the
-estimate from the spectrum. Values only, the backend's own solve runs
-once, with nothing tallied, on the least regularized system
-G + min(reg)*I, and its result is dropped. The Cholesky pivots and
+with nothing tallied, bit for bit. The exact and ADMIN solves come from
+one builder, ``_solver``, which refuses a non-Hermitian G with
+``ValueError`` on both paths. Values only, the backend factors the least
+regularized system G + min(reg)*I with nothing tallied and solves one
+right-hand side per system of G through it; that is the failure rule,
+and its result is dropped. One shift suffices: the Cholesky pivots and
 |diag(R)| of a Gramian shifted by s never decrease as s grows (Schur
 complements are monotone), while the pivot tolerance grows by 1e-12 per
-unit of s, so where that solve passes every shift passes. The estimates at every shift then come
+unit of s. One right-hand side suffices: a triangular solve raises only
+on its factor's diagonal, and a non-finite right-hand side anywhere
+makes the estimate non-finite, so ``finite_result`` raises the
+``FloatingPointError`` a counted solve raises. Every estimate then comes
 from one eigendecomposition G = V diag(lam) V^H per call, as
 x = V (lam + reg)^-1 V^H b, the many-shift Tikhonov solve (Hansen,
-*Rank-Deficient and Discrete Ill-Posed Problems*, 1998); they agree
-with the counted solves to rounding.
+*Rank-Deficient and Discrete Ill-Posed Problems*, 1998); it agrees with
+the counted solve to rounding.
 """
 
 from __future__ import annotations
@@ -223,61 +227,60 @@ def exact_solve(
 ) -> np.ndarray:
     """Solve (G + reg*I) x = b through the chosen decomposition backend.
 
-    ``reg`` is as in :func:`nsa_solve`. Counted, the backend factors one
-    copy of G + reg*I; values only, the estimate comes from G's spectrum
-    (see :func:`_spectral_solver`).
+    ``reg`` is as in :func:`nsa_solve`; see :func:`_solver`.
     """
-    if acc is None:
-        return _spectral_solver(g, b, backend, reg)(b)
-    return _factor_solve(_shifted(g, reg), b, backend, acc)
+    return _solver(g, b, backend, acc, reg)(b)
 
 
-def _shifted(g: np.ndarray, reg: float | np.ndarray) -> np.ndarray:
-    """G + reg*I in one copy of G, broadcast against ``reg`` as in :func:`nsa_solve`."""
-    g = as_stack(g)
-    idx = np.arange(g.shape[-1])
-    diag = g[..., idx, idx] + reg
-    out = np.broadcast_to(g, diag.shape + diag.shape[-1:]).copy()
-    out[..., idx, idx] = diag
-    return out
+def _solver(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None,
+            reg: float | np.ndarray):
+    """The solve of (G + reg*I) x = rhs as a function of ``rhs``, ``reg`` as in
+    :func:`nsa_solve` and right-hand sides shaped as ``b``.
 
-
-def _factor_solve(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None):
-    """Solve G x = b by the backend's factorization and triangular solves."""
-    if backend is Backend.QR:
-        q, r = gram_schmidt_qr(g, acc)
-        # Q^H b = conj(Q^T conj(b)), through a view of Q: no copy of Q^H
-        return backward_sub(r, matvec(np.swapaxes(q, -1, -2), b.conj(), acc).conj(), acc)
-    if backend is Backend.CHOLESKY:
-        l = cholesky(g, acc)
-        return backward_sub(hermitian(l), forward_sub(l, b, acc), acc)
-    if backend is Backend.LDL:
-        return _ldl_solve(*ldl(g, acc), b, acc)
-    raise ValueError(f"unknown backend {backend}")
-
-
-def _spectral_solver(g: np.ndarray, b: np.ndarray, backend: Backend, reg: float | np.ndarray):
-    """Values-only solves of (G + reg*I) x = rhs for a Hermitian G, ``reg`` as
-    in :func:`nsa_solve`: a function of ``rhs``.
-
-    The failure rule runs first: ``backend`` solves G + min(reg)*I against
-    ``b`` once, with nothing tallied, and raises what that solve raises (see
-    the module docstring for why one shift suffices); a non-Hermitian G
-    raises ``ValueError``. The solves then come from G = V diag(lam) V^H, as
-    V (lam + reg)^-1 V^H rhs.
+    Counted, the backend factors one copy of G + reg*I and each solve is
+    that factor's triangular solves; values only, the backend's solve of
+    the first of ``b``'s right-hand sides against G + min(reg)*I is the
+    failure rule and the spectrum gives the solves (see the module docstring).
     """
-    _factor_solve(_shifted(g, np.min(reg)), b, backend, None)
     g = as_stack(g)
     check_hermitian(g, pivot_tol(g))
+    f = _shifted(g, reg if acc is not None else np.min(reg))
+    if backend is Backend.QR:
+        q, r = gram_schmidt_qr(f, acc)
+        qt = np.swapaxes(q, -1, -2)
+
+        def solve(rhs):  # Q^H rhs = conj(Q^T conj(rhs)), through a view of Q
+            return backward_sub(r, matvec(qt, rhs.conj(), acc).conj(), acc)
+    elif backend is Backend.CHOLESKY:
+        l = cholesky(f, acc)
+        lh = hermitian(l)
+
+        def solve(rhs):
+            return backward_sub(lh, forward_sub(l, rhs, acc), acc)
+    elif backend is Backend.LDL:
+        l, d = ldl(f, acc)
+        lh = hermitian(l)
+
+        def solve(rhs):  # D^-1 is charged per solve
+            return backward_sub(lh, mul(counted_recip(d, acc), forward_sub(l, rhs, acc), acc), acc)
+    else:
+        raise ValueError(f"unknown backend {backend}")
+    if acc is not None:
+        return solve
+    b = vector_stack(b, g.shape[-1])
+    solve(b[(0,) * (b.ndim - f.ndim + 1)])
     lam, v = np.linalg.eigh(g)
     vh, scale = hermitian(v), 1.0 / (lam + reg)
     return lambda rhs: matvec(v, scale * matvec(vh, rhs, None), None)
 
 
-def _ldl_solve(l: np.ndarray, d: np.ndarray, b: np.ndarray, acc: OpCount | None) -> np.ndarray:
-    """Solve L D L^H x = b from the factors ``ldl`` returns."""
-    z = mul(counted_recip(d, acc), forward_sub(l, b, acc), acc)
-    return backward_sub(hermitian(l), z, acc)
+def _shifted(g: np.ndarray, reg: float | np.ndarray) -> np.ndarray:
+    """G + reg*I in one copy of the stack G, broadcast against ``reg`` as in :func:`nsa_solve`."""
+    idx = np.arange(g.shape[-1])
+    diag = g[..., idx, idx] + reg
+    out = np.broadcast_to(g, diag.shape + diag.shape[-1:]).copy()
+    out[..., idx, idx] = diag
+    return out
 
 
 @finite_result
@@ -405,10 +408,8 @@ def admin_solve(
 
     Every x-solve is against G = g_admin + reg*I, ``reg`` as in
     :func:`nsa_solve`: the detector's G is H^H H + beta*I, so a caller
-    passes either that Gramian, or H^H H with ``reg=beta``. Counted, G is
-    factored once with LDL and the factors serve every x-solve; values
-    only, every x-solve comes from the spectrum (see
-    :func:`_spectral_solver`, with LDL as the backend). Scaled updates
+    passes either that Gramian, or H^H H with ``reg=beta``. Every x-solve
+    is one solve of :func:`_solver` with LDL as the backend. Scaled updates
     with unit step: z clips x + lambda to the per-axis box, lambda
     accumulates x - z. With z and lambda starting at zero the first
     solve consumes x_mf unchanged, which is exactly the MMSE estimate
@@ -423,13 +424,7 @@ def admin_solve(
     if not np.all((0 < beta) & (beta < np.inf)):
         raise ValueError("beta must be positive and finite")
     x_mf = vector_stack(x_mf, g_admin.shape[-1])
-    if acc is None:
-        solve = _spectral_solver(g_admin, x_mf, Backend.LDL, reg)
-    else:
-        l, d = ldl(_shifted(g_admin, reg), acc)
-
-        def solve(rhs):
-            return _ldl_solve(l, d, rhs, acc)
+    solve = _solver(g_admin, x_mf, Backend.LDL, acc, reg)
     x = solve(x_mf)
     z = _clip_box(x, box)
     lam = x - z

@@ -755,6 +755,20 @@ def test_src_holds_only_what_a_command_runs():
     assert unused == sorted(USED_OUTSIDE_SRC)
 
 
+def test_src_imports_only_the_standard_library_and_numpy():
+    # pyproject.toml declares numpy alone, so any other import would pass
+    # here and fail on a clean install
+    allowed = set(sys.stdlib_module_names) | {"numpy", "mimodet"}
+    found = set()
+    for path in sorted(Path(mimodet.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found |= {alias.name.split(".")[0] for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add(node.module.split(".")[0])
+    assert "numpy" in found and found <= allowed, sorted(found - allowed)
+
+
 def test_no_flag_sets_a_type():
     # every flag reaches build_sweep or complexity_request as the text given,
     # as a file's value does, so as_count and cli's parsers are the one rule

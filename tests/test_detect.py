@@ -296,7 +296,8 @@ class TestAdmin:
         acc = OpCount()
         g = detect.gramian(h, 2 * sigma2, acc)
         x_mf = detect.matched_filter(h, y, acc)
-        xs, zs = spy(monkeypatch, "_ldl_solve"), spy(monkeypatch, "_clip_box")
+        # each counted x-update ends in one backward substitution
+        xs, zs = spy(monkeypatch, "backward_sub"), spy(monkeypatch, "_clip_box")
         detect.admin_solve(g, x_mf, 5, 2 * sigma2, const.box_radius, acc)
         assert len(xs) == len(zs) == 5
         gaps = []
@@ -357,6 +358,25 @@ class TestWorkingSet:
             four = traced_peak(spec, g0, x_mf[:4], sigma2[:4], self.BOX)
             grown[spec.name] = traced_peak(spec, g0, x_mf, sigma2, self.BOX) - four
         assert all(g < 1 << 20 for g in grown.values()), grown
+
+
+@pytest.mark.parametrize("spec", [
+    *(DetectorSpec(Kind.MMSE, backend) for backend in Backend),
+    DetectorSpec(Kind.ADMIN, beta_scale=8.0),
+], ids=["mmse-qr", "mmse-chol", "mmse-ldl", "admin"])
+def test_values_only_failure_rule_solves_one_rhs_per_trial(monkeypatch, spec):
+    # the values-only failure rule solves one right-hand side per system of
+    # the (T, U, U) G0 stack, not one per (point, trial)
+    g0, x_mf, sigma2 = point_stack(4, 16, 8, 3)
+    backward, rhs = detect.backward_sub, []
+
+    def recording(u, b, acc):
+        rhs.append(b.shape)
+        return backward(u, b, acc)
+
+    monkeypatch.setattr(detect, "backward_sub", recording)
+    detect.soft_estimate(spec, g0, x_mf, sigma2, 1.0, None)
+    assert rhs == [(4, 8)]
 
 
 @pytest.mark.parametrize("solve", [

@@ -130,7 +130,8 @@ def test_gs_tolerance_is_that_of_the_shifted_matrix(pivot, raises):
 
 # Every kind through ``soft_estimate``: a (P, 1, 1) sigma2 against the P
 # per-point calls. ZF and ADMIN with a fixed beta factor G0 once for all
-# points; the others (``copies_g0``) regularize a copy of G0 per point.
+# points; for the others (``shares_no_factor``) the stacked tally is the
+# per-point tallies, since no factor serves more than one point.
 SPECS = [
     *(detect.DetectorSpec(kind, backend) for kind in (detect.Kind.ZF, detect.Kind.MMSE)
       for backend in detect.Backend),
@@ -141,8 +142,9 @@ SPECS = [
 SPEC_IDS = [f"{s.name}-{s.params}" for s in SPECS]
 
 
-def copies_g0(spec):
-    """Whether ``soft_estimate`` regularizes a copy of G0 per point for ``spec``."""
+def shares_no_factor(spec):
+    """Whether no factor of ``soft_estimate`` for ``spec`` serves more than one
+    point: MMSE and ADMIN with beta_scale factor G0 + reg*I per point, CG factors none."""
     return spec.kind in (detect.Kind.MMSE, detect.Kind.CG) or (
         spec.kind is detect.Kind.ADMIN and spec.beta is None)
 BOX = 1.0
@@ -171,7 +173,7 @@ def test_point_stack_equals_per_point_calls(spec, case):
         assert got.shape == x_mf.shape
         for p, (want,) in enumerate(each):
             assert np.array_equal(got[p], want)
-        if counted and copies_g0(spec):
+        if counted and shares_no_factor(spec):
             assert acc == each_acc  # one regularized system per (point, trial)
         elif counted:  # G0 factored once for every point, with U reciprocals per trial
             assert all(getattr(acc, f) <= getattr(each_acc, f) for f in FIELDS)

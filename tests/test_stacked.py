@@ -173,6 +173,13 @@ def _nan(g):
     g[4, 2] = np.nan
 
 
+# (id, call(g, b, acc)) of the exact and ADMIN solves
+EXACT_AND_ADMIN = [
+    *[(f"exact-{be.value}", lambda g, b, acc, be=be: detect.exact_solve(g, b, be, acc))
+      for be in Backend],
+    ("admin", lambda g, b, acc: detect.admin_solve(g, b, 3, 0.5, 1.0, acc)),
+]
+
 # (call(g, b, acc), corruption of system 1's Gramian or the non-finite
 # value put into its right-hand side, exception type a single-system call
 # raises); every routine that wears decomp.finite_result has a non-finite case
@@ -214,17 +221,18 @@ FAILURES = [
     *[
         pytest.param(call, value, FloatingPointError, id=f"{name}-{tag}")
         for name, call in (
-            *[(f"exact-{be.value}", lambda g, b, acc, be=be: detect.exact_solve(g, b, be, acc))
-              for be in Backend],
+            *EXACT_AND_ADMIN,
             ("nsa", lambda g, b, acc: detect.nsa_solve(g, b, 3, acc)),
             ("gs", lambda g, b, acc: detect.gs_solve(g, b, 3, acc)),
             ("cg", lambda g, b, acc: detect.cg_solve(g, b, 3, acc)),
-            ("admin", lambda g, b, acc: detect.admin_solve(g, b, 3, 0.5, 1.0, acc)),
         )
         for value, tag in ((np.nan, "non-finite"), (np.inf, "inf"), (_nan, "non-finite-gramian"))
     ],
     pytest.param(lambda g, b, acc: detect.admin_solve(g, b, 3, 0.5, 1.0, acc), _indefinite,
                  decomp.NotPositiveDefiniteError, id="admin-indefinite"),
+    # every exact and ADMIN solve refuses a non-Hermitian Gramian, QR's included
+    *[pytest.param(call, _skew, ValueError, id=f"{name}-not-hermitian")
+      for name, call in EXACT_AND_ADMIN],
 ]
 
 
