@@ -63,11 +63,8 @@ _PRESET_FIXED = ("n", "u", "mod", "snr", "det")
 # the other sweep settings -> their SweepConfig field; left out, the field's default holds
 _SWEEP_OPTIONAL = {"seed": "master_seed", "trials": "trials", "stop_at": "stop_at_errors",
                    "threads": "workers"}
-# the keys a sweep entry, a complexity request and an experiment file may hold
+# the keys a sweep entry may hold; a flat experiment file holds these and out_dir
 _SWEEP_KEYS = _PRESET_FIXED + tuple(_SWEEP_OPTIONAL)
-_COMPLEXITY_KEYS = ("u", "t", "out")
-_COMPLEXITY_OUT = "complexity.csv"  # the table's path when no out is given
-_FILE_KEYS = ("complexity", "out_dir")
 
 
 def parse_snr_range(text: str) -> tuple[float, ...]:
@@ -184,18 +181,11 @@ def _load_experiment_file(path: str) -> dict:
     return data
 
 
-def complexity_request(u, t) -> tuple[tuple[int, ...], int]:
-    """Validated (U list, t) of a complexity table, from flags or an experiment file.
-
-    ``u`` is a comma list or a list of integers; None takes the default.
-    """
-    if u is None:
-        u = complexity.DEFAULT_U_LIST
-    if isinstance(u, str):
-        u = u.split(",")
-    if not isinstance(u, (list, tuple)) or not u:
-        raise ConfigError("u", f"must be a comma list or a list of integers, got {u!r}")
-    u_list = tuple(as_count("u", v) for v in u)
+def complexity_request(u: str | None, t: str | None) -> tuple[tuple[int, ...], int]:
+    """Validated (U list, t) of a complexity table from the text of ``--u``
+    (a comma list) and ``--t``; None takes the default."""
+    u_list = complexity.DEFAULT_U_LIST if u is None else tuple(
+        as_count("u", v) for v in u.split(","))
     t = complexity.DEFAULT_T if t is None else as_count("t", t)
     if t == 1:
         print("# warning: t=1 makes the Neumann-series model zero "
@@ -208,14 +198,6 @@ def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
     print(path)
-
-
-def _path_setting(data: dict, key: str, default: str) -> str:
-    """The path ``data[key]`` of an experiment file; missing or null takes ``default``."""
-    value = default if data.get(key) is None else data[key]
-    if not isinstance(value, str):
-        raise ConfigError(key, f"must be a path, got {value!r}")
-    return value
 
 
 def _ber_path(out_dir: Path, cfg: SweepConfig) -> Path:
@@ -234,17 +216,18 @@ def _check_output(path: Path, field_name: str) -> None:
             return
 
 
-def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...], int] | None]:
+def plan_ber(args) -> tuple[Path, list[SweepConfig]]:
     """Validate a ``ber`` invocation without running any of it.
 
-    Returns the output directory, the config of every sweep, and the
-    complexity request as (path, U list, t), or None without one.
+    Returns the output directory and the config of every sweep.
     """
     file_data = _load_experiment_file(args.config) if args.config else {}
-    _reject_unknown(file_data, ("sweeps",) + _FILE_KEYS if "sweeps" in file_data
-                    else _SWEEP_KEYS + _FILE_KEYS, "the experiment file")
-    file_out_dir = _path_setting(file_data, "out_dir", ".")  # checked under the flag too
-    out_dir = Path(args.out_dir or file_out_dir)
+    _reject_unknown(file_data, ("sweeps", "out_dir") if "sweeps" in file_data
+                    else _SWEEP_KEYS + ("out_dir",), "the experiment file")
+    file_out_dir = file_data.get("out_dir")  # checked under the flag too
+    if file_out_dir is not None and not isinstance(file_out_dir, str):
+        raise ConfigError("out_dir", f"must be a path, got {file_out_dir!r}")
+    out_dir = Path(args.out_dir or file_out_dir or ".")
 
     flag_settings = {key: getattr(args, key) for key in _SWEEP_KEYS}
     overrides = {k: v for k, v in flag_settings.items() if v is not None}
@@ -259,45 +242,30 @@ def plan_ber(args) -> tuple[Path, list[SweepConfig], tuple[Path, tuple[int, ...]
                 raise ConfigError(key, f"--{key} cannot change --preset {args.preset}; "
                                   "use an experiment file for another shape")
         for key in file_data:
-            if key not in _FILE_KEYS:
+            if key != "out_dir":
                 raise ConfigError(key, f"an experiment file cannot change --preset {args.preset} "
-                                  f"(it may hold only {', '.join(_FILE_KEYS)}); use flags")
+                                  "(it may hold only out_dir); use flags")
         entries = [PRESETS[args.preset]]
     elif "sweeps" in file_data:
         entries = file_data["sweeps"]
         if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
             raise ConfigError("sweeps", "must be a list of sweep objects")
+        if not entries:
+            raise ConfigError("sweeps", "needs at least one sweep")
     else:
-        entry = {k: v for k, v in file_data.items() if k not in _FILE_KEYS}
-        # a file that asks only for the complexity table runs no sweep
-        entries = [entry] if entry or overrides or "complexity" not in file_data else []
+        entries = [{k: v for k, v in file_data.items() if k != "out_dir"}]
     configs = [build_sweep({**entry, **overrides}) for entry in entries]
-
-    request = None
-    if "complexity" in file_data:
-        spec = file_data["complexity"]
-        if not isinstance(spec, dict):
-            raise ConfigError("complexity", f"must be an object with u, t and out, got {spec!r}")
-        _reject_unknown(spec, _COMPLEXITY_KEYS, "complexity")
-        request = (out_dir / _path_setting(spec, "out", _COMPLEXITY_OUT),
-                   *complexity_request(spec.get("u"), spec.get("t")))
-    if not configs and request is None:
-        raise ConfigError("sweeps", "needs at least one sweep or a complexity request")
-    # every file the run writes has a path of its own, where a file can be made
-    written: set[str] = set()
-    outputs = [(_ber_path(out_dir, cfg), "sweeps", "out_dir") for cfg in configs]
-    if request is not None:
-        outputs.append((request[0], "complexity", "out"))
-    for path, clash_field, path_field in outputs:
-        if os.path.abspath(path) in written:
-            raise ConfigError(clash_field, f"two outputs would be written to {path}")
-        written.add(os.path.abspath(path))
-        _check_output(path, path_field)
-    return out_dir, configs, request
+    # every BER CSV has a path of its own, where a file can be made
+    paths = [_ber_path(out_dir, cfg) for cfg in configs]
+    for i, path in enumerate(paths):
+        if path in paths[:i]:
+            raise ConfigError("sweeps", f"two sweeps would be written to {path}")
+        _check_output(path, "out_dir")
+    return out_dir, configs
 
 
 def cmd_ber(args) -> int:
-    out_dir, configs, request = plan_ber(args)
+    out_dir, configs = plan_ber(args)
     for cfg in configs:
         const = phy.make_constellation(cfg.order)
         print(
@@ -310,9 +278,6 @@ def cmd_ber(args) -> int:
             cfg, progress=lambda msg: print("# " + msg, file=sys.stderr)
         )
         _write(_ber_path(out_dir, cfg), ber_csv(records))
-    if request is not None:
-        path, *table = request
-        _write(path, complexity.table_csv(*table))
     return 0
 
 
@@ -414,7 +379,7 @@ def build_parser():
     comp = sub.add_parser("complexity", help="write the fig7 complexity table CSV")
     comp.add_argument("--u", help="comma list of user counts")
     comp.add_argument("--t", help="iterations for the iterative detector models")
-    comp.add_argument("--out", default=_COMPLEXITY_OUT, help="output CSV path")
+    comp.add_argument("--out", default="complexity.csv", help="output CSV path")
     comp.set_defaults(func=cmd_complexity)
 
     selftest = sub.add_parser("selftest", help="run the fast invariant suite")

@@ -208,8 +208,8 @@ def gramian(
     n, u = h.shape[-2:]
     if n < u:
         raise ValueError(f"gramian needs N >= U, got {n} < {u}")
-    if reg < 0:
-        raise ValueError("regularization must be non-negative")
+    if not 0 <= reg < np.inf:  # nan and inf too, which would give a non-finite G
+        raise ValueError(f"regularization must be non-negative and finite, got {reg!r}")
     product = (hermitian(h) if h_h is None else h_h) @ h
     upper = np.triu(product, 1)
     g = upper + hermitian(upper)

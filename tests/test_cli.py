@@ -202,6 +202,17 @@ class TestBerCommand:
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("config error: det: unknown backend 'direct'")
 
+    @pytest.mark.parametrize("det", [["mmse", "mmse:qr"], ["gs:t=3,gs"],
+                                     ["admin:bscale=8", "zf", "admin:t=5:bscale=8.0"]])
+    def test_one_detector_twice_is_refused(self, tmp_path, capsys, det):
+        # both would solve every chunk and write the same rows (same detector,
+        # params and snr_db) to the BER CSV
+        argv = ["ber", "--n", "4", "--u", "2", "--mod", "qpsk", "--snr", "0", "--seed", "1",
+                "--trials", "4", "--out-dir", str(tmp_path)]
+        assert run(argv + [arg for d in det for arg in ("--det", d)]) == 2
+        assert capsys.readouterr().err.startswith("config error: det:")
+        assert not list(tmp_path.iterdir())
+
     def test_preset_requires_seed(self, capsys):
         assert run(["ber", "--preset", "fig2"]) == 2
         assert "seed" in capsys.readouterr().err
@@ -238,15 +249,14 @@ class TestBerCommand:
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
         assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
-    def test_preset_takes_out_dir_and_complexity_from_file(self, tmp_path):
+    def test_preset_takes_out_dir_from_file(self, tmp_path):
         path = tmp_path / "exp.json"
-        path.write_text(json.dumps({"out_dir": "res", "complexity": {"u": [4], "t": 3}}))
+        path.write_text(json.dumps({"out_dir": "res"}))
         args = cli.build_parser().parse_args(
             ["ber", "--preset", "fig2", "--seed", "1", "--trials", "5", "--config", str(path)])
-        out_dir, configs, request = cli.plan_ber(args)
+        out_dir, configs = cli.plan_ber(args)
         assert out_dir == Path("res")
         assert [(c.n, c.u, c.trials, c.master_seed) for c in configs] == [(256, 16, 5, 1)]
-        assert request == (Path("res") / "complexity.csv", (4,), 3)
 
     def test_unknown_preset(self, capsys):
         assert run(["ber", "--preset", "fig9", "--seed", "1"]) == 2
@@ -264,21 +274,20 @@ class TestBerCommand:
         lines = (tmp_path / "ber_8x4_qpsk.csv").read_text().strip().split("\n")
         assert lines[1].split(",")[6] == "40"  # flag overrode file trials
 
-    def test_experiment_file_with_sweep_list_and_complexity(self, tmp_path):
+    def test_experiment_file_with_sweep_list(self, tmp_path):
         exp = {
             "sweeps": [
                 {"n": 8, "u": 2, "mod": "qpsk", "snr": "0:5:5",
-                 "det": ["zf:qr"], "trials": 30, "seed": 2, "stop_at": 0}
+                 "det": ["zf:qr"], "trials": 30, "seed": 2, "stop_at": 0},
+                {"n": 8, "u": 4, "mod": "qpsk", "snr": "0", "det": "mmse", "trials": 30},
             ],
-            "complexity": {"u": [4, 8], "t": 3, "out": "cx.csv"},
         }
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(exp))
         assert run(["ber", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
-        assert (tmp_path / "ber_8x2_qpsk.csv").exists()
-        cx = (tmp_path / "cx.csv").read_text().strip().split("\n")
-        assert cx[0] == "U,algorithm,t,formula_rm,measured_rm"
-        assert len(cx) == 1 + 2 * 6
+        # a ber run writes one BER CSV per sweep and nothing else
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ber_8x2_qpsk.csv", "ber_8x4_qpsk.csv", "exp.json"]
 
     SWEEP = {"n": 8, "u": 2, "mod": "qpsk", "snr": "0", "det": "mmse", "trials": 4, "seed": 1}
 
@@ -289,30 +298,31 @@ class TestBerCommand:
         ({"sweeps": 5}, "sweeps"),
         ({"sweeps": [5]}, "sweeps"),
         ({"sweeps": [SWEEP], "complexity": 5}, "complexity"),
-        ({"sweeps": [SWEEP], "complexity": {"u": [0, 4]}}, "u"),
-        ({"sweeps": [SWEEP], "complexity": {"u": "4,x"}}, "u"),
-        ({"sweeps": [SWEEP], "complexity": {"u": [4.5]}}, "u"),
-        ({"sweeps": [SWEEP], "complexity": {"u": []}}, "u"),
-        ({"sweeps": [SWEEP], "complexity": {"t": 0}}, "t"),
-        ({"sweeps": [SWEEP], "complexity": {"t": "three"}}, "t"),
+        ({**SWEEP, "u": [0, 4]}, "u"),
+        ({**SWEEP, "u": "4,x"}, "u"),
+        ({**SWEEP, "u": 4.5}, "u"),
+        ({**SWEEP, "u": []}, "u"),
+        ({**SWEEP, "t": 3}, "t"),  # a detector's t is an option of its det spec
+        ({"sweeps": [{**SWEEP, "t": 3}]}, "t"),
         ({**SWEEP, "out_dir": 5}, "out_dir"),
         # an unknown key is refused wherever it sits, never silently dropped
         ({**SWEEP, "trails": 40}, "trails"),
         ({"sweeps": [{**SWEEP, "trails": 40}]}, "trails"),
         ({"sweeps": [SWEEP], "trials": 40}, "trials"),
-        ({"sweeps": [SWEEP], "complexity": {"u": [4], "tt": 3}}, "tt"),
+        ({"sweeps": [SWEEP], "out_dir": "res", "tt": 3}, "tt"),
         ({"sweeps": []}, "sweeps"),
         ({**SWEEP, "snr": [True]}, "snr"),  # a bool is not an SNR of 1 dB
         ({**SWEEP, "snr": [False, 6]}, "snr"),
-        ({"sweeps": [SWEEP], "complexity": {"u": [4, None]}}, "u"),
+        ({"sweeps": [{**SWEEP, "u": None}]}, "u"),  # null is a missing setting
         ({**SWEEP, "snr": {"5": None, "7": 1}}, "snr"),  # an object is not a list of its keys
         # a falsy path is not taken for the working directory or the default
         ({**SWEEP, "out_dir": 0}, "out_dir"),
         ({**SWEEP, "out_dir": False}, "out_dir"),
         ({**SWEEP, "out_dir": []}, "out_dir"),
         ({**SWEEP, "out_dir": {}}, "out_dir"),
-        ({"sweeps": [SWEEP], "complexity": {"u": [4], "out": ["a", 1]}}, "out"),
-        ({"sweeps": [SWEEP], "complexity": {"u": [4], "out": 5}}, "out"),
+        # a file names only out_dir; out is mimodet complexity's flag
+        ({**SWEEP, "out": "cx.csv"}, "out"),
+        ({"sweeps": [SWEEP], "out": "cx.csv"}, "out"),
     ])
     def test_experiment_file_types_name_the_field(self, tmp_path, monkeypatch, capsys,
                                                   exp, field):
@@ -323,24 +333,30 @@ class TestBerCommand:
         assert capsys.readouterr().err.startswith(f"config error: {field}:")
         assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
-    def test_complexity_only_file(self, tmp_path, capsys):
-        path = tmp_path / "exp.json"
-        path.write_text(json.dumps({"complexity": {"u": "4,8", "t": 1}}))
-        assert run(["ber", "--config", str(path), "--out-dir", str(tmp_path)]) == 0
-        assert "warning: t=1" in capsys.readouterr().err
-        cx = (tmp_path / "complexity.csv").read_text().strip().split("\n")
-        assert len(cx) == 1 + 2 * 6
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["complexity.csv", "exp.json"]
+    @pytest.mark.parametrize("exp,flags", [
+        ({**SWEEP, "complexity": {"u": [4]}}, []),
+        ({"sweeps": [SWEEP], "complexity": {"u": [4], "t": 3, "out": "cx.csv"}}, []),
+        ({"complexity": {"u": "4,8", "t": 3}}, []),
+        ({"out_dir": "res", "complexity": {"u": [4], "t": 3}},
+         ["--preset", "fig2", "--seed", "1", "--trials", "4"]),
+    ], ids=["flat", "beside-sweeps", "alone", "preset"])
+    def test_complexity_key_is_refused(self, tmp_path, monkeypatch, capsys, exp, flags):
+        # the fig7 table is mimodet complexity's output alone: a file that asks
+        # ber for it is refused, naming the key, and nothing runs or is written
+        monkeypatch.chdir(tmp_path)
+        Path("exp.json").write_text(json.dumps(exp))
+        assert run(["ber", "--config", "exp.json", *flags]) == 2
+        assert capsys.readouterr().err.startswith("config error: complexity: unknown key")
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
     def test_shipped_example_is_valid(self, tmp_path, monkeypatch):
         example = Path(__file__).resolve().parents[1] / "docs" / "example_experiment.json"
         monkeypatch.chdir(tmp_path)
         args = cli.build_parser().parse_args(["ber", "--config", str(example)])
-        out_dir, configs, request = cli.plan_ber(args)
+        out_dir, configs = cli.plan_ber(args)
         assert out_dir == Path("results") and not out_dir.exists()
         assert [(c.n, c.u, c.order, len(c.detectors)) for c in configs] == [
             (64, 16, 64, 4), (32, 32, 4, 3)]
-        assert request == (Path("results/complexity.csv"), (4, 8, 16, 32, 64, 128), 3)
 
     def test_bad_config_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -454,10 +470,10 @@ class TestBuildSweep:
                 assert getattr(cfg, field) == CONFIG_DEFAULTS[field]
 
 
-# whole experiment files: a sweep list, or one flat sweep, with a complexity
-# request and an output directory, any of them of a wrong type; then as
-# bytes, with files that are not UTF-8 or not JSON, and JSON nested past
-# the recursion limit
+# whole experiment files: a sweep list, or one flat sweep, with an output
+# directory and a complexity request (an unknown key), any of them of a
+# wrong type; then as bytes, with files that are not UTF-8 or not JSON, and
+# JSON nested past the recursion limit
 COMPLEXITY_REQUEST = st.fixed_dictionaries({}, optional={
     "u": st.sampled_from(["4,8", "4,x", [16, 32], [0], [4, None], []]) | ANY_VALUE,
     "t": st.integers(0, 4) | ANY_VALUE, "out": st.just("cx.csv") | ANY_VALUE,
@@ -482,7 +498,7 @@ def input_keys(data, flags) -> set:
     if not isinstance(data, dict):
         return keys
     sweeps = data.get("sweeps")
-    for level in [data, data.get("complexity"), *(sweeps if isinstance(sweeps, list) else [])]:
+    for level in [data, *(sweeps if isinstance(sweeps, list) else [])]:
         if isinstance(level, dict):
             keys |= set(level)
     return keys
@@ -495,26 +511,24 @@ class TestPlanBer:
         # any experiment file, with or without a preset, gives valid configs
         # or is refused naming a key it holds, a required sweep key, the
         # file itself (config) or its sweeps; nothing else is raised and
-        # nothing is written
+        # nothing is written; a complexity key is always refused
+        try:
+            data = json.loads(content)
+        except (ValueError, RecursionError):
+            data = None
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "exp.json"
             path.write_bytes(content)
             args = cli.build_parser().parse_args(["ber", "--config", str(path), *flags])
             try:
-                out_dir, configs, request = cli.plan_ber(args)
+                out_dir, configs = cli.plan_ber(args)
             except ConfigError as err:
-                try:
-                    data = json.loads(content)
-                except (ValueError, RecursionError):
-                    data = None
                 assert err.field in input_keys(data, flags) | set(REQUIRED) | {"config", "sweeps"}
                 return
             finally:
                 assert [p.name for p in Path(tmp).iterdir()] == ["exp.json"]
-        assert isinstance(out_dir, Path) and (configs or request)
-        if request is not None:
-            _, u_list, t = request
-            assert all(isinstance(u, int) and u >= 1 for u in u_list) and t >= 1
+        assert isinstance(out_dir, Path) and configs
+        assert not (isinstance(data, dict) and "complexity" in data)
 
 
 class TestComplexityCommand:
@@ -557,6 +571,32 @@ class TestComplexityCommand:
         assert not list(tmp_path.iterdir())
 
 
+def readme_commands(readme: Path) -> list[list[str]]:
+    """The argv of every ``mimodet`` line in README's CLI code block, with
+    lines continued by a backslash joined and comments dropped."""
+    import shlex
+
+    block = readme.read_text().split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("mimodet ")]
+
+
+def test_readme_commands_parse_and_plan(monkeypatch):
+    # every command README's CLI section shows parses, and every ber line
+    # passes plan_ber's checks, from the checkout's root as README's paths
+    # are written; nothing runs and nothing is written
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.chdir(root)
+    before = sorted(root.iterdir())
+    commands = readme_commands(root / "README.md")
+    assert sorted({argv[0] for argv in commands}) == ["ber", "complexity", "selftest"]
+    for argv in commands:
+        args = cli.build_parser().parse_args(argv)
+        if argv[0] == "ber":
+            assert cli.plan_ber(args)[1], argv
+    assert sorted(root.iterdir()) == before
+
+
 class TestOutputs:
     """Where the results go: every output has a path of its own, its
     directory is made as needed, and one that cannot be written exits 3
@@ -578,16 +618,12 @@ class TestOutputs:
         exp = {"sweeps": [self.SWEEP, {**self.SWEEP, "snr": "10", "det": "zf"}]}
         self.refused(tmp_path, capsys, exp, [], "sweeps")
 
-    def test_complexity_out_on_a_ber_csv_is_refused(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.chdir(tmp_path)
-        exp = {"sweeps": [self.SWEEP], "complexity": {"u": [4], "out": "./ber_4x2_qpsk.csv"}}
-        self.refused(tmp_path, capsys, exp, [], "complexity")
-
     def test_out_dir_naming_a_file_is_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         Path("taken").write_text("")
         self.refused(tmp_path, capsys, self.SWEEP, ["--out-dir", "taken"], "out_dir")
         self.refused(tmp_path, capsys, self.SWEEP, ["--out-dir", "taken/sub"], "out_dir")
+        self.refused(tmp_path, capsys, {**self.SWEEP, "out_dir": "taken"}, [], "out_dir")
 
     def test_file_out_dir_that_is_not_a_path_is_refused_under_the_flag(self, tmp_path,
                                                                         monkeypatch, capsys):
@@ -595,58 +631,23 @@ class TestOutputs:
         exp = {**self.SWEEP, "out_dir": 0}
         self.refused(tmp_path, capsys, exp, ["--out-dir", "d"], "out_dir")
 
-    def test_complexity_out_null_takes_the_default(self, tmp_path, monkeypatch):
-        # as u and t take theirs; the table is not written to a file named None
+    def test_out_dir_is_made_as_needed(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        Path("exp.json").write_text(json.dumps({"complexity": {"u": [4], "out": None}}))
+        Path("exp.json").write_text(json.dumps({"sweeps": [self.SWEEP], "out_dir": "res/sub"}))
         assert run(["ber", "--config", "exp.json"]) == 0
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["complexity.csv", "exp.json"]
+        assert [p.name for p in Path("res/sub").iterdir()] == ["ber_4x2_qpsk.csv"]
+
+    def test_complexity_command_makes_its_directory(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        assert run(["complexity", "--u", "4", "--out", str(out)]) == 0
+        assert out.read_text().startswith("U,algorithm,t,formula_rm")
 
     def test_complexity_out_under_a_file_is_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         Path("taken").write_text("")
-        exp = {"sweeps": [self.SWEEP], "complexity": {"u": [4], "out": "taken/c.csv"}}
-        self.refused(tmp_path, capsys, exp, [], "out")
-
-    def test_complexity_out_under_an_out_dir_file_is_refused(self, tmp_path, monkeypatch, capsys):
-        # out_dir is checked as the directory of the files written into it:
-        # here only the table, so the refusal names the table's out
-        monkeypatch.chdir(tmp_path)
-        Path("taken").write_text("")
-        exp = {"complexity": {"u": [4]}, "out_dir": "taken"}
-        self.refused(tmp_path, capsys, exp, [], "out")
-
-    def test_out_dir_is_made_only_where_a_file_is_written(self, tmp_path, monkeypatch):
-        # a table at an absolute path writes nothing into out_dir, which is
-        # then neither created nor checked, even where it names a file
-        monkeypatch.chdir(tmp_path)
-        out = tmp_path / "abs" / "c.csv"
-        exp = {"complexity": {"u": [4], "out": str(out)}, "out_dir": "res"}
-        Path("exp.json").write_text(json.dumps(exp))
-        assert run(["ber", "--config", "exp.json"]) == 0
-        assert out.read_text().startswith("U,algorithm,t,formula_rm")
-        assert not Path("res").exists()
-        out.unlink()
-        Path("res").write_text("")
-        assert run(["ber", "--config", "exp.json"]) == 0
-        assert out.is_file() and Path("res").read_text() == ""
-
-    def test_complexity_out_in_a_new_directory(self, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        exp = {"sweeps": [self.SWEEP], "complexity": {"u": [4], "out": "sub/c.csv"},
-               "out_dir": "res"}
-        Path("exp.json").write_text(json.dumps(exp))
-        assert run(["ber", "--config", "exp.json"]) == 0
-        assert Path("res/ber_4x2_qpsk.csv").is_file()
-        assert Path("res/sub/c.csv").read_text().startswith("U,algorithm,t,formula_rm")
-
-    def test_complexity_command_makes_its_directory(self, tmp_path, capsys):
-        out = tmp_path / "missing" / "x.csv"
-        assert run(["complexity", "--u", "4", "--out", str(out)]) == 0
-        assert out.read_text().startswith("U,algorithm,t,formula_rm")
-        (tmp_path / "file").write_text("")
-        assert run(["complexity", "--u", "4", "--out", str(tmp_path / "file" / "x.csv")]) == 2
+        assert run(["complexity", "--u", "4", "--out", "taken/c.csv"]) == 2
         assert capsys.readouterr().err.startswith("config error: out:")
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
 
     def test_ber_csv_on_a_directory_is_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -657,8 +658,6 @@ class TestOutputs:
     def test_complexity_out_on_a_directory_is_refused(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         Path("cx").mkdir()
-        exp = {"sweeps": [self.SWEEP], "complexity": {"u": [4], "out": "cx"}}
-        self.refused(tmp_path, capsys, exp, [], "out")
         assert run(["complexity", "--u", "4", "--out", "cx"]) == 2
         assert capsys.readouterr().err.startswith("config error: out:")
         assert list(Path("cx").iterdir()) == []

@@ -79,9 +79,11 @@ class TestGramian:
         with pytest.raises(ValueError):
             detect.gramian(np.ones((2, 3), dtype=complex), 0.0, OpCount())
 
-    def test_rejects_negative_reg(self):
+    @pytest.mark.parametrize("reg", [-0.5, np.nan, np.inf])
+    def test_rejects_negative_reg(self, reg):
+        # nan or inf would give a non-finite Gramian without a word
         with pytest.raises(ValueError, match="regularization must be non-negative"):
-            detect.gramian(np.ones((2, 1), dtype=complex), -0.5, OpCount())
+            detect.gramian(np.ones((3, 2), dtype=complex), reg, OpCount())
 
 
 class TestLinear:

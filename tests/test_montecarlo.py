@@ -140,6 +140,32 @@ class TestConfigValidation:
         assert cfg.detectors == (simo,)
         assert cfg == small_config(snr_db=(0.0, 6.0, 12.0), detectors=(simo,))
 
+    @pytest.mark.parametrize("pair", [
+        (DetectorSpec(Kind.MMSE), DetectorSpec(Kind.MMSE, Backend.QR)),
+        # unequal specs with one row key: NSA ignores the backend
+        (DetectorSpec(Kind.NSA), DetectorSpec(Kind.NSA, backend=Backend.LDL)),
+        (DetectorSpec(Kind.ADMIN, iterations=5, beta_scale=8),
+         DetectorSpec(Kind.ADMIN, iterations=5, beta_scale=8.0)),
+    ])
+    def test_two_detectors_with_one_row_key_are_refused(self, pair):
+        # (name, params) keys a BER CSV row, so a second spec with the same
+        # key would solve every chunk again and write the same rows twice
+        assert pair[0].name == pair[1].name and pair[0].params == pair[1].params
+        for detectors in (pair, (DetectorSpec(Kind.SIMO), *pair)):
+            with pytest.raises(ConfigError) as err:
+                small_config(detectors=detectors)
+            assert err.value.field == "det" and pair[0].params in str(err.value)
+        with pytest.raises(ConfigError) as err:
+            dataclasses.replace(small_config(detectors=pair[:1]), detectors=pair)
+        assert err.value.field == "det"
+
+    def test_detectors_with_distinct_row_keys_build(self):
+        specs = (DetectorSpec(Kind.MMSE, Backend.QR), DetectorSpec(Kind.MMSE, Backend.CHOLESKY),
+                 DetectorSpec(Kind.ZF, Backend.QR), DetectorSpec(Kind.NSA, iterations=3),
+                 DetectorSpec(Kind.NSA, iterations=4), DetectorSpec(Kind.ADMIN, beta=8.0),
+                 DetectorSpec(Kind.ADMIN, beta_scale=8.0))
+        assert small_config(detectors=specs).detectors == specs
+
     def test_seed_range_ends_are_valid(self):
         for seed in (0, 2**64 - 1):
             cfg = small_config(master_seed=seed)
