@@ -91,8 +91,8 @@ def parse_snr_range(text: str) -> tuple[float, ...]:
 def parse_detector(text: str) -> DetectorSpec:
     """Detector grammar: kind[:backend][:t=K][:beta=X][:bscale=X].
 
-    An option whose field the kind ignores, or that gives a setting an
-    earlier option gave (``detect.SPEC_FIELDS``), is a ConfigError.
+    Each option sets one ``DetectorSpec`` field, which the spec checks. An unknown
+    or repeated option, or a value its type refuses, is a ConfigError naming ``det``.
     """
     kind_name, *opts = text.lower().split(":")
     try:
@@ -101,18 +101,12 @@ def parse_detector(text: str) -> DetectorSpec:
         raise ConfigError("det", f"unknown detector {kind_name!r}") from None
     fields: dict = {}
     for opt in opts:
-        key, eq, val = opt.partition("=")
-        if not eq:
-            key, val, field_name, cast = "backend", opt, "backend", Backend
-        elif key in _SPEC_OPTIONS:
-            field_name, cast = _SPEC_OPTIONS[key]
-        else:
+        key, eq, val = opt.rpartition("=")  # a bare option is the key "" with no "="
+        field_name, cast = _SPEC_OPTIONS.get(key, (None, None)) if eq else ("backend", Backend)
+        if cast is None:
             raise ConfigError("det", f"unknown detector option {key!r}")
-        setting = detect.SPEC_FIELDS[kind].get(field_name)
-        if setting is None:
-            raise ConfigError("det", f"{kind.value} takes no {key} option, got {opt!r}")
-        if any(detect.SPEC_FIELDS[kind][f] == setting for f in fields):
-            raise ConfigError("det", f"{opt!r} sets {setting} again in {text!r}")
+        if field_name in fields:
+            raise ConfigError("det", f"{opt!r} sets {field_name} again in {text!r}")
         try:
             fields[field_name] = cast(val)
         except ValueError:
@@ -186,6 +180,8 @@ def complexity_request(u: str | None, t: str | None) -> tuple[tuple[int, ...], i
     (a comma list) and ``--t``; None takes the default."""
     u_list = complexity.DEFAULT_U_LIST if u is None else tuple(
         as_count("u", v) for v in u.split(","))
+    if len(set(u_list)) < len(u_list):  # a repeated U would write its rows twice
+        raise ConfigError("u", f"repeats a user count in {u!r}")
     t = complexity.DEFAULT_T if t is None else as_count("t", t)
     if t == 1:
         print("# warning: t=1 makes the Neumann-series model zero "
@@ -224,10 +220,10 @@ def plan_ber(args) -> tuple[Path, list[SweepConfig]]:
     file_data = _load_experiment_file(args.config) if args.config else {}
     _reject_unknown(file_data, ("sweeps", "out_dir") if "sweeps" in file_data
                     else _SWEEP_KEYS + ("out_dir",), "the experiment file")
-    file_out_dir = file_data.get("out_dir")  # checked under the flag too
-    if file_out_dir is not None and not isinstance(file_out_dir, str):
-        raise ConfigError("out_dir", f"must be a path, got {file_out_dir!r}")
-    out_dir = Path(args.out_dir or file_out_dir or ".")
+    for value in (file_data.get("out_dir"), args.out_dir):  # the file's, under the flag too
+        if value is not None and (not isinstance(value, str) or not value):
+            raise ConfigError("out_dir", f"must be a non-empty path, got {value!r}")
+    out_dir = Path(args.out_dir or file_data.get("out_dir") or ".")
 
     flag_settings = {key: getattr(args, key) for key in _SWEEP_KEYS}
     overrides = {k: v for k, v in flag_settings.items() if v is not None}

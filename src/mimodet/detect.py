@@ -9,8 +9,9 @@ Every detector solves a system against the regularized Gramian
 G = H^H H + reg*I with right-hand side x_mf = H^H y, and reports the
 operations it executed. The matched-filter product (4NU real mults) is
 charged where it is computed, separately from the per-iteration work,
-so inversion-only comparisons remain possible. ``soft_estimate`` is the
-one dispatch from a ``DetectorSpec`` to its solver.
+so inversion-only comparisons remain possible. ``SPEC_DEFAULTS`` is the
+one table of what a ``DetectorSpec`` of each kind reads, and
+``soft_estimate`` the one dispatch from a spec to its solver.
 
 Like the routines in ``decomp``, every function here takes one system
 or a stack with any leading shape, returns plain arrays, charges B
@@ -116,14 +117,11 @@ class Backend(enum.Enum):
     LDL = "ldl"
 
 
-_DEFAULT_ITERATIONS = {Kind.NSA: 3, Kind.GS: 3, Kind.CG: 3, Kind.ADMIN: 5}
-# kind -> {DetectorSpec field it reads: the setting that field gives}; a kind
-# ignores every other field, and ADMIN's beta replaces beta_scale * sigma2
-_ITERATIVE = {"iterations": "iterations"}
-SPEC_FIELDS = {
-    Kind.ZF: {"backend": "backend"}, Kind.MMSE: {"backend": "backend"},
-    Kind.NSA: _ITERATIVE, Kind.GS: _ITERATIVE, Kind.CG: _ITERATIVE,
-    Kind.ADMIN: {**_ITERATIVE, "beta": "beta", "beta_scale": "beta"}, Kind.SIMO: {},
+# kind -> {each DetectorSpec field it reads: its default}; ADMIN reads beta or beta_scale
+SPEC_DEFAULTS = {
+    Kind.ZF: {"backend": Backend.QR}, Kind.MMSE: {"backend": Backend.QR},
+    Kind.NSA: {"iterations": 3}, Kind.GS: {"iterations": 3}, Kind.CG: {"iterations": 3},
+    Kind.ADMIN: {"iterations": 5, "beta": None, "beta_scale": 1.0}, Kind.SIMO: {},
 }
 
 
@@ -131,29 +129,38 @@ SPEC_FIELDS = {
 class DetectorSpec:
     """Algorithm selector: kind, backend (exact kinds), iterations, beta.
 
-    A kind ignores the fields ``SPEC_FIELDS`` does not give it. The
-    backend defaults to QR and the iterations to the kind's entry in
-    ``_DEFAULT_ITERATIONS``, else 1. ADMIN regularizes with ``beta`` when
-    given, else ``beta_scale * sigma2``. A spec checks itself when it is
-    built, storing ``beta`` and ``beta_scale`` as floats and refusing a bad
-    field with a ConfigError naming ``det``.
+    A field left None is unset. Built, a spec refuses with a ConfigError
+    naming ``det`` a kind that is not a ``Kind``, a set field its kind does
+    not read (``SPEC_DEFAULTS``), both of ADMIN's beta and beta_scale, or a
+    bad value. It fills the unset fields its kind reads with their defaults
+    and stores numbers as int and float, so specs of one detector are equal.
+    ADMIN regularizes with ``beta`` when given, else ``beta_scale * sigma2``.
     """
 
     kind: Kind
-    backend: Backend = Backend.QR
+    backend: Backend | None = None
     iterations: int | None = None
     beta: float | None = None
-    beta_scale: float = 1.0
+    beta_scale: float | None = None
 
     def __post_init__(self):
-        if not isinstance(self.kind, Kind) or not isinstance(self.backend, Backend):
+        if not isinstance(self.kind, Kind) or not isinstance(self.backend, (Backend, type(None))):
             raise ConfigError("det", "kind and backend must be a detect.Kind and a detect.Backend, "
                               f"got {self.kind!r} and {self.backend!r}")
-        it = _DEFAULT_ITERATIONS.get(self.kind, 1) if self.iterations is None else self.iterations
-        if isinstance(it, bool) or not isinstance(it, (int, np.integer)) or it < 1:
-            raise ConfigError("det", f"iterations must be an integer >= 1, got {it!r}")
-        object.__setattr__(self, "iterations", int(it))
-        for name in ("beta", "beta_scale")[self.beta is None:]:  # without a beta, only beta_scale
+        reads = SPEC_DEFAULTS[self.kind]
+        for name in ("backend", "iterations", "beta", "beta_scale"):
+            v = getattr(self, name)
+            if v is not None and name not in reads:
+                raise ConfigError("det", f"{self.name} reads no {name}, got {v!r}")
+            if v is None and (name != "beta_scale" or self.beta is None):  # no default beside beta
+                object.__setattr__(self, name, reads.get(name))
+        if self.beta is not None and self.beta_scale is not None:
+            raise ConfigError("det", f"{self.name} reads beta or beta_scale, not both")
+        t = self.iterations
+        if t is not None and (isinstance(t, bool) or not isinstance(t, numbers.Integral) or t < 1):
+            raise ConfigError("det", f"iterations must be an integer >= 1, got {t!r}")
+        object.__setattr__(self, "iterations", None if t is None else int(t))
+        for name in [n for n in ("beta", "beta_scale") if getattr(self, n) is not None]:
             v = getattr(self, name)
             if isinstance(v, bool) or not isinstance(v, numbers.Real) or not 0 < v < np.inf:
                 raise ConfigError("det", f"{name} must be positive and finite, got {v!r}")
@@ -168,9 +175,8 @@ class DetectorSpec:
         if self.kind in (Kind.ZF, Kind.MMSE):
             return f"backend={self.backend.value}"
         if self.kind is Kind.ADMIN:
-            beta = "sigma2" if self.beta is None and self.beta_scale == 1.0 else (
-                f"{self.beta_scale!r}*sigma2" if self.beta is None else repr(self.beta)
-            )
+            beta = repr(self.beta) if self.beta is not None else (
+                "sigma2" if self.beta_scale == 1.0 else f"{self.beta_scale!r}*sigma2")
             return f"t={self.iterations},beta={beta}"
         if self.kind is Kind.SIMO:
             return "mrc"

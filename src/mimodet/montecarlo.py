@@ -142,12 +142,10 @@ class SweepConfig:
                 isinstance(spec, DetectorSpec) for spec in self.detectors):
             raise ConfigError("det", f"must list one or more DetectorSpec, got {self.detectors!r}")
         object.__setattr__(self, "detectors", tuple(self.detectors))
-        keys = [(spec.name, spec.params) for spec in self.detectors]  # a BER CSV row's key
-        for i, (name, params) in enumerate(keys):
-            if (name, params) in keys[:i]:
-                raise ConfigError("det", f"two detectors are {name} with {params}; "
+        for i, spec in enumerate(self.detectors):  # equal specs alone share a BER CSV row key
+            if spec in self.detectors[:i]:
+                raise ConfigError("det", f"two detectors are {spec.name} with {spec.params}; "
                                   "each would write the same rows")
-        for spec in self.detectors:
             if spec.kind is Kind.ADMIN:
                 for s2 in sigma2:  # Python floats: a beta that overflows is inf, not a warning
                     spec.admin_beta(s2)

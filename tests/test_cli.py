@@ -4,8 +4,10 @@ import ast
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 import mimodet
 from mimodet import cli, complexity, montecarlo
-from mimodet.detect import Backend, Kind
+from mimodet.detect import Backend, DetectorSpec, Kind
 from mimodet.montecarlo import ConfigError
 
 FAST_ARGS = ["--trials", "60", "--seed", "7", "--stop-at", "0"]
@@ -25,6 +27,31 @@ FAST_ARGS = ["--trials", "60", "--seed", "7", "--stop-at", "0"]
 
 def run(argv):
     return cli.main(argv)
+
+
+# two to four DetectorSpec fields of one kind, each with each of backend, t,
+# beta and bscale present or absent and every value valid, ints among the
+# floats; ``spec_text`` writes one as CLI text
+SPECS_OF_ONE_KIND = st.sampled_from(Kind).flatmap(lambda kind: st.lists(
+    st.fixed_dictionaries({"kind": st.just(kind)}, optional={
+        "backend": st.sampled_from(Backend), "iterations": st.sampled_from([1, 3, 5]),
+        "beta": st.sampled_from([0.5, 8]), "beta_scale": st.sampled_from([1, 2.0, 8])}),
+    min_size=2, max_size=4))
+SPEC_OPTION = {"iterations": "t=", "beta": "beta=", "beta_scale": "bscale="}
+
+
+def spec_text(fields: dict) -> str:
+    return ":".join([fields["kind"].value] + [
+        value.value if name == "backend" else f"{SPEC_OPTION[name]}{value!r}"
+        for name, value in fields.items() if name != "kind"])
+
+
+def outcome(make):
+    """What ``make()`` returns, or the ConfigError it raises."""
+    try:
+        return make()
+    except ConfigError as exc:
+        return exc
 
 
 class TestParsing:
@@ -68,9 +95,31 @@ class TestParsing:
         ("mmse:qr:chol", "chol"), ("nsa:t=3:t=4", "t=4"), ("admin:beta=0.5:bscale=8", "bscale=8"),
     ])
     def test_option_the_kind_does_not_use_is_refused(self, text, option):
+        # the refusal names the DetectorSpec field the option sets
+        field_name = {"t": "iterations", "beta": "beta", "bscale": "beta_scale"}.get(
+            option.partition("=")[0], "backend")
         with pytest.raises(ConfigError) as err:
             cli.parse_detector(text)
-        assert err.value.field == "det" and repr(option) in str(err.value)
+        assert err.value.field == "det" and re.search(rf"\b{field_name}\b", str(err.value))
+
+    @settings(max_examples=300)
+    @given(several=SPECS_OF_ONE_KIND)
+    def test_the_library_and_the_cli_agree_on_detector_specs(self, several):
+        # the text builds exactly when the fields do, as the same spec, and a
+        # refusal from either names det; two specs that build share a BER row
+        # key exactly when they are equal
+        specs = []
+        for fields in several:
+            parsed = outcome(lambda: cli.parse_detector(spec_text(fields)))
+            built = outcome(lambda: DetectorSpec(**fields))
+            assert type(parsed) is type(built)
+            if isinstance(built, ConfigError):
+                assert parsed.field == built.field == "det"
+            else:
+                assert parsed == built
+                specs += [parsed, built]
+        for a, b in itertools.combinations(specs, 2):
+            assert ((a.name, a.params) == (b.name, b.params)) == (a == b)
 
     def test_presets_cover_published_figures(self):
         assert set(cli.PRESETS) == {"fig2", "fig3", "fig4", "fig5", "fig6"}
@@ -323,6 +372,7 @@ class TestBerCommand:
         # a file names only out_dir; out is mimodet complexity's flag
         ({**SWEEP, "out": "cx.csv"}, "out"),
         ({"sweeps": [SWEEP], "out": "cx.csv"}, "out"),
+        ({**SWEEP, "out_dir": ""}, "out_dir"),  # nor is an empty one
     ])
     def test_experiment_file_types_name_the_field(self, tmp_path, monkeypatch, capsys,
                                                   exp, field):
@@ -565,6 +615,13 @@ class TestComplexityCommand:
         assert run(["complexity", "--u", "4,x"]) == 2
         assert "u" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("u", ["4,4", "4,8,4"])
+    def test_repeated_u_is_refused(self, tmp_path, capsys, u):
+        # as two detectors with one row key are: each of its rows would be written twice
+        assert run(["complexity", "--u", u, "--t", "2", "--out", str(tmp_path / "c.csv")]) == 2
+        assert capsys.readouterr().err.startswith("config error: u:")
+        assert not list(tmp_path.iterdir())
+
     def test_non_integer_t_names_the_field(self, tmp_path, capsys):
         assert run(["complexity", "--t", "x", "--out", str(tmp_path / "c.csv")]) == 2
         assert capsys.readouterr().err.startswith("config error: t:")
@@ -628,8 +685,17 @@ class TestOutputs:
     def test_file_out_dir_that_is_not_a_path_is_refused_under_the_flag(self, tmp_path,
                                                                         monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
-        exp = {**self.SWEEP, "out_dir": 0}
-        self.refused(tmp_path, capsys, exp, ["--out-dir", "d"], "out_dir")
+        for bad in (0, ""):
+            self.refused(tmp_path, capsys, {**self.SWEEP, "out_dir": bad}, ["--out-dir", "d"],
+                         "out_dir")
+
+    def test_empty_out_dir_flag_is_refused(self, tmp_path, monkeypatch, capsys):
+        # an empty flag is not the working directory, nor does it fall
+        # through to the file's out_dir
+        monkeypatch.chdir(tmp_path)
+        self.refused(tmp_path, capsys, self.SWEEP, ["--out-dir", ""], "out_dir")
+        self.refused(tmp_path, capsys, {**self.SWEEP, "out_dir": "res"}, ["--out-dir", ""],
+                     "out_dir")
 
     def test_out_dir_is_made_as_needed(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -800,13 +866,15 @@ def test_runs_as_module():
 
 def test_import_loads_neither_pool_nor_parser():
     # a one-worker sweep uses neither the process pool (which loads
-    # logging) nor argparse, so importing the package loads neither
+    # logging) nor argparse, so importing the package loads neither; nor
+    # does it load numpy.random, whose import (about 10 ms) the first draw
+    # of a sweep pays, so that the benchmark's setup time does not
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = ("import sys\n"
             "import mimodet.cli, mimodet.complexity, mimodet.detect, mimodet.montecarlo, mimodet.phy\n"
-            "print(sorted(m for m in ('concurrent.futures', 'logging', 'argparse', 'csv')"
-            " if m in sys.modules))")
+            "print(sorted(m for m in ('concurrent.futures', 'logging', 'argparse', 'csv',"
+            " 'numpy.random') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -471,12 +471,17 @@ class TestDetectorSpec:
             DetectorSpec(Kind.GS, iterations=iterations)
 
     def test_per_kind_defaults(self):
+        # a kind's unset fields take its defaults; a field it does not read stays None
         assert DetectorSpec(Kind.MMSE).backend is Backend.QR
         assert DetectorSpec(Kind.ZF).backend is Backend.QR
         iterations = {k: DetectorSpec(k).iterations for k in Kind}
-        assert iterations == {Kind.ZF: 1, Kind.MMSE: 1, Kind.NSA: 3, Kind.GS: 3,
-                              Kind.CG: 3, Kind.ADMIN: 5, Kind.SIMO: 1}
+        assert iterations == {Kind.ZF: None, Kind.MMSE: None, Kind.NSA: 3, Kind.GS: 3,
+                              Kind.CG: 3, Kind.ADMIN: 5, Kind.SIMO: None}
         assert DetectorSpec(Kind.GS, iterations=7).iterations == 7
+        assert all(DetectorSpec(k).backend is None for k in Kind if k not in (Kind.ZF, Kind.MMSE))
+        admin = DetectorSpec(Kind.ADMIN)
+        assert (admin.beta, admin.beta_scale) == (None, 1.0)
+        assert DetectorSpec(Kind.ADMIN, beta=0.5).beta_scale is None
 
     def test_admin_beta_resolution(self):
         spec = DetectorSpec(Kind.ADMIN, iterations=5, beta_scale=8.0)
@@ -489,10 +494,15 @@ class TestDetectorSpec:
         dict(kind=Kind.ADMIN, beta=True), dict(kind=Kind.ADMIN, beta="1"),
         dict(kind=Kind.ADMIN, beta_scale=np.True_), dict(kind=Kind.ADMIN, beta_scale=np.array(8.0)),
         dict(kind=Kind.GS, iterations=np.True_),
+        # a setting the kind does not read, or ADMIN's beta beside beta_scale
+        dict(kind=Kind.MMSE, iterations=7), dict(kind=Kind.NSA, backend=Backend.LDL),
+        dict(kind=Kind.SIMO, iterations=4), dict(kind=Kind.ADMIN, beta=1.0, beta_scale=8.0),
+        dict(kind=Kind.ZF, beta_scale=2.0), dict(kind=Kind.GS, beta=2.0),
     ])
     def test_a_spec_that_builds_can_run(self, fields):
         # a kind or backend given as text would build and stop a sweep with
-        # ValueError, beta=True would run as 1 and beta="1" raise TypeError
+        # ValueError, beta=True would run as 1 and beta="1" raise TypeError;
+        # a setting the kind does not read would be dropped without a word
         with pytest.raises(ConfigError) as err:
             DetectorSpec(**fields)
         assert err.value.field == "det"

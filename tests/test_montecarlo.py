@@ -142,8 +142,8 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("pair", [
         (DetectorSpec(Kind.MMSE), DetectorSpec(Kind.MMSE, Backend.QR)),
-        # unequal specs with one row key: NSA ignores the backend
-        (DetectorSpec(Kind.NSA), DetectorSpec(Kind.NSA, backend=Backend.LDL)),
+        # one detector, its default left out and given
+        (DetectorSpec(Kind.NSA), DetectorSpec(Kind.NSA, iterations=3)),
         (DetectorSpec(Kind.ADMIN, iterations=5, beta_scale=8),
          DetectorSpec(Kind.ADMIN, iterations=5, beta_scale=8.0)),
     ])
