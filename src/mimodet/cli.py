@@ -147,8 +147,9 @@ def build_sweep(settings: dict) -> SweepConfig:
                        detectors=specs, **optional)
 
 
-def ber_csv(records: list[montecarlo.BerRecord]) -> str:
-    """The BER CSV, one row per record; a field that holds a comma (ADMIN's
+def ber_csv(config: SweepConfig, records: list[montecarlo.BerRecord]) -> str:
+    """The BER CSV of ``config``'s sweep, one row per record, each row's
+    ``n,u,mod`` taken from ``config``; a field that holds a comma (ADMIN's
     ``params``) is quoted as RFC 4180 says."""
     import csv  # here, so that importing the module does not load it
 
@@ -156,18 +157,30 @@ def ber_csv(records: list[montecarlo.BerRecord]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow("n,u,mod,detector,params,snr_db,trials,bit_errors,bits,ber,stderr".split(","))
     for r in records:
-        writer.writerow([r.n, r.u, phy.make_constellation(r.order).name, r.detector, r.params,
+        writer.writerow([config.n, config.u, phy.MOD_NAMES[config.order], r.detector, r.params,
                          repr(float(r.snr_db)), r.trials_run, r.bit_errors, r.bits_total,
                          repr(float(r.ber)), repr(float(r.stderr))])
     return out.getvalue()
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key, which ``json`` overwrites, is a ConfigError."""
+    data: dict = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(key, "repeated key in the experiment file")
+        data[key] = value
+    return data
+
+
 def _load_experiment_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError("config", f"cannot read {path}: {exc}") from None
+    except ConfigError:  # a repeated key, named by _unique_keys
+        raise
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ConfigError("config", f"invalid JSON in {path}: {exc}") from None
     if not isinstance(data, dict):
@@ -196,11 +209,6 @@ def _write(path: Path, text: str) -> None:
     print(path)
 
 
-def _ber_path(out_dir: Path, cfg: SweepConfig) -> Path:
-    """The BER CSV a sweep writes: ``ber_<N>x<U>_<mod>.csv`` in ``out_dir``."""
-    return out_dir / f"ber_{cfg.n}x{cfg.u}_{phy.MOD_NAMES[cfg.order]}.csv"
-
-
 def _check_output(path: Path, field_name: str) -> None:
     """A ConfigError naming ``field_name`` if ``path`` is a directory or lies under a file."""
     if os.path.isdir(path):
@@ -212,10 +220,11 @@ def _check_output(path: Path, field_name: str) -> None:
             return
 
 
-def plan_ber(args) -> tuple[Path, list[SweepConfig]]:
+def plan_ber(args) -> list[tuple[Path, SweepConfig]]:
     """Validate a ``ber`` invocation without running any of it.
 
-    Returns the output directory and the config of every sweep.
+    Returns one (path, config) per sweep: its BER CSV ``ber_<N>x<U>_<mod>.csv``
+    in the output directory, checked to be a file of its own that can be made.
     """
     file_data = _load_experiment_file(args.config) if args.config else {}
     _reject_unknown(file_data, ("sweeps", "out_dir") if "sweeps" in file_data
@@ -250,30 +259,23 @@ def plan_ber(args) -> tuple[Path, list[SweepConfig]]:
             raise ConfigError("sweeps", "needs at least one sweep")
     else:
         entries = [{k: v for k, v in file_data.items() if k != "out_dir"}]
-    configs = [build_sweep({**entry, **overrides}) for entry in entries]
-    # every BER CSV has a path of its own, where a file can be made
-    paths = [_ber_path(out_dir, cfg) for cfg in configs]
-    for i, path in enumerate(paths):
-        if path in paths[:i]:
+    plan: list[tuple[Path, SweepConfig]] = []
+    for cfg in [build_sweep({**entry, **overrides}) for entry in entries]:  # all, then paths
+        path = out_dir / f"ber_{cfg.n}x{cfg.u}_{phy.MOD_NAMES[cfg.order]}.csv"
+        if any(path == planned for planned, _ in plan):
             raise ConfigError("sweeps", f"two sweeps would be written to {path}")
         _check_output(path, "out_dir")
-    return out_dir, configs
+        plan.append((path, cfg))
+    return plan
 
 
 def cmd_ber(args) -> int:
-    out_dir, configs = plan_ber(args)
-    for cfg in configs:
-        const = phy.make_constellation(cfg.order)
-        print(
-            f"# sweep {cfg.n}x{cfg.u} {const.name}, {len(cfg.snr_db)} SNR points, "
-            f"trials={cfg.trials}, seed={cfg.master_seed}; "
-            f"snr convention: sigma2 = U / 10^(snr_db/10) (per-BS-antenna receive SNR)",
-            file=sys.stderr,
-        )
-        records = montecarlo.run_sweep(
-            cfg, progress=lambda msg: print("# " + msg, file=sys.stderr)
-        )
-        _write(_ber_path(out_dir, cfg), ber_csv(records))
+    for path, cfg in plan_ber(args):
+        print(f"# sweep {cfg.n}x{cfg.u} {phy.MOD_NAMES[cfg.order]}, {len(cfg.snr_db)} SNR points, "
+              f"trials={cfg.trials}, seed={cfg.master_seed}; snr convention: "
+              "sigma2 = U / 10^(snr_db/10) (per-BS-antenna receive SNR)", file=sys.stderr)
+        records = montecarlo.run_sweep(cfg, progress=lambda msg: print("# " + msg, file=sys.stderr))
+        _write(path, ber_csv(cfg, records))
     return 0
 
 
@@ -368,7 +370,7 @@ def build_parser():
     ber.add_argument("--seed", help="master seed (required with --preset)")
     ber.add_argument("--stop-at", dest="stop_at",
                      help="stop a point early after this many bit errors (0 or none disables)")
-    ber.add_argument("--threads", help="worker process cap (results unchanged)")
+    ber.add_argument("--threads", help="worker process cap, at most the usable CPUs (same output)")
     ber.add_argument("--out-dir", dest="out_dir", help="output directory")
     ber.set_defaults(func=cmd_ber)
 

@@ -35,7 +35,7 @@ protocol is one mask in and one array out. A chunk is sent with
 [bit errors, failures] over the chunk's trials, zero where the mask is
 off. ``run_sweep`` keeps three arrays: ``tally`` of that shape, and
 ``trials_run`` and ``running``, both (points, detectors). Chunks run
-in waves of ``workers``, every chunk of a wave sent with the same mask,
+in waves of K (see ``run_sweep``), every chunk of a wave sent with the same mask,
 and each wave is sent after the previous one merged. Chunks merge in
 trial order, each only where ``running`` still holds: a chunk may count
 pairs that stopped in an earlier chunk of its wave, and those counts
@@ -47,6 +47,7 @@ point ends when none of its pairs runs, or at the last chunk.
 from __future__ import annotations
 
 import itertools
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,18 +75,18 @@ class WorkerDied(RuntimeError):
 
 def as_count(field_name: str, value, least: int = 1) -> int:
     """The one rule for a count: ``value`` as an int >= ``least``, where ``40.0`` and
-    ``"40"`` read as 40; a bool, a non-integral float, anything ``int()`` refuses
-    or a value below ``least`` is a ConfigError naming ``field_name``."""
+    ``"40"`` read as 40; a bool, anything ``int()`` refuses, a value that is not
+    text and not equal to its ``int()`` (2.5, ``Fraction(5, 2)``) or a value below
+    ``least`` is a ConfigError naming ``field_name``."""
     try:
-        if isinstance(value, (bool, np.bool_)) or (
-                isinstance(value, (float, np.floating)) and not value.is_integer()):
+        count = int(value)
+        if isinstance(value, (bool, np.bool_)) or (not isinstance(value, str) and count != value):
             raise TypeError
-        value = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(field_name, f"must be an integer, got {value!r}") from None
-    if value < least:
-        raise ConfigError(field_name, f"must be >= {least}, got {value}")
-    return value
+    if count < least:
+        raise ConfigError(field_name, f"must be >= {least}, got {count}")
+    return count
 
 
 # SweepConfig's counts, in the order checked: field -> (the name its ConfigError gives, least)
@@ -154,11 +155,9 @@ class SweepConfig:
 @dataclass
 class BerRecord:
     """The tally of one (SNR point, detector) pair of a sweep, with its
-    BER and the BER's binomial standard error, both 0 when no bit ran."""
+    BER and the BER's binomial standard error, both 0 when no bit ran.
+    The sweep's shape (N, U, modulation) is its ``SweepConfig``'s alone."""
 
-    n: int
-    u: int
-    order: int
     detector: str
     params: str
     snr_db: float
@@ -291,9 +290,10 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
 
     Chunks run in trial order, each drawn once for every point still
     running; ``progress`` gets one line per point when it ends. With
-    ``workers`` = K > 1 a process pool runs K chunks at a time, each wave
-    sent after the previous one merged, on at most one process per chunk;
-    a worker that dies raises ``WorkerDied`` naming the chunks of its wave. Library
+    ``workers`` > 1 a process pool runs K chunks at a time, K being
+    ``workers`` bounded by the usable CPUs, each wave sent after the previous
+    one merged, on at most one process per chunk; the records are those of
+    one worker. A worker that dies raises ``WorkerDied`` naming the chunks of its wave. Library
     callers must pin ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and
     ``MKL_NUM_THREADS`` to 1 before they import numpy: the stacked solves
     call BLAS on small matrices, where its threads only contend.
@@ -308,9 +308,9 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
     chunks = ((lo, min(lo + config.chunk_size, config.trials)) for lo in starts)
 
     def records(p: int) -> list[BerRecord]:
-        return [BerRecord(config.n, config.u, config.order, spec.name, spec.params,
-                          config.snr_db[p], int(trials_run[p, d]), int(tally[p, d, 0]),
-                          int(trials_run[p, d]) * bits_per_trial, int(tally[p, d, 1]))
+        return [BerRecord(spec.name, spec.params, config.snr_db[p], int(trials_run[p, d]),
+                          int(tally[p, d, 0]), int(trials_run[p, d]) * bits_per_trial,
+                          int(tally[p, d, 1]))
                 for d, spec in enumerate(config.detectors)]
 
     def merge(hi: int, counts: np.ndarray) -> None:
@@ -324,17 +324,19 @@ def run_sweep(config: SweepConfig, progress=None) -> list[BerRecord]:
                 progress(f"snr {config.snr_db[p]:g} dB done: "
                          + ", ".join(f"{r.detector}={r.ber:.3g}" for r in records(p)))
 
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(config.workers, cpus or 1)
     # the pool module is imported only when a pool starts; its attributes
     # are looked up at call time, so a wrapper installed on it sees them
     pool = None
     if config.workers > 1:
         import concurrent.futures as cf
 
-        # a forked pool starts every process at the first submit: one per chunk at most
-        pool = cf.ProcessPoolExecutor(max_workers=min(config.workers, len(starts)))
+        # a forked pool starts every process at the first submit: one per chunk and per CPU at most
+        pool = cf.ProcessPoolExecutor(max_workers=min(workers, len(starts)))
     try:
         while running.any():
-            wave = list(itertools.islice(chunks, config.workers))
+            wave = list(itertools.islice(chunks, workers))
             active = running.copy()
             if pool is None:  # one worker: the chunk, evaluated inline
                 counts = [_eval_trials(config, active, lo, hi) for lo, hi in wave]

@@ -49,10 +49,6 @@ class Constellation:
     bits: np.ndarray
 
     @property
-    def name(self) -> str:
-        return MOD_NAMES[self.order]
-
-    @property
     def box_radius(self) -> float:
         """Largest per-axis coordinate, the ADMIN clipping bound."""
         return (self.levels_per_axis - 1) * self.scale

@@ -23,3 +23,9 @@ from hypothesis import Phase, settings  # noqa: E402  (after the pins: must not 
 settings.register_profile("mimodet", derandomize=True, deadline=None, database=None,
                           phases=[p for p in Phase if p is not Phase.explain])
 settings.load_profile("mimodet")
+
+
+def pin_usable_cpus(monkeypatch, count: int) -> None:
+    """Make ``montecarlo.run_sweep`` see ``count`` usable CPUs, so a test's
+    pool of up to ``count`` processes starts on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)

@@ -19,6 +19,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from conftest import pin_usable_cpus
 from curves import curve, snr_at_ber
 from mimodet import cli, detect, montecarlo as mc, phy
 from mimodet.complexity import METHODS, formula_rm, measure_rm
@@ -36,10 +37,14 @@ def report(criterion: str, ok: bool, detail: str):
     assert ok, f"{criterion}: {detail}"
 
 
-def preset_sweep(name: str, workers: int = 1) -> list[mc.BerRecord]:
+def preset_config(name: str, workers: int = 1) -> mc.SweepConfig:
     settings = dict(cli.PRESETS[name])
     settings.update(trials=TRIALS, seed=ACCEPT_SEED, stop_at=STOP_AT, threads=workers)
-    return mc.run_sweep(cli.build_sweep(settings))
+    return cli.build_sweep(settings)
+
+
+def preset_sweep(name: str, workers: int = 1) -> list[mc.BerRecord]:
+    return mc.run_sweep(preset_config(name, workers))
 
 
 @pytest.fixture(scope="session")
@@ -324,7 +329,8 @@ def test_criterion_10_complexity_model():
     )
 
 
-def test_criterion_11_preset_determinism(tmp_path):
+def test_criterion_11_preset_determinism(tmp_path, monkeypatch):
+    pin_usable_cpus(monkeypatch, 2)  # --threads 2 starts a pool of 2 on any machine
     argv = ["ber", "--preset", "fig3", "--seed", str(ACCEPT_SEED),
             "--trials", str(TRIALS), "--stop-at", str(STOP_AT)]
     assert cli.main(argv + ["--threads", "1", "--out-dir", str(tmp_path / "t1")]) == 0
@@ -350,7 +356,7 @@ def test_preset_csvs_are_byte_identical(fig2_records, fig3_records, fig4_records
                                         fig6_records):
     records = dict(zip(PRESET_CSV_SHA256, (fig2_records, fig3_records, fig4_records,
                                            fig5_records, fig6_records)))
-    got = {name: hashlib.sha256(cli.ber_csv(recs).encode()).hexdigest()
+    got = {name: hashlib.sha256(cli.ber_csv(preset_config(name), recs).encode()).hexdigest()
            for name, recs in records.items()}
     changed = sorted(name for name in got if got[name] != PRESET_CSV_SHA256[name])
     report("preset CSV digests", not changed, f"changed: {changed or 'none'}")

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import pin_usable_cpus
 from mimodet import cli, detect, montecarlo, phy
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -66,6 +67,7 @@ def test_pool_tracer_reads_every_chunk_and_wait(monkeypatch):
     # the engine submits, and times the parent's waits for results
     for module, attr in ((montecarlo, "run_sweep"), (cf, "ProcessPoolExecutor"), (cf, "wait")):
         monkeypatch.setattr(module, attr, getattr(module, attr))  # restored on exit
+    pin_usable_cpus(monkeypatch, 2)  # a pool of 2 on any machine
     tracer = tracing.Tracer()
     tracer.install_pool(montecarlo)
     cfg = cli.build_sweep({

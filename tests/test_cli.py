@@ -152,8 +152,9 @@ class TestBerCommand:
         # ADMIN's params hold a comma, so the row quotes them and keeps the header's columns
         settings = dict(n=8, u=4, mod="qpsk", snr="0:5:10", det=["mmse:qr", "admin:t=5:bscale=8"],
                         trials=60, seed=7, stop_at=0)
-        records = montecarlo.run_sweep(cli.build_sweep(settings))
-        rows = list(csv.DictReader(io.StringIO(cli.ber_csv(records))))
+        config = cli.build_sweep(settings)
+        records = montecarlo.run_sweep(config)
+        rows = list(csv.DictReader(io.StringIO(cli.ber_csv(config, records))))
         assert len(rows) == len(records) == 6
         assert all(len(row) == 11 and None not in row.values() for row in rows)
         admin = [(row, r) for row, r in zip(rows, records) if r.detector == "admin"]
@@ -303,9 +304,9 @@ class TestBerCommand:
         path.write_text(json.dumps({"out_dir": "res"}))
         args = cli.build_parser().parse_args(
             ["ber", "--preset", "fig2", "--seed", "1", "--trials", "5", "--config", str(path)])
-        out_dir, configs = cli.plan_ber(args)
-        assert out_dir == Path("res")
-        assert [(c.n, c.u, c.trials, c.master_seed) for c in configs] == [(256, 16, 5, 1)]
+        plan = cli.plan_ber(args)
+        assert [csv_path for csv_path, _ in plan] == [Path("res") / "ber_256x16_64qam.csv"]
+        assert [(c.n, c.u, c.trials, c.master_seed) for _, c in plan] == [(256, 16, 5, 1)]
 
     def test_unknown_preset(self, capsys):
         assert run(["ber", "--preset", "fig9", "--seed", "1"]) == 2
@@ -399,13 +400,31 @@ class TestBerCommand:
         assert capsys.readouterr().err.startswith("config error: complexity: unknown key")
         assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
 
+    @pytest.mark.parametrize("text,field", [
+        ('{"n": 8, "u": 2, "mod": "qpsk", "snr": "0", "det": "mmse", "trials": 4, "trials": 6, '
+         '"seed": 1}', "trials"),
+        ('{"sweeps": [{"n": 8, "u": 2, "mod": "qpsk", "snr": "0", "det": "mmse", "trials": 4, '
+         '"u": 4}], "out_dir": "res"}', "u"),
+        ('{"out_dir": "a", "sweeps": [], "out_dir": "b"}', "out_dir"),
+    ], ids=["top-level", "sweep-entry", "before-other-errors"])
+    def test_repeated_key_is_refused(self, tmp_path, monkeypatch, capsys, text, field):
+        # json keeps a repeated key's last value; the file is refused naming
+        # the key instead, before any other check, and nothing is written
+        monkeypatch.chdir(tmp_path)
+        Path("exp.json").write_text(text)
+        assert run(["ber", "--config", "exp.json"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {field}: repeated key in the experiment file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["exp.json"]
+
     def test_shipped_example_is_valid(self, tmp_path, monkeypatch):
         example = Path(__file__).resolve().parents[1] / "docs" / "example_experiment.json"
         monkeypatch.chdir(tmp_path)
         args = cli.build_parser().parse_args(["ber", "--config", str(example)])
-        out_dir, configs = cli.plan_ber(args)
-        assert out_dir == Path("results") and not out_dir.exists()
-        assert [(c.n, c.u, c.order, len(c.detectors)) for c in configs] == [
+        plan = cli.plan_ber(args)
+        assert all(path.parent == Path("results") for path, _ in plan)
+        assert not Path("results").exists()
+        assert [(c.n, c.u, c.order, len(c.detectors)) for _, c in plan] == [
             (64, 16, 64, 4), (32, 32, 4, 3)]
 
     def test_bad_config_file(self, tmp_path, capsys):
@@ -485,11 +504,12 @@ class TestBuildSweep:
     def test_comma_joined_det_flag_is_two_entries(self, tmp_path):
         shape = ["ber", "--n", "8", "--u", "2", "--mod", "qpsk", "--snr", "6",
                  "--out-dir", str(tmp_path)]
-        plan = [cli.plan_ber(cli.build_parser().parse_args(shape + det))[1]
+        plan = [cli.plan_ber(cli.build_parser().parse_args(shape + det))
                 for det in (["--det", "mmse:chol,nsa:t=3"],
                             ["--det", "mmse:chol", "--det", "nsa:t=3"])]
         assert plan[0] == plan[1]
-        assert [(d.kind, d.params) for d in plan[0][0].detectors] == [
+        assert [path.parent for path, _ in plan[0]] == [tmp_path]
+        assert [(d.kind, d.params) for d in plan[0][0][1].detectors] == [
             (Kind.MMSE, "backend=chol"), (Kind.NSA, "t=3")]
 
     def test_comma_joined_det_in_a_file_is_two_entries(self):
@@ -571,13 +591,15 @@ class TestPlanBer:
             path.write_bytes(content)
             args = cli.build_parser().parse_args(["ber", "--config", str(path), *flags])
             try:
-                out_dir, configs = cli.plan_ber(args)
+                plan = cli.plan_ber(args)
             except ConfigError as err:
                 assert err.field in input_keys(data, flags) | set(REQUIRED) | {"config", "sweeps"}
                 return
             finally:
                 assert [p.name for p in Path(tmp).iterdir()] == ["exp.json"]
-        assert isinstance(out_dir, Path) and configs
+        assert plan and all(isinstance(path, Path) and isinstance(cfg, montecarlo.SweepConfig)
+                            for path, cfg in plan)
+        assert all(path.parent == Path(data.get("out_dir", ".")) for path, _ in plan)
         assert not (isinstance(data, dict) and "complexity" in data)
 
 
@@ -650,7 +672,7 @@ def test_readme_commands_parse_and_plan(monkeypatch):
     for argv in commands:
         args = cli.build_parser().parse_args(argv)
         if argv[0] == "ber":
-            assert cli.plan_ber(args)[1], argv
+            assert cli.plan_ber(args), argv
     assert sorted(root.iterdir()) == before
 
 

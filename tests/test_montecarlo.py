@@ -8,12 +8,15 @@ import itertools
 import os
 import signal
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pin_usable_cpus
 from curves import curve, snr_at_ber
 from mimodet import cli, decomp, detect, kernels, montecarlo as mc, phy
 from mimodet.detect import Backend, DetectorSpec, Kind
@@ -102,10 +105,13 @@ class TestConfigValidation:
         (dict(n=8.5), "n"), (dict(trials=2.5), "trials"), (dict(trials=True), "trials"),
         (dict(chunk_size=True), "chunk_size"), (dict(stop_at_errors=True), "stop_at"),
         (dict(master_seed=True), "seed"), (dict(workers="two"), "threads"),
+        (dict(trials=Fraction(5, 2)), "trials"), (dict(trials=Decimal("2.5")), "trials"),
+        (dict(trials=Decimal("Infinity")), "trials"),
     ])
     def test_counts_must_be_integers(self, overrides, field):
         # the rule the command line holds its counts to holds for a config
-        # built by any caller: a bool would run as 1, 2.5 would fail mid-sweep
+        # built by any caller: a bool would run as 1, 2.5 would fail mid-sweep,
+        # and int() would truncate Fraction(5, 2) and Decimal("2.5") to 2
         with pytest.raises(ConfigError) as err:
             small_config(**overrides)
         assert err.value.field == field
@@ -114,10 +120,11 @@ class TestConfigValidation:
         assert err.value.field == field
 
     def test_integral_counts_are_stored_as_ints(self):
-        cfg = small_config(workers=1.0, order=4.0, trials="40", stop_at_errors=np.int64(7))
-        counts = (cfg.workers, cfg.order, cfg.trials, cfg.stop_at_errors)
-        assert counts == (1, 4, 40, 7) and all(type(c) is int for c in counts)
-        assert cfg == small_config(workers=1, order=4, trials=40, stop_at_errors=7)
+        cfg = small_config(workers=1.0, order=4.0, trials="40", stop_at_errors=np.int64(7),
+                           chunk_size=Decimal("3"))
+        counts = (cfg.workers, cfg.order, cfg.trials, cfg.stop_at_errors, cfg.chunk_size)
+        assert counts == (1, 4, 40, 7, 3) and all(type(c) is int for c in counts)
+        assert cfg == small_config(workers=1, order=4, trials=40, stop_at_errors=7, chunk_size=3)
 
     @pytest.mark.parametrize("overrides,field", [
         (dict(snr_db=(True,)), "snr"), (dict(snr_db=(np.True_, 6.0)), "snr"),
@@ -254,7 +261,8 @@ class TestRunTrial:
 
 
 class TestRunSweep:
-    def test_reproducible_and_worker_independent(self):
+    def test_reproducible_and_worker_independent(self, monkeypatch):
+        pin_usable_cpus(monkeypatch, 2)  # a real pool of 2 on any machine
         records1 = mc.run_sweep(small_config(stop_at_errors=60))
         records2 = mc.run_sweep(small_config(stop_at_errors=60))
         records3 = mc.run_sweep(small_config(stop_at_errors=60, workers=2))
@@ -800,20 +808,23 @@ class TestMergeProperty:
     def test_with_stop_records_do_not_depend_on_the_workers(self, cfg):
         # 3 workers leave a partial last wave unless 3 divides the chunk count
         records = mc.run_sweep(cfg)
-        assert mc.run_sweep(dataclasses.replace(cfg, workers=2)) == records
-        assert mc.run_sweep(dataclasses.replace(cfg, workers=3)) == records
+        with pytest.MonkeyPatch.context() as mp:
+            pin_usable_cpus(mp, 3)  # waves of 3 on any machine
+            assert mc.run_sweep(dataclasses.replace(cfg, workers=2)) == records
+            assert mc.run_sweep(dataclasses.replace(cfg, workers=3)) == records
         assert_record_invariants(cfg, records)
         assert [(r.detector, r.snr_db, r.trials_run, r.bit_errors) for r in records] == (
             point_major_reference(cfg))
 
 
-def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
-    # a forked pool starts all its processes at the first submit, so 8
-    # workers on 3 chunks ask for 3; the fake pool runs each call inline
-    # and starts no process
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Replace the process pool with one that runs each call inline and
+    starts no process; returns the ``max_workers`` each pool asked for and
+    the number of chunks each ``wait`` (one per wave) was given."""
     import concurrent.futures as cf
 
-    sizes = []
+    sizes, waves = [], []
 
     class InlinePool:
         def __init__(self, max_workers):
@@ -827,10 +838,28 @@ def test_pool_starts_no_more_processes_than_chunks(monkeypatch):
         def shutdown(self, cancel_futures=False):
             pass
 
+    wait = cf.wait
     monkeypatch.setattr(cf, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cf, "wait", lambda futures: waves.append(len(futures)) or wait(futures))
+    return sizes, waves
+
+
+def test_pool_starts_no_more_processes_than_chunks(monkeypatch, inline_pool):
+    # a forked pool starts all its processes at the first submit, so 8
+    # workers on 3 chunks ask for 3
+    pin_usable_cpus(monkeypatch, 8)
     cfg = small_config(trials=30, chunk_size=10)
     assert mc.run_sweep(dataclasses.replace(cfg, workers=8)) == mc.run_sweep(cfg)
-    assert sizes == [3]
+    assert inline_pool == ([3], [3])
+
+
+def test_pool_starts_no_more_processes_than_cpus(monkeypatch, inline_pool):
+    # nor more than the usable CPUs: 8 workers on 10 chunks and 2 CPUs
+    # ask for 2 and send waves of 2, with one worker's records
+    pin_usable_cpus(monkeypatch, 2)
+    cfg = small_config(trials=100, chunk_size=10)
+    assert mc.run_sweep(dataclasses.replace(cfg, workers=8)) == mc.run_sweep(cfg)
+    assert inline_pool == ([2], [2] * 5)
 
 
 @pytest.fixture
@@ -853,6 +882,7 @@ def worker_dies_at_20(monkeypatch):
         raise TimeoutError("the sweep hung after its worker died")
 
     monkeypatch.setattr(mc, "_eval_trials", dying)
+    pin_usable_cpus(monkeypatch, 2)  # on one CPU no pool starts and os._exit ends pytest
     previous = signal.signal(signal.SIGALRM, hung)
     signal.alarm(60)
     yield
@@ -921,7 +951,7 @@ class TestBlasPinning:
 
 class TestBerRecord:
     def test_ber_and_stderr(self):
-        r = BerRecord(8, 4, 4, "mmse", "backend=qr", 5.0,
+        r = BerRecord("mmse", "backend=qr", 5.0,
                       trials_run=100, bit_errors=80, bits_total=800, failures=0)
         assert r.ber == pytest.approx(0.1)
         assert r.stderr == pytest.approx(np.sqrt(0.1 * 0.9 / 800))
@@ -930,7 +960,7 @@ class TestBerRecord:
 class TestSummarize:
     def make_records(self, detector, pts):
         return [
-            BerRecord(8, 4, 4, detector, "t=1", snr, 100, int(ber * 1e6), int(1e6), 0)
+            BerRecord(detector, "t=1", snr, 100, int(ber * 1e6), int(1e6), 0)
             for snr, ber in pts
         ]
 
