@@ -8,9 +8,9 @@ the same size always produce identical tallies.
 
 With ``acc=None`` a routine computes values only: it runs its counted
 loop with nothing tallied, so its values are bit-identical to a counted
-call. Each factorization has this one implementation. In the sweep a
-factorization gives the failure rule and the count, and the Gramian's
-spectrum gives the estimate (see ``detect``).
+call. Each factorization has this one implementation. In the sweep the
+Gramian's spectrum gives the estimate, and a factorization runs only on
+the systems that spectrum cannot prove it would factor (see ``detect``).
 
 Every routine follows ``np.linalg``'s conventions: it takes one system
 or a stack with any leading shape (``... x U x U``, ``... x U``) and

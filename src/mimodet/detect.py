@@ -31,20 +31,67 @@ kind its shift: 0 for ZF, beta for ADMIN, sigma2 for the rest.
 sweep passes it everywhere. NSA, GS and CG then run their counted loops
 with nothing tallied, bit for bit. The exact and ADMIN solves come from
 one builder, ``_solver``, which refuses a non-Hermitian G with
-``ValueError`` on both paths. Values only, the backend factors the least
-regularized system G + min(reg)*I with nothing tallied and solves one
-right-hand side per system of G through it; that is the failure rule,
-and its result is dropped. One shift suffices: the Cholesky pivots and
-|diag(R)| of a Gramian shifted by s never decrease as s grows (Schur
-complements are monotone), while the pivot tolerance grows by 1e-12 per
-unit of s. One right-hand side suffices: a triangular solve raises only
-on its factor's diagonal, and a non-finite right-hand side anywhere
-makes the estimate non-finite, so ``finite_result`` raises the
-``FloatingPointError`` a counted solve raises. Every estimate then comes
-from one eigendecomposition G = V diag(lam) V^H per call, as
-x = V (lam + reg)^-1 V^H b, the many-shift Tikhonov solve (Hansen,
-*Rank-Deficient and Discrete Ill-Posed Problems*, 1998); it agrees with
-the counted solve to rounding.
+``ValueError`` on both paths. Values only, every estimate comes from the
+spectrum G = V diag(lam) V^H, as x = V (lam + reg)^-1 V^H b, the
+many-shift Tikhonov solve (Hansen, *Rank-Deficient and Discrete
+Ill-Posed Problems*, 1998); it agrees with the counted solve to
+rounding. The sweep forms one spectrum per chunk (``spectrum_of``) and
+passes it to every exact and ADMIN solve of the chunk; a call given none
+forms its own.
+
+Which systems fail is still the backend's decision; the spectrum only
+proves where the backend cannot fail. The failure rule is the backend's
+factor of G + s*I, s = min(reg), and its solve of one right-hand side b
+per system of G, run untallied, the result dropped. One shift suffices:
+the Cholesky pivots and |diag(R)| of G + s*I never decrease as s grows
+(Schur complements are monotone), while the pivot tolerance grows by
+1e-12 per unit of s. One right-hand side suffices: a triangular solve
+raises only on its factor's diagonal, and a non-finite right-hand side
+anywhere makes the estimate non-finite, so ``finite_result`` raises the
+``FloatingPointError`` a counted solve raises. ``screen`` clears a
+system when lam_min(G) + s > theta(U) M, where M = max|G| + |s| is at
+least max|G + s*I|, when 1e-100 <= M <= 1e100, and when
+||b||_2 <= 1e100 (lam_min(G) + s). A NaN or an infinity fails every
+test, and a system holding one never reaches ``eigh`` (``spectrum_of``).
+The backend factors and solves only the systems the screen does not
+clear, called through this module's names. So it raises on exactly the
+stacks it raised on before, with the same types, and the sweep retries
+the same trials.
+
+theta(U) = 2 sqrt(U) 1e-12 + 32 U^3 u, with u = 2^-53, follows from
+backward-error bounds, not from data. Let F = G + s*I, lam = lam_min(F)
+and gamma_k = k u / (1 - k u); complex arithmetic at most doubles gamma
+(Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+2002, sec. 3.6), and ||F||_2 <= U M.
+
+* eigh: the computed spectrum is the exact one of G + E with
+  ||E||_2 <= p(U) u ||G||_2 (LAPACK Users' Guide, 3rd ed., sec. 4.7),
+  p(U) taken as 8U. By Weyl's inequality the computed lam_min(G) + s
+  exceeds lam by at most 8 U^2 u M.
+* Cholesky (Higham, ch. 10, Thm 10.3): the computed factor is the exact
+  one of F + dF with |dF| <= gamma_{U+1} |R^H| |R|, and by
+  Cauchy-Schwarz (|R^H| |R|)_ij <= ||r_i|| ||r_j|| <= M (1 + O(u)), so
+  ||dF||_2 <= 4 U^2 u M. Pivot j is the exact pivot of F + dF, at least
+  its least eigenvalue, so at least lam - 4 U^2 u M; this holds column
+  by column while the loop runs, as in the proof of Thm 10.7.
+* LDL: the same, with |L| |D| |L^H| in place of |R^H| |R| (Higham,
+  Thm 9.3 with U = D L^H), bounded alike by Cauchy-Schwarz.
+* MGS: on F it computes the R that Householder QR computes on [0; F]
+  (Björck & Paige, SIAM J. Matrix Anal. Appl. 13, 1992), whose backward
+  error (Higham, ch. 19, Thm 19.4, its small constant taken as 8) is
+  ||dF||_F <= 16 U^2 u ||F||_F <= 16 U^3 u M. So
+  |r_jj| >= sigma_min(F + dF) >= lam - 16 U^3 u M.
+
+The backend raises on a pivot or an |r_jj| at or below 1e-12 max|F|,
+and QR's backward substitution on an |r_jj| at or below 1e-12 max|R|,
+where max|R| <= sqrt(U) M (1 + O(u)); the diagonal tests of the
+Cholesky and LDL solves ask far less (1e-24 M). A cleared system has
+lam > (theta(U) - 8 U^2 u) M, which clears each of these tests by more
+than the factor's own error. Each factor T then has
+gamma_U sqrt(U) kappa_2(T) < 1/2, so each triangular solve is within a
+factor 2 of the exact one (Higham, Thm 8.5). With the range bounds,
+every number a factor or a solve forms stays below 1e215 U^2, and the
+errors of underflow stay far below u M.
 """
 
 from __future__ import annotations
@@ -56,6 +103,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decomp import (
+    PIVOT_RTOL,
     DecompositionError,
     SingularTriangularError,
     as_stack,
@@ -123,6 +171,8 @@ SPEC_DEFAULTS = {
     Kind.NSA: {"iterations": 3}, Kind.GS: {"iterations": 3}, Kind.CG: {"iterations": 3},
     Kind.ADMIN: {"iterations": 5, "beta": None, "beta_scale": 1.0}, Kind.SIMO: {},
 }
+# the kinds whose values-only solves read G0's spectrum (``spectrum_of``)
+SPECTRAL_KINDS = frozenset({Kind.ZF, Kind.MMSE, Kind.ADMIN})
 
 
 @dataclass(frozen=True)
@@ -229,28 +279,87 @@ def gramian(
 @finite_result
 def exact_solve(
     g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None,
-    reg: float | np.ndarray = 0.0,
+    reg: float | np.ndarray = 0.0, spectrum: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Solve (G + reg*I) x = b through the chosen decomposition backend.
 
-    ``reg`` is as in :func:`nsa_solve`; see :func:`_solver`.
+    ``reg`` is as in :func:`nsa_solve`; ``spectrum`` is G's, as
+    :func:`spectrum_of` gives it, or None; see :func:`_solver`.
     """
-    return _solver(g, b, backend, acc, reg)(b)
+    return _solver(g, b, backend, acc, reg, spectrum)(b)
+
+
+def spectrum_of(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, V) with G = V diag(lam) V^H for each system of the Hermitian
+    stack G, from one ``np.linalg.eigh``, which reads G's lower triangle.
+
+    A system with a non-finite entry never reaches ``eigh``: its lam is
+    NaN, which :func:`screen` never clears, so it goes to the backend.
+    """
+    g = as_stack(g)
+    finite = np.isfinite(g).all(axis=(-2, -1))
+    lam, v = np.linalg.eigh(g if finite.all() else np.where(finite[..., None, None], g, 0.0))
+    lam[~finite] = np.nan
+    return lam, v
+
+
+# the range of max|G + s*I| and of ||b||_2 / (lam_min + s) that ``screen``
+# clears: far enough inside the doubles that no factor or solve of a
+# cleared system overflows, or loses accuracy to underflow
+SCREEN_RANGE = 1e100
+
+
+def screen_theta(u: int) -> float:
+    """theta(U) = 2 sqrt(U) 1e-12 + 32 U^3 2^-53, derived in the module docstring."""
+    return 2.0 * np.sqrt(u) * PIVOT_RTOL + 32.0 * u**3 * 2.0**-53
+
+
+def screen(g: np.ndarray, lam: np.ndarray, shift: float, rhs: np.ndarray) -> np.ndarray:
+    """Which systems (G + shift*I) x = rhs every backend factors and solves
+    without raising, one bool per system of the stack ``g``.
+
+    ``lam`` is G's spectrum (:func:`spectrum_of`) and ``rhs`` one
+    right-hand side per system; the rule is derived in the module docstring.
+    """
+    top = np.abs(g).max(axis=(-2, -1)) + abs(shift)  # >= max|G + shift*I|
+    low = lam.min(axis=-1) + shift
+    return ((low > screen_theta(g.shape[-1]) * top) & (top >= 1.0 / SCREEN_RANGE)
+            & (top <= SCREEN_RANGE) & (np.linalg.norm(rhs, axis=-1) / SCREEN_RANGE <= low))
 
 
 def _solver(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None,
-            reg: float | np.ndarray):
+            reg: float | np.ndarray, spectrum: tuple[np.ndarray, np.ndarray] | None = None):
     """The solve of (G + reg*I) x = rhs as a function of ``rhs``, ``reg`` as in
     :func:`nsa_solve` and right-hand sides shaped as ``b``.
 
     Counted, the backend factors one copy of G + reg*I and each solve is
-    that factor's triangular solves; values only, the backend's solve of
-    the first of ``b``'s right-hand sides against G + min(reg)*I is the
-    failure rule and the spectrum gives the solves (see the module docstring).
+    that factor's triangular solves. Values only, every solve comes from
+    G's spectrum, ``spectrum`` or else :func:`spectrum_of` G, and the
+    failure rule is the backend's solve of G + min(reg)*I for the first of
+    ``b``'s right-hand sides, run untallied, and only on the systems
+    :func:`screen` does not clear; its result is dropped (see the module
+    docstring).
     """
+    if not isinstance(backend, Backend):
+        raise ValueError(f"unknown backend {backend}")
     g = as_stack(g)
     check_hermitian(g, pivot_tol(g))
-    f = _shifted(g, reg if acc is not None else np.min(reg))
+    if acc is not None:
+        return _factored(_shifted(g, reg), backend, acc)
+    lam, v = spectrum_of(g) if spectrum is None else spectrum
+    b = vector_stack(b, g.shape[-1])
+    first = np.broadcast_to(b[(0,) * (b.ndim - g.ndim + 1)], g.shape[:-1])
+    shift = np.min(reg)
+    left = ~screen(g, lam, shift, first)
+    if left.any():
+        _factored(_shifted(g[left], shift), backend, None)(first[left])
+    vh, scale = hermitian(v), 1.0 / (lam + reg)
+    return lambda rhs: matvec(v, scale * matvec(vh, rhs, None), None)
+
+
+def _factored(f: np.ndarray, backend: Backend, acc: OpCount | None):
+    """The backend's factor of the stack F, as the solve of F x = rhs as a
+    function of ``rhs``; the factor and each solve are charged to ``acc``."""
     if backend is Backend.QR:
         q, r = gram_schmidt_qr(f, acc)
         qt = np.swapaxes(q, -1, -2)
@@ -263,21 +372,13 @@ def _solver(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None,
 
         def solve(rhs):
             return backward_sub(lh, forward_sub(l, rhs, acc), acc)
-    elif backend is Backend.LDL:
+    else:
         l, d = ldl(f, acc)
         lh = hermitian(l)
 
         def solve(rhs):  # D^-1 is charged per solve
             return backward_sub(lh, mul(counted_recip(d, acc), forward_sub(l, rhs, acc), acc), acc)
-    else:
-        raise ValueError(f"unknown backend {backend}")
-    if acc is not None:
-        return solve
-    b = vector_stack(b, g.shape[-1])
-    solve(b[(0,) * (b.ndim - f.ndim + 1)])
-    lam, v = np.linalg.eigh(g)
-    vh, scale = hermitian(v), 1.0 / (lam + reg)
-    return lambda rhs: matvec(v, scale * matvec(vh, rhs, None), None)
+    return solve
 
 
 def _shifted(g: np.ndarray, reg: float | np.ndarray) -> np.ndarray:
@@ -409,13 +510,15 @@ def admin_solve(
     box: float,
     acc: OpCount | None,
     reg: float | np.ndarray = 0.0,
+    spectrum: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """ADMM loop for the box-constrained detector.
 
     Every x-solve is against G = g_admin + reg*I, ``reg`` as in
     :func:`nsa_solve`: the detector's G is H^H H + beta*I, so a caller
     passes either that Gramian, or H^H H with ``reg=beta``. Every x-solve
-    is one solve of :func:`_solver` with LDL as the backend. Scaled updates
+    is one solve of :func:`_solver` with LDL as the backend, given
+    ``spectrum`` as :func:`exact_solve` is. Scaled updates
     with unit step: z clips x + lambda to the per-axis box, lambda
     accumulates x - z. With z and lambda starting at zero the first
     solve consumes x_mf unchanged, which is exactly the MMSE estimate
@@ -430,7 +533,7 @@ def admin_solve(
     if not np.all((0 < beta) & (beta < np.inf)):
         raise ValueError("beta must be positive and finite")
     x_mf = vector_stack(x_mf, g_admin.shape[-1])
-    solve = _solver(g_admin, x_mf, Backend.LDL, acc, reg)
+    solve = _solver(g_admin, x_mf, Backend.LDL, acc, reg, spectrum)
     x = solve(x_mf)
     z = _clip_box(x, box)
     lam = x - z
@@ -443,7 +546,7 @@ def admin_solve(
 
 def soft_estimate(
     spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: float | np.ndarray,
-    box: float, acc: OpCount | None,
+    box: float, acc: OpCount | None, spectrum: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """Soft symbol estimates of one detector from the shared products.
 
@@ -453,15 +556,17 @@ def soft_estimate(
     with ``g0`` shaped (T, U, U) and ``x_mf`` (P, T, U), one call solves
     P SNR points x T trials, each system as a call on its own would.
     Every solver gets ``g0`` and the detector's shift, ``reg``: 0 for ZF,
-    beta for ADMIN and sigma2 for the rest. A system that cannot be
-    solved raises, as in every counted solver. The solvers are looked up
-    as module globals at call time, so a wrapper installed on this
-    module sees every call.
+    beta for ADMIN and sigma2 for the rest. ``spectrum`` is G0's
+    (:func:`spectrum_of`), or None; the exact and ADMIN solves take it,
+    the other kinds do not read it. A system that cannot be solved
+    raises, as in every counted solver. The solvers are looked up as
+    module globals at call time, so a wrapper installed on this module
+    sees every call.
     """
     kind, t = spec.kind, spec.iterations
     reg = 0.0 if kind is Kind.ZF else spec.admin_beta(sigma2) if kind is Kind.ADMIN else sigma2
     if kind in (Kind.ZF, Kind.MMSE):
-        return exact_solve(g0, x_mf, spec.backend, acc, reg=reg)
+        return exact_solve(g0, x_mf, spec.backend, acc, reg=reg, spectrum=spectrum)
     if kind is Kind.NSA:
         return nsa_solve(g0, x_mf, t, acc, reg=reg)[0]
     if kind is Kind.GS:
@@ -469,5 +574,5 @@ def soft_estimate(
     if kind is Kind.CG:
         return cg_solve(g0, x_mf, t, acc, reg=reg)
     if kind is Kind.ADMIN:
-        return admin_solve(g0, x_mf, t, reg, box, acc, reg=reg)
+        return admin_solve(g0, x_mf, t, reg, box, acc, reg=reg, spectrum=spectrum)
     raise ValueError(f"no soft estimate for {kind}")

@@ -15,12 +15,15 @@ over the chunk's trials, whatever the number of points. Each point's
 matched filters and SIMO estimates follow by stacked arithmetic on the
 chunk. Every detector then solves all the points it runs on in one
 ``detect.soft_estimate`` call per chunk, on a (points, trials, U)
-stack and the chunk's one G0 stack: no point takes a copy of G0. In the
-exact and ADMIN solves the backend gives the failure rule and the count
-(taken outside the sweep), and the spectrum of G0 gives the estimate
-(see ``detect``). The products are formed in blocks of trials whose H
-and H^H fit ``WORKING_SET``. Each (chunk, detector) is sliced and
-scored once.
+stack and the chunk's one G0 stack: no point takes a copy of G0. While
+a ZF, MMSE or ADMIN detector runs, the chunk forms one spectrum of its
+G0 stack (``detect.spectrum_of``), and every exact and ADMIN solve of
+the chunk, its retries included, takes its estimates from it and
+screens its systems with it; the backend factors only the systems the
+screen cannot clear, and gives the count outside the sweep (see
+``detect``). The products are formed in blocks of trials whose H and
+H^H fit ``WORKING_SET``. Each (chunk, detector) is sliced and scored
+once.
 The sweep needs values only, so it calls every product and solver with
 ``acc=None`` and tallies nothing: an operation count depends on shapes
 alone and is taken outside the sweep (``complexity``). The solvers
@@ -229,11 +232,13 @@ def _eval_trials(config: SweepConfig, active: np.ndarray, lo: int, hi: int) -> n
     """
     const = phy.make_constellation(config.order)
     simo = np.array([spec.kind is Kind.SIMO for spec in config.detectors])
+    spectral = np.array([spec.kind in detect.SPECTRAL_KINDS for spec in config.detectors])
     bits, x, n_mf, norms, g0 = _products(config, lo, hi, active[:, ~simo].any(),
                                          active[:, simo].any())
     sigma2 = np.array([phy.sigma2_from_snr(snr, config.u) for snr in config.snr_db])[:, None, None]
     s = np.sqrt(sigma2)
     gx = None if g0 is None else matvec(g0, x, None)
+    spectrum = detect.spectrum_of(g0) if active[:, spectral].any() else None
 
     out = np.zeros(active.shape + (2,), dtype=np.int64)
     for d, spec in enumerate(config.detectors):
@@ -243,7 +248,8 @@ def _eval_trials(config: SweepConfig, active: np.ndarray, lo: int, hi: int) -> n
         if spec.kind is Kind.SIMO:
             soft = x + s[points] * n_mf / norms
         else:
-            soft = _solve_chunk(spec, g0, gx + s[points] * n_mf, sigma2[points], const.box_radius)
+            soft = _solve_chunk(spec, g0, gx + s[points] * n_mf, sigma2[points], const.box_radius,
+                                spectrum)
         out[points, d] = _score(soft, bits, const)
     return out
 
@@ -264,22 +270,26 @@ def _score(soft: np.ndarray, bits: np.ndarray, const: phy.Constellation) -> np.n
 
 def _solve_chunk(
     spec: DetectorSpec, g0: np.ndarray, x_mf: np.ndarray, sigma2: np.ndarray, box: float,
+    spectrum: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """One stacked, uncounted ``soft_estimate`` of (points, trials, U)
-    systems, ``sigma2`` shaped (points, 1, 1); if it raises, each system
-    again on its own.
+    systems, ``sigma2`` shaped (points, 1, 1) and ``spectrum`` the G0
+    stack's (``detect.spectrum_of``) or None; if it raises, each system
+    again on its own, with its trial's slice of the spectrum.
 
     A (point, trial) whose own solve raises gets a NaN estimate, which
     ``_score`` counts as a failure.
     """
     try:
-        return detect.soft_estimate(spec, g0, x_mf, sigma2, box, None)
+        return detect.soft_estimate(spec, g0, x_mf, sigma2, box, None, spectrum)
     except SOLVE_ERRORS:
         pass
     soft = np.full(x_mf.shape, np.nan, dtype=np.complex128)
     for p, t in np.ndindex(x_mf.shape[:-1]):
+        one = None if spectrum is None else (spectrum[0][t], spectrum[1][t])
         try:
-            soft[p, t] = detect.soft_estimate(spec, g0[t], x_mf[p, t], sigma2[p].item(), box, None)
+            soft[p, t] = detect.soft_estimate(spec, g0[t], x_mf[p, t], sigma2[p].item(), box, None,
+                                              one)
         except SOLVE_ERRORS:
             pass
     return soft

@@ -42,13 +42,26 @@ def test_target_attributes_exist(table):
 
 
 def test_traced_sweep_records_every_solver_and_factor(monkeypatch):
+    # the backends factor only what the Gramian's spectrum cannot clear, so
+    # trial 0 is the near-singular trial of test_montecarlo's TestRetry
+    # (column 1 = column 0 + 1e-6 w at N = U = 4): at 300 dB no screen
+    # clears it, QR factors and solves it, Cholesky and LDL raise on it
     for table, module in PATCHED.items():
         for attr, _ in getattr(tracing, table):
             monkeypatch.setattr(module, attr, getattr(module, attr))  # restored on exit
+    draw = montecarlo.trial_realization
+
+    def corrupted(config, sigma2, t):
+        bits, x, h, noise = draw(config, sigma2, t)
+        if t == 0:
+            h[:, 1] = h[:, 0] + 1e-6 * phy.draw_channel(config.n, 1, phy.substream(7, t))[:, 0]
+        return bits, x, h, noise
+
+    monkeypatch.setattr(montecarlo, "trial_realization", corrupted)
     tracer = tracing.Tracer()
     tracer.install_full(cli, montecarlo, detect, phy)
     cfg = cli.build_sweep({
-        "n": 8, "u": 4, "mod": "qpsk", "snr": "6", "trials": 2, "seed": 1,
+        "n": 4, "u": 4, "mod": "qpsk", "snr": "6,300", "trials": 2, "seed": 1,
         "threads": 1, "det": ["mmse:qr", "mmse:chol", "nsa", "gs", "cg", "admin", "simo"],
     })
     montecarlo.run_sweep(cfg)

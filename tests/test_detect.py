@@ -367,18 +367,34 @@ class TestWorkingSet:
     DetectorSpec(Kind.ADMIN, beta_scale=8.0),
 ], ids=["mmse-qr", "mmse-chol", "mmse-ldl", "admin"])
 def test_values_only_failure_rule_solves_one_rhs_per_trial(monkeypatch, spec):
-    # the values-only failure rule solves one right-hand side per system of
-    # the (T, U, U) G0 stack, not one per (point, trial)
+    # the values-only failure rule factors and solves one right-hand side
+    # per system of the (T, U, U) G0 stack that the screen cannot clear,
+    # not one per (point, trial), and runs no backend when it clears every
+    # system. Systems 1 and 3 get lam_min(G0) = 5e-12 max|G0|, below
+    # theta(8) ~ 7.5e-12 but above every pivot tolerance (at most
+    # 1e-12 sqrt(8) max|G0|), and the shifts are far below both
     g0, x_mf, sigma2 = point_stack(4, 16, 8, 3)
-    backward, rhs = detect.backward_sub, []
+    near = g0.copy()
+    lam, v = np.linalg.eigh(near[[1, 3]])
+    lam[:, 0] = 5e-12 * np.abs(near[[1, 3]]).max(axis=(-2, -1))
+    near[[1, 3]] = (v * lam[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    calls = []
 
-    def recording(u, b, acc):
-        rhs.append(b.shape)
-        return backward(u, b, acc)
+    def recording(name):
+        backend = getattr(detect, name)
 
-    monkeypatch.setattr(detect, "backward_sub", recording)
+        def recorded(*args):
+            calls.append((name, args[-2].shape if name == "backward_sub" else args[0].shape))
+            return backend(*args)
+        return recorded
+
+    for name in ("gram_schmidt_qr", "cholesky", "ldl", "backward_sub"):
+        monkeypatch.setattr(detect, name, recording(name))
     detect.soft_estimate(spec, g0, x_mf, sigma2, 1.0, None)
-    assert rhs == [(4, 8)]
+    assert calls == []
+    detect.soft_estimate(spec, near, x_mf, 1e-10 * sigma2, 1.0, None)
+    factor = {Backend.QR: "gram_schmidt_qr", Backend.CHOLESKY: "cholesky"}.get(spec.backend, "ldl")
+    assert calls == [(factor, (2, 8, 8)), ("backward_sub", (2, 8))]
 
 
 @pytest.mark.parametrize("solve", [

@@ -584,6 +584,62 @@ class TestNearSingularQr:
         assert np.linalg.norm(spectral - oracle) < np.linalg.norm(loop - oracle)
 
 
+class TestSharedSpectrum:
+    """One ``np.linalg.eigh`` of a chunk's G0 stack serves every exact and
+    ADMIN solve of the chunk, retries included."""
+
+    @staticmethod
+    def spy_eigh(monkeypatch):
+        eigh, inputs = np.linalg.eigh, []
+
+        def spy(a, *args, **kwargs):
+            inputs.append(a.copy())
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        return inputs
+
+    def test_mmse_and_admin_share_one_eigh_per_chunk(self, monkeypatch):
+        # fig5's detectors at 32 x 32, two chunks of four trials
+        cfg = SweepConfig(n=32, u=32, order=64, snr_db=(15.0, 25.0), trials=8,
+                          detectors=(DetectorSpec(Kind.MMSE, Backend.QR),
+                                     DetectorSpec(Kind.ADMIN, beta_scale=8.0),
+                                     DetectorSpec(Kind.SIMO)),
+                          master_seed=1, stop_at_errors=None, chunk_size=4)
+        inputs = self.spy_eigh(monkeypatch)
+        mc.run_sweep(cfg)
+        assert [a.shape for a in inputs] == [(4, 32, 32)] * 2
+
+    @pytest.mark.parametrize("column,failed", [
+        (lambda h, t: h[:, 0], {"zf"}),  # rank deficient: ZF alone raises
+        (lambda h, t: np.full(h.shape[0], np.nan), {"zf", "mmse", "admin"}),
+    ], ids=["rank-deficient", "non-finite"])
+    def test_a_retry_takes_its_trials_slice(self, monkeypatch, column, failed):
+        # trial 6 (chunk 1 of 3) makes its chunk's stacked solves raise;
+        # each (point, trial) is solved again from its trial's slice of the
+        # chunk's spectrum, so eigh runs once per chunk all the same, and
+        # never on a non-finite Gramian
+        specs = (DetectorSpec(Kind.ZF, Backend.QR), DetectorSpec(Kind.MMSE, Backend.LDL),
+                 DetectorSpec(Kind.ADMIN))
+        cfg = small_config(n=4, u=4, snr_db=(6.0, 12.0), trials=12, chunk_size=4,
+                           detectors=specs)
+        corrupt_trial(monkeypatch, 6, column)
+        inputs, alone = self.spy_eigh(monkeypatch), []
+        solve = detect.soft_estimate
+
+        def spy(spec, g0, *args):
+            if g0.ndim == 2:
+                alone.append(spec.name)
+            return solve(spec, g0, *args)
+
+        monkeypatch.setattr(detect, "soft_estimate", spy)
+        records = mc.run_sweep(cfg)
+        assert [a.shape for a in inputs] == [(4, 4, 4)] * 3
+        assert all(np.isfinite(a).all() for a in inputs)
+        assert sorted(alone) == sorted(name for name in failed for _ in range(2 * 4))
+        assert [r.failures for r in records] == [int(s.name in failed) for s in specs] * 2
+
+
 class TestValuesOnly:
     def test_sweep_counts_nothing(self, monkeypatch):
         # every tally the sweep reaches is skipped (acc=None), and the
@@ -606,9 +662,9 @@ class TestValuesOnly:
             values = mc.run_sweep(cfg)
         assert accs and all(acc is None for acc in accs)
 
-        solve = detect.soft_estimate
+        solve = detect.soft_estimate  # acc is its sixth argument, the chunk's spectrum the seventh
         monkeypatch.setattr(detect, "soft_estimate",
-                            lambda *args: solve(*args[:-1], OpCount()))
+                            lambda *args: solve(*args[:5], OpCount(), *args[6:]))
         assert mc.run_sweep(cfg) == values
 
 

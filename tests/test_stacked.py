@@ -323,6 +323,33 @@ def test_a_shift_that_solves_makes_every_larger_one_solve(u, extra, trials, eps,
         detect.exact_solve(g0, b, be, OpCount(), reg=s2)
 
 
+@settings(max_examples=150)
+@given(u=st.integers(1, 64), extra=st.integers(0, 8), trials=st.integers(1, 3),
+       eps=st.sampled_from([None, 0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4]),
+       rel=st.just(0.0) | st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
+       scale=st.floats(-6.0, 6.0).map(lambda e: 10.0 ** e), seed=st.integers(0, 2**32 - 1))
+def test_every_system_the_screen_clears_every_backend_solves(u, extra, trials, eps, rel, scale,
+                                                             seed):
+    # the systems G0 + shift*I the spectrum clears, each backend factors
+    # and solves, counted, without raising: on random Gramian stacks and
+    # on stacks whose every system has column 1 = column 0 + eps * w
+    # (eps = 0: rank deficient), scaled by 1e-6 .. 1e6, at shifts of 0
+    # and of 1e-3 .. 1e3 times the screen's bound theta(U) max|G0|, which
+    # put the near-singular systems on both sides of it
+    rng = np.random.Generator(np.random.Philox(key=[seed, u]))
+    shape = (trials, u + extra, u)
+    h = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+    if eps is not None and u > 1:
+        h[:, :, 1] = h[:, :, 0] + eps * h[::-1, :, -1]
+    g0 = scale * detect.gramian(h, 0.0, None)
+    b = np.sqrt(scale) * (rng.standard_normal((trials, u)) + 1j * rng.standard_normal((trials, u)))
+    shift = rel * detect.screen_theta(u) * np.abs(g0).max()
+    cleared = detect.screen(g0, detect.spectrum_of(g0)[0], shift, b)
+    if cleared.any():
+        for be in Backend:
+            detect.exact_solve(g0[cleared], b[cleared], be, OpCount(), reg=shift)
+
+
 # every detector soft_estimate takes: each exact kind on each backend, the
 # iterative kinds at t = 1..4, and ADMIN with a fixed beta or beta_scale
 ANY_SPEC = st.one_of(
