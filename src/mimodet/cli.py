@@ -16,7 +16,6 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import io
-import json
 import sys
 from pathlib import Path
 
@@ -174,6 +173,8 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 
 def _load_experiment_file(path: str) -> dict:
+    import json  # here, so that importing the module does not load it
+
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh, object_pairs_hook=_unique_keys)
@@ -319,8 +320,8 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     for seed in (1, 2, 3):
         u = 8
         rng = phy.substream(seed, 77)
-        h = phy.draw_channel(4 * u, u, rng)
-        y = phy.draw_noise_unit(4 * u, rng)
+        h = phy.complex_gaussian((4 * u, u), rng)
+        y = phy.complex_gaussian((4 * u,), rng)
         g0 = detect.gramian(h, 0.0, OpCount())
         x_mf = detect.matched_filter(h, y, OpCount())
         ref = np.linalg.solve(g0 + 0.25 * np.eye(u), x_mf)  # LAPACK oracle

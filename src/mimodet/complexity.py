@@ -62,7 +62,7 @@ def formula_rm(method: Backend | Kind, u: int, t: int = 1) -> int:
 
 def seeded_gramian(u: int, seed: int) -> np.ndarray:
     """Well-conditioned Hermitian PD test matrix H^H H + 0.5 I of a 4U x U channel."""
-    return gramian(phy.draw_channel(4 * u, u, phy.substream(seed, u)), 0.5, None)
+    return gramian(phy.complex_gaussian((4 * u, u), phy.substream(seed, u)), 0.5, None)
 
 
 def measure_rm(backend: Backend, u: int) -> OpCount:

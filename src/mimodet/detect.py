@@ -31,13 +31,13 @@ kind its shift: 0 for ZF, beta for ADMIN, sigma2 for the rest.
 sweep passes it everywhere. NSA, GS and CG then run their counted loops
 with nothing tallied, bit for bit. The exact and ADMIN solves come from
 one builder, ``_solver``, which refuses a non-Hermitian G with
-``ValueError`` on both paths. Values only, every estimate comes from the
-spectrum G = V diag(lam) V^H, as x = V (lam + reg)^-1 V^H b, the
-many-shift Tikhonov solve (Hansen, *Rank-Deficient and Discrete
-Ill-Posed Problems*, 1998); it agrees with the counted solve to
-rounding. The sweep forms one spectrum per chunk (``spectrum_of``) and
-passes it to every exact and ADMIN solve of the chunk; a call given none
-forms its own.
+``ValueError`` (values only, in ``spectrum_of``, once per chunk in the
+sweep). Values only, every estimate comes from the spectrum
+G = V diag(lam) V^H, as x = V (lam + reg)^-1 V^H b, the many-shift
+Tikhonov solve (Hansen, *Rank-Deficient and Discrete Ill-Posed
+Problems*, 1998); it agrees with the counted solve to rounding. The
+sweep forms one spectrum per chunk (``spectrum_of``) and passes it to
+every exact and ADMIN solve of the chunk; a call given none forms its own.
 
 Which systems fail is still the backend's decision; the spectrum only
 proves where the backend cannot fail. The failure rule is the backend's
@@ -293,12 +293,16 @@ def spectrum_of(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(lam, V) with G = V diag(lam) V^H for each system of the Hermitian
     stack G, from one ``np.linalg.eigh``, which reads G's lower triangle.
 
-    A system with a non-finite entry never reaches ``eigh``: its lam is
-    NaN, which :func:`screen` never clears, so it goes to the backend.
+    So a system not Hermitian within ``pivot_tol`` raises ``ValueError``
+    first. A system with a non-finite entry, which no check could refuse
+    (its tolerance is not finite), is zeroed first, so nothing warns: its
+    lam is NaN, which :func:`screen` never clears, so it goes to the backend.
     """
     g = as_stack(g)
     finite = np.isfinite(g).all(axis=(-2, -1))
-    lam, v = np.linalg.eigh(g if finite.all() else np.where(finite[..., None, None], g, 0.0))
+    g = g if finite.all() else np.where(finite[..., None, None], g, 0.0)
+    check_hermitian(g, pivot_tol(g))
+    lam, v = np.linalg.eigh(g)
     lam[~finite] = np.nan
     return lam, v
 
@@ -332,9 +336,10 @@ def _solver(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None,
     """The solve of (G + reg*I) x = rhs as a function of ``rhs``, ``reg`` as in
     :func:`nsa_solve` and right-hand sides shaped as ``b``.
 
-    Counted, the backend factors one copy of G + reg*I and each solve is
-    that factor's triangular solves. Values only, every solve comes from
-    G's spectrum, ``spectrum`` or else :func:`spectrum_of` G, and the
+    Counted, a non-Hermitian G raises ``ValueError`` here, the backend
+    factors one copy of G + reg*I and each solve is that factor's
+    triangular solves. Values only, every solve comes from G's spectrum,
+    ``spectrum`` or else :func:`spectrum_of` G, which owns that check. The
     failure rule is the backend's solve of G + min(reg)*I for the first of
     ``b``'s right-hand sides, run untallied, and only on the systems
     :func:`screen` does not clear; its result is dropped (see the module
@@ -343,8 +348,8 @@ def _solver(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None,
     if not isinstance(backend, Backend):
         raise ValueError(f"unknown backend {backend}")
     g = as_stack(g)
-    check_hermitian(g, pivot_tol(g))
     if acc is not None:
+        check_hermitian(g, pivot_tol(g))
         return _factored(_shifted(g, reg), backend, acc)
     lam, v = spectrum_of(g) if spectrum is None else spectrum
     b = vector_stack(b, g.shape[-1])

@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -168,15 +168,14 @@ class BerRecord:
     bit_errors: int
     bits_total: int
     failures: int
-    ber: float = field(init=False)
-    stderr: float = field(init=False)
 
-    def __post_init__(self):
-        self.ber = self.bit_errors / self.bits_total if self.bits_total else 0.0
-        p = self.ber
-        self.stderr = (
-            float(np.sqrt(p * (1.0 - p) / self.bits_total)) if self.bits_total else 0.0
-        )
+    @property
+    def ber(self) -> float:
+        return self.bit_errors / self.bits_total if self.bits_total else 0.0
+
+    @property
+    def stderr(self) -> float:
+        return float(np.sqrt(self.ber * (1 - self.ber) / self.bits_total)) if self.bits_total else 0.0
 
 
 def trial_realization(
@@ -187,8 +186,8 @@ def trial_realization(
     rng = phy.substream(config.master_seed, trial_index)
     bits = rng.integers(0, 2, size=config.u * const.bits_per_symbol, dtype=np.uint8)
     x = phy.modulate(bits, const)
-    h = phy.draw_channel(config.n, config.u, rng)
-    noise = np.sqrt(sigma2) * phy.draw_noise_unit(config.n, rng)
+    h = phy.complex_gaussian((config.n, config.u), rng)
+    noise = np.sqrt(sigma2) * phy.complex_gaussian((config.n,), rng)
     return bits, x, h, noise
 
 

@@ -1,9 +1,9 @@
 """Modulation, channel and noise models for the uplink y = H x + n.
 
 Square Gray-mapped QAM (QPSK, 16-QAM, 64-QAM) normalized to unit average
-symbol energy, i.i.d. Rayleigh fading channel draws, circularly symmetric
-complex Gaussian noise, and the SNR convention used by every simulation
-in this package:
+symbol energy, i.i.d. Rayleigh channels and circularly symmetric complex
+Gaussian noise, both drawn by ``complex_gaussian``, and the SNR
+convention used by every simulation in this package:
 
     sigma2 = U / 10**(snr_db / 10)
 
@@ -124,23 +124,16 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def draw_channel(n: int, u: int, rng: np.random.Generator) -> np.ndarray:
-    """i.i.d. Rayleigh channel: entries (g1 + i g2) / sqrt(2), g ~ N(0,1)."""
-    if n < 1 or u < 1:
-        raise ValueError("channel dimensions must be positive")
-    return _complex_gaussian(rng.standard_normal((2, n, u)))
-
-
-def draw_noise_unit(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit-variance circularly symmetric complex Gaussian vector."""
-    return _complex_gaussian(rng.standard_normal((2, n)))
-
-
-def _complex_gaussian(g: np.ndarray) -> np.ndarray:
-    """(g[0] + 1j g[1]) / sqrt(2), bit for bit, built in one allocation."""
-    out = np.empty(g.shape[1:], dtype=np.complex128)
-    out.real = g[0]
-    out.imag = g[1]
+def complex_gaussian(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
+    """Circularly symmetric unit-variance complex Gaussians of ``shape``:
+    (g[0] + i g[1]) / sqrt(2) of g = ``rng.standard_normal((2, *shape))``,
+    built in one allocation. Every channel and noise draw comes from here;
+    an empty shape or a dimension below 1 raises ``ValueError``."""
+    if not shape or min(shape) < 1:
+        raise ValueError(f"complex Gaussian dimensions must be positive, got {shape!r}")
+    g = rng.standard_normal((2, *shape))
+    out = np.empty(shape, dtype=np.complex128)
+    out.real, out.imag = g
     out /= np.sqrt(2.0)
     return out
 

@@ -185,7 +185,7 @@ def test_criterion_05_iterative_solver_oracles():
     # conjugate gradient: finite termination at t = U
     for seed in (0, 1, 2):
         u = 16
-        a = detect.gramian(phy.draw_channel(2 * u, u, phy.substream(seed, u)), 0.3, None)
+        a = detect.gramian(phy.complex_gaussian((2 * u, u), phy.substream(seed, u)), 0.3, None)
         rng = np.random.Generator(np.random.Philox(key=[505, seed]))
         b = rng.standard_normal(u) + 1j * rng.standard_normal(u)
         exact = np.linalg.solve(a, b)
@@ -195,7 +195,7 @@ def test_criterion_05_iterative_solver_oracles():
     details.append(f"CG t=U err {err:.2e}")
 
     # Gauss-Seidel: strictly decreasing error, below 1e-6 by t=100
-    a = detect.gramian(phy.draw_channel(4 * 16, 16, phy.substream(5, 16)), 0.2, None)
+    a = detect.gramian(phy.complex_gaussian((4 * 16, 16), phy.substream(5, 16)), 0.2, None)
     rng = np.random.Generator(np.random.Philox(key=[505, 99]))
     b = rng.standard_normal(16) + 1j * rng.standard_normal(16)
     exact = np.linalg.solve(a, b)
@@ -212,7 +212,7 @@ def test_criterion_05_iterative_solver_oracles():
     details.append(f"GS err(100) {errs[99]:.2e}")
 
     # Neumann series equals the explicit term-sum oracle for t <= 4
-    h = phy.draw_channel(256, 16, phy.substream(505, 7))
+    h = phy.complex_gaussian((256, 16), phy.substream(505, 7))
     g = detect.gramian(h, 0.5, OpCount())
     rng = np.random.Generator(np.random.Philox(key=[505, 7]))
     b = rng.standard_normal(16) + 1j * rng.standard_normal(16)

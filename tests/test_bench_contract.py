@@ -54,7 +54,7 @@ def test_traced_sweep_records_every_solver_and_factor(monkeypatch):
     def corrupted(config, sigma2, t):
         bits, x, h, noise = draw(config, sigma2, t)
         if t == 0:
-            h[:, 1] = h[:, 0] + 1e-6 * phy.draw_channel(config.n, 1, phy.substream(7, t))[:, 0]
+            h[:, 1] = h[:, 0] + 1e-6 * phy.complex_gaussian((config.n, 1), phy.substream(7, t))[:, 0]
         return bits, x, h, noise
 
     monkeypatch.setattr(montecarlo, "trial_realization", corrupted)

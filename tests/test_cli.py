@@ -890,13 +890,14 @@ def test_import_loads_neither_pool_nor_parser():
     # a one-worker sweep uses neither the process pool (which loads
     # logging) nor argparse, so importing the package loads neither; nor
     # does it load numpy.random, whose import (about 10 ms) the first draw
-    # of a sweep pays, so that the benchmark's setup time does not
+    # of a sweep pays, so that the benchmark's setup time does not, nor
+    # json, which only reading an experiment file needs
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     code = ("import sys\n"
             "import mimodet.cli, mimodet.complexity, mimodet.detect, mimodet.montecarlo, mimodet.phy\n"
             "print(sorted(m for m in ('concurrent.futures', 'logging', 'argparse', 'csv',"
-            " 'numpy.random') if m in sys.modules))")
+            " 'numpy.random', 'json') if m in sys.modules))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

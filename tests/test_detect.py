@@ -16,9 +16,9 @@ def seeded_instance(n, u, snr_db, order=64, seed=0):
     const = phy.make_constellation(order)
     bits = rng.integers(0, 2, size=u * const.bits_per_symbol, dtype=np.uint8)
     x = phy.modulate(bits, const)
-    h = phy.draw_channel(n, u, rng)
+    h = phy.complex_gaussian((n, u), rng)
     sigma2 = phy.sigma2_from_snr(snr_db, u)
-    y = h @ x + np.sqrt(sigma2) * phy.draw_noise_unit(n, rng)
+    y = h @ x + np.sqrt(sigma2) * phy.complex_gaussian((n,), rng)
     return h, y, x, sigma2, const
 
 
@@ -43,8 +43,8 @@ class TestMatchedFilter:
 
     def test_matches_direct_product(self):
         rng = phy.substream(2, 0)
-        h = phy.draw_channel(8, 4, rng)
-        y = phy.draw_noise_unit(8, rng)
+        h = phy.complex_gaussian((8, 4), rng)
+        y = phy.complex_gaussian((8,), rng)
         out = detect.matched_filter(h, y, OpCount())
         assert np.allclose(out, h.conj().T @ y, atol=1e-14)
 
@@ -65,13 +65,13 @@ class TestGramian:
         assert g[0, 0] == pytest.approx(2.5)
 
     def test_matches_full_product_oracle(self):
-        h = phy.draw_channel(64, 16, phy.substream(3, 0))
+        h = phy.complex_gaussian((64, 16), phy.substream(3, 0))
         g = detect.gramian(h, 0.3, OpCount())
         oracle = h.conj().T @ h + 0.3 * np.eye(16)
         assert np.abs(g - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
     def test_exactly_hermitian(self):
-        h = phy.draw_channel(32, 8, phy.substream(4, 0))
+        h = phy.complex_gaussian((32, 8), phy.substream(4, 0))
         g = detect.gramian(h, 0.1, OpCount())
         assert np.array_equal(g, g.conj().T)
 
@@ -319,8 +319,8 @@ def point_stack(t, n, u, points):
     """A (T, U, U) G0 stack, ``points`` (P, T, U) right-hand sides and a
     (P, 1, 1) sigma2, all drawn from one seed."""
     rng = phy.substream(1, 0)
-    g0 = detect.gramian(np.stack([phy.draw_channel(n, u, rng) for _ in range(t)]), 0.0, None)
-    x_mf = np.stack([g0 @ phy.draw_noise_unit(u, rng) for _ in range(points)])
+    g0 = detect.gramian(np.stack([phy.complex_gaussian((n, u), rng) for _ in range(t)]), 0.0, None)
+    x_mf = np.stack([g0 @ phy.complex_gaussian((u,), rng) for _ in range(points)])
     sigma2 = np.geomspace(0.5, 0.05, points).reshape(points, 1, 1)
     return g0, x_mf, sigma2
 

@@ -513,8 +513,8 @@ class TestRetry:
         # scores the trial with a huge estimate
         cfg = small_config(n=4, u=4, snr_db=(10.0,), trials=4, master_seed=1,
                            detectors=tuple(DetectorSpec(Kind.ZF, be) for be in Backend))
-        corrupt_trial(monkeypatch, 0, lambda h, t: h[:, 0] + 1e-6 * phy.draw_channel(
-            cfg.n, 1, phy.substream(7, t))[:, 0])
+        corrupt_trial(monkeypatch, 0, lambda h, t: h[:, 0] + 1e-6 * phy.complex_gaussian(
+            (cfg.n, 1), phy.substream(7, t))[:, 0])
         _, x, h, noise = mc.trial_realization(cfg, phy.sigma2_from_snr(10.0, cfg.u), 0)
         g0 = detect.gramian(h, 0.0, OpCount())
         x_mf = detect.matched_filter(h, h @ x + noise, OpCount())
@@ -535,8 +535,8 @@ class TestRetry:
         specs = (DetectorSpec(Kind.MMSE, Backend.CHOLESKY), DetectorSpec(Kind.MMSE, Backend.LDL))
         cfg = small_config(n=4, u=4, snr_db=(0.0, 300.0), trials=8, chunk_size=4,
                            master_seed=1, detectors=specs)
-        corrupt_trial(monkeypatch, 0, lambda h, t: h[:, 0] + 1e-6 * phy.draw_channel(
-            cfg.n, 1, phy.substream(7, t))[:, 0])
+        corrupt_trial(monkeypatch, 0, lambda h, t: h[:, 0] + 1e-6 * phy.complex_gaussian(
+            (cfg.n, 1), phy.substream(7, t))[:, 0])
         records = mc.run_sweep(cfg)
         bits_per_trial = cfg.u * 2
         for rec, (snr, spec) in zip(records, itertools.product(cfg.snr_db, specs)):
@@ -568,8 +568,8 @@ class TestNearSingularQr:
         # counted Q^H b
         cfg = small_config(n=4, u=4, snr_db=(10.0,), trials=4, master_seed=1,
                            detectors=(DetectorSpec(Kind.ZF, Backend.QR),))
-        corrupt_trial(monkeypatch, 0, lambda h, t: h[:, 0] + 1e-6 * phy.draw_channel(
-            cfg.n, 1, phy.substream(7, t))[:, 0])
+        corrupt_trial(monkeypatch, 0, lambda h, t: h[:, 0] + 1e-6 * phy.complex_gaussian(
+            (cfg.n, 1), phy.substream(7, t))[:, 0])
         _, x, h, noise = mc.trial_realization(cfg, phy.sigma2_from_snr(10.0, cfg.u), 0)
         g0 = detect.gramian(h, 0.0, None)
         x_mf = detect.matched_filter(h, h @ x + noise, None)
@@ -582,6 +582,18 @@ class TestNearSingularQr:
         spectral = detect.soft_estimate(spec, g0, x_mf, 0.0, 1.0, None)
         loop = detect.soft_estimate(spec, g0, x_mf, 0.0, 1.0, OpCount())
         assert np.linalg.norm(spectral - oracle) < np.linalg.norm(loop - oracle)
+
+
+def spy_check_hermitian(monkeypatch) -> list[np.ndarray]:
+    """The stacks ``detect`` hands ``check_hermitian``, in call order."""
+    check, inputs = detect.check_hermitian, []
+
+    def spy(a, tol):
+        inputs.append(a)
+        return check(a, tol)
+
+    monkeypatch.setattr(detect, "check_hermitian", spy)
+    return inputs
 
 
 class TestSharedSpectrum:
@@ -609,6 +621,27 @@ class TestSharedSpectrum:
         inputs = self.spy_eigh(monkeypatch)
         mc.run_sweep(cfg)
         assert [a.shape for a in inputs] == [(4, 32, 32)] * 2
+
+    def test_a_chunk_checks_its_gramian_once(self, monkeypatch):
+        # spectrum_of owns the values path's Hermitian check: one chunk
+        # running MMSE and ADMIN checks its G0 stack once, not per solve
+        cfg = small_config(n=8, u=4, snr_db=(5.0, 15.0), trials=4, chunk_size=4,
+                           detectors=(DetectorSpec(Kind.MMSE, Backend.QR), DetectorSpec(Kind.ADMIN)))
+        checked = spy_check_hermitian(monkeypatch)
+        mc.run_sweep(cfg)
+        assert [a.shape for a in checked] == [(4, 4, 4)]
+
+    def test_a_retry_checks_nothing(self, monkeypatch):
+        # trial 2's rank-deficient G0 makes ZF's stacked solve raise; its
+        # per-(point, trial) retry takes the chunk's checked spectrum, so
+        # the chunk's one check stays the only one
+        specs = (DetectorSpec(Kind.ZF, Backend.QR), DetectorSpec(Kind.ADMIN))
+        cfg = small_config(n=4, u=4, snr_db=(6.0, 12.0), trials=4, chunk_size=4, detectors=specs)
+        corrupt_trial(monkeypatch, 2, lambda h, t: h[:, 0])
+        checked = spy_check_hermitian(monkeypatch)
+        records = mc.run_sweep(cfg)
+        assert [r.failures for r in records] == [1, 0] * 2  # so ZF's chunk was retried
+        assert [a.shape for a in checked] == [(4, 4, 4)]
 
     @pytest.mark.parametrize("column,failed", [
         (lambda h, t: h[:, 0], {"zf"}),  # rank deficient: ZF alone raises
@@ -1011,6 +1044,15 @@ class TestBerRecord:
                       trials_run=100, bit_errors=80, bits_total=800, failures=0)
         assert r.ber == pytest.approx(0.1)
         assert r.stderr == pytest.approx(np.sqrt(0.1 * 0.9 / 800))
+
+    def test_holds_only_its_tally(self):
+        # BER and its standard error are read from the tally, never stored
+        assert [f.name for f in dataclasses.fields(BerRecord)] == [
+            "detector", "params", "snr_db", "trials_run", "bit_errors", "bits_total", "failures"]
+        r = BerRecord("mmse", "backend=qr", 5.0, 0, 0, 0, 0)
+        assert (r.ber, r.stderr) == (0.0, 0.0)
+        r.bit_errors, r.bits_total = 3, 12
+        assert (r.ber, r.stderr) == (0.25, float(np.sqrt(0.25 * 0.75 / 12)))
 
 
 class TestSummarize:

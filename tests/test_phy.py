@@ -116,7 +116,7 @@ def test_slice_matches_nearest_point_oracle(order):
 
 def test_channel_statistics():
     rng = phy.substream(101, 0)
-    h = phy.draw_channel(100, 1000, rng)
+    h = phy.complex_gaussian((100, 1000), rng)
     power = np.abs(h) ** 2
     assert np.mean(power) == pytest.approx(1.0, abs=0.02)
     flat = h.reshape(-1)
@@ -125,7 +125,7 @@ def test_channel_statistics():
 
 
 def test_channel_fixed_seed_is_frozen():
-    h = phy.draw_channel(2, 2, phy.substream(12345, 6))
+    h = phy.complex_gaussian((2, 2), phy.substream(12345, 6))
     expected = np.array(
         [
             [-0.74842493 + 0.014538j, 0.14195132 + 0.84237538j],
@@ -133,7 +133,7 @@ def test_channel_fixed_seed_is_frozen():
         ]
     )
     assert np.allclose(h, expected, atol=1e-8)
-    assert np.array_equal(h, phy.draw_channel(2, 2, phy.substream(12345, 6)))
+    assert np.array_equal(h, phy.complex_gaussian((2, 2), phy.substream(12345, 6)))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 777, 2**64 - 1])
@@ -143,11 +143,17 @@ def test_complex_draws_equal_the_sum_formula(seed, n, u):
     # (g[0] + 1j g[1]) / sqrt(2) on the same normals
     for index in range(3):
         g = phy.substream(seed, index).standard_normal((2, n, u))
-        h = phy.draw_channel(n, u, phy.substream(seed, index))
+        h = phy.complex_gaussian((n, u), phy.substream(seed, index))
         assert h.tobytes() == ((g[0] + 1j * g[1]) / np.sqrt(2.0)).tobytes()
         g = phy.substream(seed, index).standard_normal((2, n))
-        noise = phy.draw_noise_unit(n, phy.substream(seed, index))
+        noise = phy.complex_gaussian((n,), phy.substream(seed, index))
         assert noise.tobytes() == ((g[0] + 1j * g[1]) / np.sqrt(2.0)).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(), (0, 2), (3, -1), (0,)])
+def test_complex_gaussian_refuses_an_empty_shape_or_dimension(shape):
+    with pytest.raises(ValueError, match="complex Gaussian dimensions must be positive"):
+        phy.complex_gaussian(shape, phy.substream(1, 0))
 
 
 def test_substream_keys_every_seed_below_2_64():
@@ -158,7 +164,7 @@ def test_substream_keys_every_seed_below_2_64():
 
 
 def test_noise_variance_and_circularity():
-    n = phy.draw_noise_unit(100_000, phy.substream(77, 0))
+    n = phy.complex_gaussian((100_000,), phy.substream(77, 0))
     assert np.mean(np.abs(n) ** 2) == pytest.approx(1.0, abs=0.025)
     assert np.var(n.real) == pytest.approx(0.5, abs=0.025)
     assert np.var(n.imag) == pytest.approx(0.5, abs=0.025)
@@ -173,8 +179,8 @@ def test_sigma2_from_snr():
 def test_bad_order_size_or_user_count_is_refused():
     with pytest.raises(ValueError, match="unsupported constellation order 8"):
         phy.make_constellation(8)
-    with pytest.raises(ValueError, match="channel dimensions must be positive"):
-        phy.draw_channel(0, 1, phy.substream(1, 0))
+    with pytest.raises(ValueError, match="complex Gaussian dimensions must be positive"):
+        phy.complex_gaussian((0, 1), phy.substream(1, 0))
     with pytest.raises(ValueError, match="u must be positive"):
         phy.sigma2_from_snr(10.0, 0)
 
@@ -188,7 +194,7 @@ def test_channel_hardening():
     def mean_dev(n):
         devs = []
         for seed in range(100):
-            h = phy.draw_channel(n, u, phy.substream(500 + n, seed))
+            h = phy.complex_gaussian((n, u), phy.substream(500 + n, seed))
             g = h.conj().T @ h / n
             devs.append(np.linalg.norm(g - np.eye(u)) / np.linalg.norm(np.eye(u)))
         return float(np.mean(devs))

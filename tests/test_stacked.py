@@ -276,6 +276,38 @@ def test_values_only_fails_as_counted(call, corrupt, error):
     assert type(values.value) is type(counted.value)
 
 
+@pytest.mark.parametrize("call", [call for _, call in EXACT_AND_ADMIN],
+                         ids=[name for name, _ in EXACT_AND_ADMIN])
+def test_spectrum_of_refuses_what_the_solvers_refuse(call):
+    # spectrum_of owns the values path's Hermitian check: a non-Hermitian
+    # stack raises the ValueError, and the message, of a counted solve
+    _, operands, _ = one_bad_stack(_skew)
+    with pytest.raises(ValueError) as spectrum:
+        detect.spectrum_of(operands["g"])
+    with pytest.raises(ValueError) as counted:
+        call(operands["g"], operands["b"], OpCount())
+    assert type(spectrum.value) is type(counted.value)
+    assert str(spectrum.value) == str(counted.value)
+
+
+def _mirrored_inf(g):
+    g[0, 1] = g[1, 0] = np.inf  # as gramian mirrors an overflowed upper triangle
+
+
+@pytest.mark.parametrize("corrupt", [_mirrored_inf, _nan], ids=["mirrored-inf", "nan"])
+def test_spectrum_of_a_non_finite_system_is_nan_without_a_warning(corrupt):
+    # checked as it stands, a mirrored inf gives inf - inf, which warns;
+    # nothing may warn, the bad system's lam is NaN, and the others'
+    # spectrum is eigh's of them alone
+    _, operands, good = one_bad_stack(corrupt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam, v = detect.spectrum_of(operands["g"])
+    assert np.isnan(lam[1]).all()
+    want_lam, want_v = np.linalg.eigh(good["g"])
+    assert np.array_equal(lam[[0, 2]], want_lam) and np.array_equal(v[[0, 2]], want_v)
+
+
 # the exact and ADMIN solves take their values-only estimates from the
 # Gramian's spectrum, so they agree with the counted solves to rounding;
 # every other routine, the three factorizations included, runs its counted
