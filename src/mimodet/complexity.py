@@ -24,8 +24,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import decomp, phy
-from .detect import Backend, Kind, gramian
+from . import phy
+from .detect import Backend, Kind, _factored, gramian
 from .kernels import OpCount
 
 # the model's rows, in table order
@@ -73,12 +73,10 @@ def measure_rm(backend: Backend, u: int) -> OpCount:
     here; the AID detectors count their full detection path in
     ``detect`` instead.
     """
-    if not isinstance(backend, Backend):
-        raise ValueError(f"{backend.value} is modeled only; no factorization to measure")
-    factor = {Backend.QR: decomp.gram_schmidt_qr, Backend.CHOLESKY: decomp.cholesky,
-              Backend.LDL: decomp.ldl}[backend]
+    if not isinstance(backend, Backend):  # _factored would count any other value as LDL
+        raise ValueError(f"{backend!r} is not a detect.Backend; the AID kinds are modeled only")
     acc = OpCount()
-    factor(seeded_gramian(u, 0), acc)
+    _factored(seeded_gramian(u, 0), backend, acc)  # factors here; the solve it returns is dropped
     return acc
 
 

@@ -12,9 +12,9 @@ call. Each factorization has this one implementation. In the sweep the
 Gramian's spectrum gives the estimate, and a factorization runs only on
 the systems that spectrum cannot prove it would factor (see ``detect``).
 
-Every routine follows ``np.linalg``'s conventions: it takes one system
-or a stack with any leading shape (``... x U x U``, ``... x U``) and
-returns plain arrays, ``(q, r)``, ``l`` or ``(l, d)`` for the factorizations.
+Every routine follows ``np.linalg``'s conventions: it takes one system or a
+stack with any leading shape (``... x U x U``, ``... x U``) as any array-like
+(:func:`as_system`) and returns plain arrays, ``(q, r)``, ``l`` or ``(l, d)``.
 The Python loop runs over the ``U`` rows or columns; each step is one
 array operation over every system of the stack and over the inner index,
 and charges its kernels per element, so a stack of B systems charges
@@ -70,12 +70,12 @@ def as_stack(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def vector_stack(b: np.ndarray, n: int) -> np.ndarray:
-    """Right-hand side(s) as a complex array whose last axis has length n."""
-    b = np.asarray(b, dtype=np.complex128)
-    if b.shape[-1:] != (n,):
-        raise ValueError(f"right-hand side has shape {b.shape}, expected length {n}")
-    return b
+def as_system(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` as :func:`as_stack` gives it, and its right-hand side(s) ``b`` in complex128."""
+    a, b = as_stack(a), np.asarray(b, dtype=np.complex128)
+    if b.shape[-1:] != a.shape[-1:]:
+        raise ValueError(f"right-hand side has shape {b.shape}, expected length {a.shape[-1]}")
+    return a, b
 
 
 def finite_result(solver):
@@ -196,9 +196,8 @@ def ldl(a: np.ndarray, acc: OpCount | None) -> tuple[np.ndarray, np.ndarray]:
 def _triangular_sub(
     t: np.ndarray, b: np.ndarray, acc: OpCount | None, lower: bool
 ) -> np.ndarray:
-    t = as_stack(t)
+    t, b = as_system(t, b)
     n = t.shape[-1]
-    b = vector_stack(b, n)
     rows = range(n) if lower else range(n - 1, -1, -1)
     diag = np.diagonal(t, axis1=-2, axis2=-1)
     small = np.abs(diag) <= pivot_tol(t)[..., None]

@@ -107,6 +107,7 @@ from .decomp import (
     DecompositionError,
     SingularTriangularError,
     as_stack,
+    as_system,
     backward_sub,
     check_hermitian,
     cholesky,
@@ -115,7 +116,6 @@ from .decomp import (
     gram_schmidt_qr,
     ldl,
     pivot_tol,
-    vector_stack,
 )
 from .kernels import (
     OpCount,
@@ -241,6 +241,11 @@ class DetectorSpec:
         return beta
 
 
+def _floating(a) -> np.ndarray:
+    """``a`` as an array in float64, or as it is (no copy) if it holds real or complex floats."""
+    return np.asarray(a, np.result_type(np.asarray(a), 1.0))
+
+
 def matched_filter(
     h: np.ndarray, y: np.ndarray, acc: OpCount | None, h_h: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -248,7 +253,7 @@ def matched_filter(
 
     ``h_h`` is ``hermitian(h)`` when the caller has formed it already.
     """
-    return matvec(hermitian(h) if h_h is None else h_h, y, acc)
+    return matvec(hermitian(_floating(h)) if h_h is None else h_h, _floating(y), acc)
 
 
 def gramian(
@@ -261,6 +266,7 @@ def gramian(
     positive definite whenever reg > 0.
     ``h_h`` is as in :func:`matched_filter`.
     """
+    h = _floating(h)  # an integer H would drop a fractional reg
     n, u = h.shape[-2:]
     if n < u:
         raise ValueError(f"gramian needs N >= U, got {n} < {u}")
@@ -286,6 +292,7 @@ def exact_solve(
     ``reg`` is as in :func:`nsa_solve`; ``spectrum`` is G's, as
     :func:`spectrum_of` gives it, or None; see :func:`_solver`.
     """
+    g, b = as_system(g, b)
     return _solver(g, b, backend, acc, reg, spectrum)(b)
 
 
@@ -334,7 +341,7 @@ def screen(g: np.ndarray, lam: np.ndarray, shift: float, rhs: np.ndarray) -> np.
 def _solver(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None,
             reg: float | np.ndarray, spectrum: tuple[np.ndarray, np.ndarray] | None = None):
     """The solve of (G + reg*I) x = rhs as a function of ``rhs``, ``reg`` as in
-    :func:`nsa_solve` and right-hand sides shaped as ``b``.
+    :func:`nsa_solve`, rhs shaped as ``b``, and G and ``b`` from ``as_system``.
 
     Counted, a non-Hermitian G raises ``ValueError`` here, the backend
     factors one copy of G + reg*I and each solve is that factor's
@@ -347,12 +354,10 @@ def _solver(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None,
     """
     if not isinstance(backend, Backend):
         raise ValueError(f"unknown backend {backend}")
-    g = as_stack(g)
     if acc is not None:
         check_hermitian(g, pivot_tol(g))
         return _factored(_shifted(g, reg), backend, acc)
     lam, v = spectrum_of(g) if spectrum is None else spectrum
-    b = vector_stack(b, g.shape[-1])
     first = np.broadcast_to(b[(0,) * (b.ndim - g.ndim + 1)], g.shape[:-1])
     shift = np.min(reg)
     left = ~screen(g, lam, shift, first)
@@ -413,8 +418,7 @@ def nsa_solve(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    g = as_stack(g)
-    x_mf = vector_stack(x_mf, g.shape[-1])
+    g, x_mf = as_system(g, x_mf)
     diag = np.diagonal(g, axis1=-2, axis2=-1) + reg
     d_inv = counted_recip(diag.real, acc)
     e = g.copy()
@@ -443,9 +447,8 @@ def gs_solve(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    g = as_stack(g)
+    g, x_mf = as_system(g, x_mf)
     u = g.shape[-1]
-    x_mf = vector_stack(x_mf, u)
     diag = np.diagonal(g, axis1=-2, axis2=-1) + reg
     # pivot_tol(G + reg*I): the largest of |G|'s off-diagonal and |diag|
     off = np.abs(g)
@@ -480,8 +483,7 @@ def cg_solve(
     """
     if t < 1:
         raise ValueError("t must be >= 1")
-    g = as_stack(g)
-    x_mf = vector_stack(x_mf, g.shape[-1])
+    g, x_mf = as_system(g, x_mf)
     x = np.zeros_like(x_mf)
     r = x_mf.copy()
     p = x_mf.copy()
@@ -519,25 +521,25 @@ def admin_solve(
 ) -> np.ndarray:
     """ADMM loop for the box-constrained detector.
 
-    Every x-solve is against G = g_admin + reg*I, ``reg`` as in
-    :func:`nsa_solve`: the detector's G is H^H H + beta*I, so a caller
+    ``g_admin`` and ``x_mf`` are taken in by ``as_system`` before anything
+    reads them. Every x-solve is against G = g_admin + reg*I, ``reg`` as
+    in :func:`nsa_solve`: the detector's G is H^H H + beta*I, so a caller
     passes either that Gramian, or H^H H with ``reg=beta``. Every x-solve
     is one solve of :func:`_solver` with LDL as the backend, given
-    ``spectrum`` as :func:`exact_solve` is. Scaled updates
-    with unit step: z clips x + lambda to the per-axis box, lambda
-    accumulates x - z. With z and lambda starting at zero the first
-    solve consumes x_mf unchanged, which is exactly the MMSE estimate
-    with sigma2 replaced by beta. ``beta`` is a float, or an array that
-    broadcasts against the stack's leading axes, such as (P, 1, 1) for
-    one beta per SNR point of a (P, T, U) stack of right-hand sides; a
-    beta that is not positive and finite raises ``ValueError``, as
-    ``DetectorSpec.admin_beta``.
+    ``spectrum`` as :func:`exact_solve` is. Scaled updates with unit step:
+    z clips x + lambda to the per-axis box, lambda accumulates x - z. With
+    z and lambda starting at zero the first solve consumes x_mf unchanged,
+    which is exactly the MMSE estimate with sigma2 replaced by beta.
+    ``beta`` is a float, or an array that broadcasts against the stack's
+    leading axes, such as (P, 1, 1) for one beta per SNR point of a
+    (P, T, U) stack of right-hand sides; a beta that is not positive and
+    finite raises ``ValueError``, as ``DetectorSpec.admin_beta``.
     """
     if t < 1:
         raise ValueError("t must be >= 1")
     if not np.all((0 < beta) & (beta < np.inf)):
         raise ValueError("beta must be positive and finite")
-    x_mf = vector_stack(x_mf, g_admin.shape[-1])
+    g_admin, x_mf = as_system(g_admin, x_mf)
     solve = _solver(g_admin, x_mf, Backend.LDL, acc, reg, spectrum)
     x = solve(x_mf)
     z = _clip_box(x, box)

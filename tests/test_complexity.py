@@ -125,6 +125,13 @@ class TestMeasured:
             with pytest.raises(ValueError, match="modeled only"):
                 measure_rm(kind, 8)
 
+    @pytest.mark.parametrize("backend", ["qr", None, 0])
+    def test_refuses_what_is_not_a_backend(self, backend):
+        # one refusal up front: the backend table would count any other
+        # value as LDL, and a value with no .value must not raise AttributeError
+        with pytest.raises(ValueError, match="is not a detect.Backend"):
+            measure_rm(backend, 4)
+
 
 class TestComparisonTable:
     def test_gs_less_than_half_cholesky_at_64(self):

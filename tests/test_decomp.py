@@ -9,12 +9,12 @@ from mimodet.decomp import (
     NotPositiveDefiniteError,
     SingularTriangularError,
     as_stack,
+    as_system,
     backward_sub,
     cholesky,
     forward_sub,
     gram_schmidt_qr,
     ldl,
-    vector_stack,
 )
 from mimodet.kernels import OpCount, hermitian
 
@@ -214,9 +214,9 @@ def test_as_stack_needs_square_matrices(shape):
 
 
 @pytest.mark.parametrize("shape", [(), (4,), (2, 3, 2)])
-def test_vector_stack_needs_length_n(shape):
+def test_as_system_needs_length_n(shape):
     with pytest.raises(ValueError, match="expected length 3"):
-        vector_stack(np.ones(shape), 3)
+        as_system(np.eye(3), np.ones(shape))
 
 
 def test_reconstruction_property_sample():

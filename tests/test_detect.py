@@ -53,6 +53,13 @@ class TestMatchedFilter:
         detect.matched_filter(np.ones((8, 4), dtype=complex), np.ones(8, dtype=complex), acc)
         assert acc.real_mul == 4 * 8 * 4
 
+    def test_takes_lists_as_float64(self):
+        acc, want = OpCount(), OpCount()
+        out = detect.matched_filter([[1, 2], [3, 4], [5, 6]], [1, 0, 2], acc)
+        ref = detect.matched_filter(np.array([[1.0, 2], [3, 4], [5, 6]]), np.array([1.0, 0, 2]),
+                                    want)
+        assert out.dtype == np.float64 and np.array_equal(out, ref) and acc == want
+
 
 class TestGramian:
     def test_orthonormal_columns(self):
@@ -78,6 +85,30 @@ class TestGramian:
     def test_rejects_wide(self):
         with pytest.raises(ValueError):
             detect.gramian(np.ones((2, 3), dtype=complex), 0.0, OpCount())
+
+    @pytest.mark.parametrize("h", [[[1, 2], [3, 4], [5, 6]], np.array([[1, 2], [3, 4], [5, 6]])],
+                             ids=["list", "int64"])
+    def test_integer_channel_keeps_the_regularization(self, h):
+        # H^T H + 0.5 I, formed in float64: an integer G would drop the 0.5
+        acc, want = OpCount(), OpCount()
+        g = detect.gramian(h, 0.5, acc)
+        ref = detect.gramian(np.array([[1.0, 2], [3, 4], [5, 6]]), 0.5, want)
+        assert np.array_equal(g, [[35.5, 44], [44, 56.5]]) and np.array_equal(g, ref)
+        assert g.dtype == np.float64 and acc == want
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, np.complex128])
+    def test_a_floating_channel_is_not_copied(self, dtype, monkeypatch):
+        # the sweep's H reaches the product as it is, not as a copy per block
+        h, y = np.ones((3, 2), dtype=dtype), np.ones(3, dtype=dtype)
+        seen = []
+        hermitian, matvec = detect.hermitian, detect.matvec
+        monkeypatch.setattr(detect, "hermitian", lambda a: seen.append(a) or hermitian(a))
+        monkeypatch.setattr(detect, "matvec", lambda a, b, acc: seen.append(b) or matvec(a, b, acc))
+        detect.gramian(h, 0.5, None)
+        assert seen[0] is h
+        seen.clear()
+        detect.matched_filter(h, y, None)
+        assert seen[0] is h and seen[1] is y
 
     @pytest.mark.parametrize("reg", [-0.5, np.nan, np.inf])
     def test_rejects_negative_reg(self, reg):

@@ -462,3 +462,43 @@ def test_values_only_qr_convention(b, u):
     qh = np.swapaxes(q, -1, -2).conj()
     assert np.abs(qh @ q - np.eye(u)).max() <= 1e-12
     assert np.linalg.norm(q @ r - a) <= 1e-12 * np.linalg.norm(a)
+
+
+# name -> solve(G, b, acc) for every public solver, and for the soft
+# estimate of every kind but SIMO (which solves no system)
+INTAKE = {
+    **{f"exact_solve.{be.value}": (lambda g, b, acc, be=be: detect.exact_solve(g, b, be, acc))
+       for be in Backend},
+    "nsa_solve": lambda g, b, acc: detect.nsa_solve(g, b, 3, acc),
+    "gs_solve": lambda g, b, acc: detect.gs_solve(g, b, 3, acc),
+    "cg_solve": lambda g, b, acc: detect.cg_solve(g, b, 3, acc),
+    "admin_solve": lambda g, b, acc: detect.admin_solve(g, b, 3, 0.5, 1.0, acc),
+    "forward_sub": lambda g, b, acc: detect.forward_sub(g, b, acc),
+    "backward_sub": lambda g, b, acc: detect.backward_sub(g, b, acc),
+    **{f"soft_estimate.{spec.name}-{spec.params}": (
+        lambda g, b, acc, spec=spec: detect.soft_estimate(spec, g, b, 0.5, 1.0, acc))
+       for spec in SPECS},
+}
+# each way a caller may write G = [[4, 1, 0], [1, 3, 1], [0, 1, 2]] and b = [1, -2, 3]
+INTAKE_FORMS = {
+    "list": lambda a: a,
+    "tuple": lambda a: tuple(tuple(row) if isinstance(row, list) else row for row in a),
+    "int64": lambda a: np.array(a, dtype=np.int64),
+    "float64": lambda a: np.array(a, dtype=np.float64),
+}
+
+
+@pytest.mark.parametrize("counted", [True, False], ids=["counted", "values-only"])
+@pytest.mark.parametrize("form", sorted(INTAKE_FORMS))
+@pytest.mark.parametrize("name", sorted(INTAKE))
+def test_every_solver_takes_what_np_linalg_takes(name, form, counted):
+    # as np.linalg.solve does, a solver takes G and b as any array-like, in
+    # complex128: the result is the complex128 call's, bit for bit, and so
+    # is the tally
+    g, b = [[4, 1, 0], [1, 3, 1], [0, 1, 2]], [1, -2, 3]
+    acc, want_acc = (OpCount(), OpCount()) if counted else (None, None)
+    want = outputs(INTAKE[name](np.array(g, dtype=complex), np.array(b, dtype=complex), want_acc))
+    got = outputs(INTAKE[name](INTAKE_FORMS[form](g), INTAKE_FORMS[form](b), acc))
+    assert [(v.dtype, v.shape, v.tobytes()) for v in got] == [
+        (v.dtype, v.shape, v.tobytes()) for v in want]
+    assert acc == want_acc
