@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import phy
-from .detect import Backend, Kind, _factored, gramian
+from .detect import Backend, Kind, _factored, gramian, solver_param
 from .kernels import OpCount
 
 # the model's rows, in table order
@@ -39,8 +39,7 @@ def formula_rm(method: Backend | Kind, u: int, t: int = 1) -> int:
     """Exact real-multiplication count from the closed-form model."""
     if u < 1:
         raise ValueError("u must be >= 1")
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    t = solver_param("t", t)
     if method is Backend.QR:
         return u * u * (4 * u + 2)
     if method is Backend.CHOLESKY:

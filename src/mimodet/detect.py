@@ -18,14 +18,14 @@ or a stack with any leading shape, returns plain arrays, charges B
 times the single-system tally for B systems, computed from shapes, and
 raises on the first system it cannot solve; the sweep retries a raising
 stack one (point, trial) at a time; ``decomp.finite_result`` is the one
-place a non-finite result raises. Every solver takes a diagonal shift
-``reg`` as a trailing keyword (default 0) and solves against
-G + reg*I. ``reg`` is a float or an array that broadcasts against
-diag(G): a (P, 1, 1) shift on a (T, U, U) stack gives P x T systems, so
-one Gramian stack serves every SNR point at once. NSA, GS and CG read G
-in place and shift only its diagonal; the counted exact and ADMIN
-solves factor one copy of G + reg*I. ``soft_estimate`` passes each
-kind its shift: 0 for ZF, beta for ADMIN, sigma2 for the rest.
+place a non-finite result raises. Every solver takes a shift ``reg`` as
+a trailing keyword (default 0) and solves against G + reg*I; a shift is
+a multiple of the identity per system, read by :func:`solver_param`, as
+is every iteration count: a (P, 1, 1) shift on a (T, U, U) stack gives
+P x T systems, so one Gramian stack serves every SNR point at once. NSA,
+GS and CG read G in place and shift only its diagonal; the counted exact
+and ADMIN solves factor one copy of G + reg*I. ``soft_estimate`` passes
+each kind its shift: 0 for ZF, beta for ADMIN, sigma2 for the rest.
 
 ``acc=None`` computes values only, as in ``kernels`` and ``decomp``; the
 sweep passes it everywhere. NSA, GS and CG then run their counted loops
@@ -241,6 +241,29 @@ class DetectorSpec:
         return beta
 
 
+def solver_param(name: str, value):
+    """``value`` as a solver reads its parameter ``name``, or a ``ValueError``
+    naming ``name``, raised before the solver does any work.
+
+    ``t`` is an integer >= 1, not a bool. Any other name is a shift s, s*I
+    per system: a real number, or a real array whose last axis has length 1
+    (not bool, str, complex or object), read by ``np.asarray`` as float64
+    without copying a float64 array. ``beta`` must be > 0 and any other
+    shift (``reg``, ``sigma2``) >= 0, both finite.
+    """
+    if name == "t":
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+            raise ValueError(f"t must be >= 1, an integer, got {value!r}")
+        return int(value)
+    s = np.asarray(value)
+    if s.dtype.kind not in "iuf" or s.shape[-1:] not in ((), (1,)):
+        raise ValueError(f"{name} must be a real number or array with last axis 1, got {value!r}")
+    if not np.all((s > 0 if name == "beta" else s >= 0) & (s < np.inf)):
+        rule = "beta must be positive" if name == "beta" else "regularization must be non-negative"
+        raise ValueError(f"{rule} and finite, got {name} = {value!r}")
+    return s.astype(np.float64, copy=False)
+
+
 def _floating(a) -> np.ndarray:
     """``a`` as an array in float64, or as it is (no copy) if it holds real or complex floats."""
     return np.asarray(a, np.result_type(np.asarray(a), 1.0))
@@ -257,27 +280,25 @@ def matched_filter(
 
 
 def gramian(
-    h: np.ndarray, reg: float, acc: OpCount | None, h_h: np.ndarray | None = None,
+    h: np.ndarray, reg: float | np.ndarray, acc: OpCount | None, h_h: np.ndarray | None = None,
 ) -> np.ndarray:
     """G = H^H H + reg*I, formed in one product and mirrored from its upper triangle.
 
-    Charged as the U(U+1)/2 inner products of the upper triangle. The
-    diagonal is forced real, so the result is exactly Hermitian and
-    positive definite whenever reg > 0.
-    ``h_h`` is as in :func:`matched_filter`.
+    Charged as the U(U+1)/2 inner products of the upper triangle of each
+    product formed. The diagonal is forced real, so the result is exactly
+    Hermitian and positive definite whenever reg > 0. ``reg`` is a shift
+    (:func:`solver_param`); ``h_h`` is as in :func:`matched_filter`.
     """
+    reg = solver_param("reg", reg)
     h = _floating(h)  # an integer H would drop a fractional reg
     n, u = h.shape[-2:]
     if n < u:
         raise ValueError(f"gramian needs N >= U, got {n} < {u}")
-    if not 0 <= reg < np.inf:  # nan and inf too, which would give a non-finite G
-        raise ValueError(f"regularization must be non-negative and finite, got {reg!r}")
     product = (hermitian(h) if h_h is None else h_h) @ h
     upper = np.triu(product, 1)
-    g = upper + hermitian(upper)
     idx = np.arange(u)
-    g[..., idx, idx] = product[..., idx, idx].real + reg
-    systems = g.size // (u * u)
+    g = _shifted(upper + hermitian(upper), product[..., idx, idx].real + reg)
+    systems = product.size // (u * u)
     charge(acc, products=n * systems * u * (u + 1) // 2, operands=(h, h))
     return g
 
@@ -289,9 +310,10 @@ def exact_solve(
 ) -> np.ndarray:
     """Solve (G + reg*I) x = b through the chosen decomposition backend.
 
-    ``reg`` is as in :func:`nsa_solve`; ``spectrum`` is G's, as
+    ``reg`` is a shift (:func:`solver_param`); ``spectrum`` is G's, as
     :func:`spectrum_of` gives it, or None; see :func:`_solver`.
     """
+    reg = solver_param("reg", reg)
     g, b = as_system(g, b)
     return _solver(g, b, backend, acc, reg, spectrum)(b)
 
@@ -340,8 +362,8 @@ def screen(g: np.ndarray, lam: np.ndarray, shift: float, rhs: np.ndarray) -> np.
 
 def _solver(g: np.ndarray, b: np.ndarray, backend: Backend, acc: OpCount | None,
             reg: float | np.ndarray, spectrum: tuple[np.ndarray, np.ndarray] | None = None):
-    """The solve of (G + reg*I) x = rhs as a function of ``rhs``, ``reg`` as in
-    :func:`nsa_solve`, rhs shaped as ``b``, and G and ``b`` from ``as_system``.
+    """The solve of (G + reg*I) x = rhs as a function of ``rhs``, rhs shaped as
+    ``b``, with G, ``b`` and ``reg`` as its two callers have taken them in.
 
     Counted, a non-Hermitian G raises ``ValueError`` here, the backend
     factors one copy of G + reg*I and each solve is that factor's
@@ -392,7 +414,7 @@ def _factored(f: np.ndarray, backend: Backend, acc: OpCount | None):
 
 
 def _shifted(g: np.ndarray, reg: float | np.ndarray) -> np.ndarray:
-    """G + reg*I in one copy of the stack G, broadcast against ``reg`` as in :func:`nsa_solve`."""
+    """G + reg*I in one copy of the stack G, broadcast against the shift ``reg``."""
     idx = np.arange(g.shape[-1])
     diag = g[..., idx, idx] + reg
     out = np.broadcast_to(g, diag.shape + diag.shape[-1:]).copy()
@@ -409,15 +431,14 @@ def nsa_solve(
 
     Splits G + reg*I into its diagonal X = diag(G) + reg and its
     off-diagonal E, which is G's own, and accumulates
-    u_{k+1} = -X^-1 (E u_k) starting from u_0 = X^-1 x_mf. ``reg`` is a
-    scalar or an array that broadcasts against diag(G), shape (..., U):
-    a (P, 1, 1) shift on a (T, U, U) stack gives P x T systems, each
-    G[t] shifted by reg[p], without a copy of G per shift.
+    u_{k+1} = -X^-1 (E u_k) starting from u_0 = X^-1 x_mf. ``t`` and the
+    shift ``reg`` are read by :func:`solver_param`: a (P, 1, 1) shift on a
+    (T, U, U) stack gives P x T systems, each G[t] shifted by reg[p],
+    without a copy of G per shift.
     The divergence flag (one per system of a stack, False at t = 1) is set
     when the last term outgrew the one before it; the estimate is still returned.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    t, reg = solver_param("t", t), solver_param("reg", reg)
     g, x_mf = as_system(g, x_mf)
     diag = np.diagonal(g, axis1=-2, axis2=-1) + reg
     d_inv = counted_recip(diag.real, acc)
@@ -442,11 +463,10 @@ def gs_solve(
     (D + L) is applied by forward substitution inside each sweep, never
     formed. The start is x = 0, so sweep 1 returns (D + L)^-1 x_mf. The
     off-diagonal entries are read from G itself and D is diag(G) + reg,
-    with ``reg`` as in :func:`nsa_solve`; the pivot tolerance is
-    ``pivot_tol(G + reg*I)``.
+    with ``t`` and ``reg`` read by :func:`solver_param`; the pivot
+    tolerance is ``pivot_tol(G + reg*I)``.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    t, reg = solver_param("t", t), solver_param("reg", reg)
     g, x_mf = as_system(g, x_mf)
     u = g.shape[-1]
     diag = np.diagonal(g, axis1=-2, axis2=-1) + reg
@@ -475,14 +495,13 @@ def cg_solve(
 ) -> np.ndarray:
     """t conjugate-gradient steps on (G + reg*I) x = x_mf from x = 0, r = p = x_mf.
 
-    ``reg`` is as in :func:`nsa_solve`; (G + reg*I) p is formed as
-    G p + reg p and charged as the one product. A system whose residual
-    is exactly zero keeps its estimate for the remaining steps; every
-    step is charged regardless, so the tally depends on shapes only.
+    ``t`` and ``reg`` are read by :func:`solver_param`; (G + reg*I) p is
+    formed as G p + reg p and charged as the one product. A system whose
+    residual is exactly zero keeps its estimate for the remaining steps;
+    every step is charged regardless, so the tally depends on shapes only.
     Non-positive curvature raises :class:`CgBreakdownError`.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
+    t, reg = solver_param("t", t), solver_param("reg", reg)
     g, x_mf = as_system(g, x_mf)
     x = np.zeros_like(x_mf)
     r = x_mf.copy()
@@ -521,24 +540,19 @@ def admin_solve(
 ) -> np.ndarray:
     """ADMM loop for the box-constrained detector.
 
-    ``g_admin`` and ``x_mf`` are taken in by ``as_system`` before anything
-    reads them. Every x-solve is against G = g_admin + reg*I, ``reg`` as
-    in :func:`nsa_solve`: the detector's G is H^H H + beta*I, so a caller
-    passes either that Gramian, or H^H H with ``reg=beta``. Every x-solve
-    is one solve of :func:`_solver` with LDL as the backend, given
-    ``spectrum`` as :func:`exact_solve` is. Scaled updates with unit step:
-    z clips x + lambda to the per-axis box, lambda accumulates x - z. With
-    z and lambda starting at zero the first solve consumes x_mf unchanged,
-    which is exactly the MMSE estimate with sigma2 replaced by beta.
-    ``beta`` is a float, or an array that broadcasts against the stack's
-    leading axes, such as (P, 1, 1) for one beta per SNR point of a
-    (P, T, U) stack of right-hand sides; a beta that is not positive and
-    finite raises ``ValueError``, as ``DetectorSpec.admin_beta``.
+    ``g_admin`` and ``x_mf`` are taken in by ``as_system``, and ``t``,
+    ``beta`` and ``reg`` by :func:`solver_param`, before anything reads
+    them. Every x-solve is against G = g_admin + reg*I: the detector's G
+    is H^H H + beta*I, so a caller passes either that Gramian, or H^H H
+    with ``reg=beta``. Every x-solve is one solve of :func:`_solver` with
+    LDL as the backend, given ``spectrum`` as :func:`exact_solve` is.
+    Scaled updates with unit step: z clips x + lambda to the per-axis box,
+    lambda accumulates x - z. With z and lambda starting at zero the first
+    solve consumes x_mf unchanged, which is exactly the MMSE estimate with
+    sigma2 replaced by beta. ``beta`` is a shift, such as (P, 1, 1) for
+    one beta per SNR point of a (P, T, U) stack of right-hand sides.
     """
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    if not np.all((0 < beta) & (beta < np.inf)):
-        raise ValueError("beta must be positive and finite")
+    t, beta, reg = solver_param("t", t), solver_param("beta", beta), solver_param("reg", reg)
     g_admin, x_mf = as_system(g_admin, x_mf)
     solve = _solver(g_admin, x_mf, Backend.LDL, acc, reg, spectrum)
     x = solve(x_mf)
@@ -559,18 +573,18 @@ def soft_estimate(
 
     ``g0`` is the unregularized Gramian H^H H (or a stack of them),
     ``x_mf`` = H^H y and ``box`` the per-axis ADMIN clipping bound.
-    ``sigma2`` is a float, or an array shaped (P, 1, 1) for every kind:
-    with ``g0`` shaped (T, U, U) and ``x_mf`` (P, T, U), one call solves
-    P SNR points x T trials, each system as a call on its own would.
-    Every solver gets ``g0`` and the detector's shift, ``reg``: 0 for ZF,
-    beta for ADMIN and sigma2 for the rest. ``spectrum`` is G0's
+    ``sigma2`` is a shift (:func:`solver_param`) for every kind, such as
+    (P, 1, 1): with ``g0`` shaped (T, U, U) and ``x_mf`` (P, T, U), one
+    call solves P SNR points x T trials, each system as a call on its own
+    would. Every solver gets ``g0`` and the detector's shift, ``reg``: 0
+    for ZF, beta for ADMIN and sigma2 for the rest. ``spectrum`` is G0's
     (:func:`spectrum_of`), or None; the exact and ADMIN solves take it,
     the other kinds do not read it. A system that cannot be solved
     raises, as in every counted solver. The solvers are looked up as
     module globals at call time, so a wrapper installed on this module
     sees every call.
     """
-    kind, t = spec.kind, spec.iterations
+    kind, t, sigma2 = spec.kind, spec.iterations, solver_param("sigma2", sigma2)
     reg = 0.0 if kind is Kind.ZF else spec.admin_beta(sigma2) if kind is Kind.ADMIN else sigma2
     if kind in (Kind.ZF, Kind.MMSE):
         return exact_solve(g0, x_mf, spec.backend, acc, reg=reg, spectrum=spectrum)

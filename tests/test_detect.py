@@ -429,15 +429,17 @@ def test_values_only_failure_rule_solves_one_rhs_per_trial(monkeypatch, spec):
 
 
 @pytest.mark.parametrize("solve", [
-    lambda g, b, t: detect.nsa_solve(g, b, t, None),
-    lambda g, b, t: detect.gs_solve(g, b, t, None),
-    lambda g, b, t: detect.cg_solve(g, b, t, None),
-    lambda g, b, t: detect.admin_solve(g, b, t, 1.0, 1.0, None),
+    lambda g, b, t, acc: detect.nsa_solve(g, b, t, acc),
+    lambda g, b, t, acc: detect.gs_solve(g, b, t, acc),
+    lambda g, b, t, acc: detect.cg_solve(g, b, t, acc),
+    lambda g, b, t, acc: detect.admin_solve(g, b, t, 1.0, 1.0, acc),
 ], ids=["nsa", "gs", "cg", "admin"])
-@pytest.mark.parametrize("t", [0, -1])
-def test_iterative_solvers_need_one_iteration(solve, t):
+@pytest.mark.parametrize("t", [0, -1, 2.0, True, "2"])
+@pytest.mark.parametrize("counted", [True, False], ids=["counted", "values-only"])
+def test_iterative_solvers_need_one_iteration(solve, t, counted):
+    # an integer >= 1: a float would reach range(), and True would run one sweep
     with pytest.raises(ValueError, match="t must be >= 1"):
-        solve(np.eye(3, dtype=complex), np.ones(3, dtype=complex), t)
+        solve(np.eye(3, dtype=complex), np.ones(3, dtype=complex), t, OpCount() if counted else None)
 
 
 def simo_record(n, u, order, snr_db, trials, seed):

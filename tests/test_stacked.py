@@ -502,3 +502,64 @@ def test_every_solver_takes_what_np_linalg_takes(name, form, counted):
     assert [(v.dtype, v.shape, v.tobytes()) for v in got] == [
         (v.dtype, v.shape, v.tobytes()) for v in want]
     assert acc == want_acc
+
+
+# name -> call(g, b, s, acc) of every entry point that takes a shift s,
+# s*I per system: gramian (reading g as H), each solver's reg, ADMIN's
+# beta, and the soft estimate's sigma2 for every kind but SIMO
+SHIFTED = {
+    "gramian": lambda g, b, s, acc: detect.gramian(g, s, acc),
+    **{f"exact_solve.{be.value}": (
+        lambda g, b, s, acc, be=be: detect.exact_solve(g, b, be, acc, reg=s)) for be in Backend},
+    "nsa_solve": lambda g, b, s, acc: detect.nsa_solve(g, b, 3, acc, reg=s),
+    "gs_solve": lambda g, b, s, acc: detect.gs_solve(g, b, 3, acc, reg=s),
+    "cg_solve": lambda g, b, s, acc: detect.cg_solve(g, b, 3, acc, reg=s),
+    "admin_solve.reg": lambda g, b, s, acc: detect.admin_solve(g, b, 3, 0.5, 1.0, acc, reg=s),
+    "admin_solve.beta": lambda g, b, s, acc: detect.admin_solve(g, b, 3, s, 1.0, acc, reg=0.5),
+    **{f"soft_estimate.{spec.name}-{spec.params}": (
+        lambda g, b, s, acc, spec=spec: detect.soft_estimate(spec, g, b, s, 1.0, acc))
+       for spec in SPECS},
+}
+SHIFT_G, SHIFT_B = np.array([[2.0, 0.5], [0.5, 3.0]]), np.array([1.0, 2.0])
+# a shift of each shape on a (T, U, U) = (2, 2, 2) stack with (P, T, U) =
+# (3, 2, 2) right-hand sides, each as a list; the tuple is the same nesting
+VALID_SHIFTS = {"(1,)": [0.5], "(T, 1)": [[0.5], [1.0]], "(P, 1, 1)": [[[0.5]], [[1.0]], [[2.0]]]}
+# a per-entry shift (which the spectral and the diagonal paths read
+# differently), negative or non-finite shifts, and what is not a real number
+BAD_SHIFTS = [[0.5, 1.0], np.array([0.5, 1.0]), -0.5, np.nan, np.inf, -np.inf, [[np.nan]],
+              True, "0.5", 0.5j, None]
+
+
+def nested_tuple(a):
+    return tuple(nested_tuple(v) for v in a) if isinstance(a, list) else a
+
+
+@pytest.mark.parametrize("counted", [True, False], ids=["counted", "values-only"])
+@pytest.mark.parametrize("name", sorted(SHIFTED))
+def test_every_shift_is_a_multiple_of_the_identity(name, counted):
+    # a list or tuple shift gives the float64 array's result bit for bit,
+    # with its tally; anything else is a ValueError before any work, never
+    # one of the solve errors and never an estimate
+    call, new_acc = SHIFTED[name], (OpCount if counted else lambda: None)
+    g = np.stack([SHIFT_G, 1.5 * SHIFT_G])
+    b = np.stack([SHIFT_B * (p + 1) for p in range(3 * 2)]).reshape(3, 2, 2)
+    for shape, s in VALID_SHIFTS.items():
+        want_acc = new_acc()
+        want = outputs(call(g, b, np.array(s), want_acc))
+        for form in (s, nested_tuple(s)):
+            acc = new_acc()
+            got = outputs(call(g, b, form, acc))
+            assert [(v.dtype, v.shape, v.tobytes()) for v in got] == [
+                (v.dtype, v.shape, v.tobytes()) for v in want], shape
+            assert acc == want_acc
+    for bad in BAD_SHIFTS + ([0.0] if name == "admin_solve.beta" else []):
+        acc = new_acc()
+        with pytest.raises(ValueError) as refused:
+            call(SHIFT_G, SHIFT_B, bad, acc)
+        assert not isinstance(refused.value, detect.SOLVE_ERRORS), bad
+        assert acc == new_acc()
+
+
+def test_a_float64_shift_is_not_copied():
+    s = np.full((3, 1, 1), 0.5)
+    assert detect.solver_param("reg", s) is s and detect.solver_param("beta", s) is s
